@@ -97,29 +97,32 @@ def g_test(
 
     G = 2 sum O ln(O/E) with stratum-wise expected counts; degrees of freedom
     sum (r-1)(c-1) over nonempty strata, counting only rows/columns with a
-    nonzero stratum marginal.  dof = 0 yields p = 1.
+    nonzero stratum marginal.  Strata with r < 2 or c < 2 contribute
+    nothing.  dof = 0 yields p = 1.
+
+    Marginals, expected counts and terms are computed for the whole cube at
+    once.  Each stratum's terms are summed over its flattened cells and the
+    stratum sums are then added in stratum order, so G equals that of a
+    per-stratum loop bit for bit.
     """
     counts = cube.counts.astype(float)
     if counts.sum() == 0:
         raise ValueError("contingency cube is empty")
+    row = counts.sum(axis=2)  # (n_strata, kx)
+    col = counts.sum(axis=1)  # (n_strata, ky)
+    r = np.count_nonzero(row, axis=1)
+    c = np.count_nonzero(col, axis=1)
+    used = (r >= 2) & (c >= 2)  # implies a nonempty stratum
+    table, row, col = counts[used], row[used], col[used]
+    total = row.sum(axis=1)
+    expected = row[:, :, None] * col[:, None, :] / total[:, None, None]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        terms = np.where(table > 0, table * np.log(table / expected), 0.0)
+    stratum_sums = terms.reshape(len(table), counts.shape[1] * counts.shape[2]).sum(axis=1)
     g_stat = 0.0
-    dof = 0
-    for z in range(cube.n_strata):
-        table = counts[z]
-        total = table.sum()
-        if total == 0:
-            continue
-        row = table.sum(axis=1)
-        col = table.sum(axis=0)
-        r = int(np.count_nonzero(row))
-        c = int(np.count_nonzero(col))
-        if r < 2 or c < 2:
-            continue
-        expected = np.outer(row, col) / total
-        with np.errstate(divide="ignore", invalid="ignore"):
-            terms = np.where(table > 0, table * np.log(table / expected), 0.0)
-        g_stat += 2.0 * terms.sum()
-        dof += (r - 1) * (c - 1)
+    for stratum_sum in stratum_sums.tolist():
+        g_stat += 2.0 * stratum_sum
+    dof = int(((r - 1) * (c - 1))[used].sum())
     p = chi2_sf(g_stat, dof) if dof > 0 else 1.0
     return CiResult(
         statement=statement,

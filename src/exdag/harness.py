@@ -8,6 +8,7 @@ from __future__ import annotations
 import csv
 import itertools
 import json
+import re
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
@@ -110,13 +111,17 @@ class ExperimentConfig:
 
 
 def write_dataset_csv(ds: EnvDataset, path) -> None:
+    """Write `env,sample,X1..Xd` rows (CRLF line ends, environments in order)
+    straight from the dataset's `rows`/`offsets` layout, plus the JSON
+    sidecar `<path>.meta.json`."""
     path = Path(path)
+    sizes = np.diff(ds.offsets)
+    env = np.repeat(np.arange(ds.n_envs), sizes)
+    sample = np.arange(ds.rows.shape[0]) - np.repeat(ds.offsets[:-1], sizes)
+    table = np.column_stack((env, sample, ds.rows))
+    header = ",".join(["env", "sample"] + [f"X{i + 1}" for i in range(ds.d)])
     with path.open("w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["env", "sample"] + [f"X{i + 1}" for i in range(ds.d)])
-        for e, rows in enumerate(ds.envs):
-            for n in range(rows.shape[0]):
-                writer.writerow([e, n] + [int(v) for v in rows[n]])
+        np.savetxt(fh, table, fmt="%d", delimiter=",", newline="\r\n", header=header, comments="")
     sidecar = {
         "seed": ds.seed,
         "cardinalities": list(ds.cardinalities),
@@ -130,31 +135,54 @@ class CsvFormatError(ValueError):
     pass
 
 
+_CSV_INT = re.compile(r"\s*[+-]?[0-9]+\s*")
+
+
+def _row_error(path: Path, lines: List[str], d: int, parse_error: str) -> CsvFormatError:
+    """Locate the first malformed data row by re-reading the rows one by
+    one.  Runs only after the whole-file parse has failed."""
+    for lineno, line in enumerate(lines, start=2):
+        row = line.split(",") if line else []
+        if len(row) != d + 2:
+            return CsvFormatError(f"{path}:{lineno}: expected {d + 2} columns, got {len(row)}")
+        if not all(_CSV_INT.fullmatch(v) for v in row):
+            return CsvFormatError(f"{path}:{lineno}: non-integer value in {row}")
+    return CsvFormatError(f"{path}: {parse_error}")
+
+
 def ingest_csv(path) -> EnvDataset:
     """Parse the `env,sample,X1..Xd` dataset format, with its JSON sidecar
-    (cardinalities, seed, true graph) when present."""
+    (cardinalities, seed, true graph) when present.
+
+    The data rows are parsed in one `np.loadtxt` call and sorted by
+    (env, sample); environments come out in increasing `env` order.  A file
+    is rejected with `CsvFormatError` naming `path:line` for a row with the
+    wrong number of columns or a value that is not a plain decimal integer,
+    a repeated (env, sample) pair (the second occurrence), sample indices
+    that do not run 0..N_e-1 within an environment, and a value that is
+    negative or not below its variable's cardinality (from the sidecar, or
+    the column maximum plus one without one).
+    """
     path = Path(path)
     with path.open() as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise CsvFormatError(f"{path}: empty file")
-        if header[:2] != ["env", "sample"] or len(header) < 3:
-            raise CsvFormatError(f"{path}: header must be env,sample,X1,...,Xd")
-        d = len(header) - 2
-        per_env: Dict[int, Dict[int, List[int]]] = {}
-        for lineno, row in enumerate(reader, start=2):
-            if len(row) != d + 2:
-                raise CsvFormatError(f"{path}:{lineno}: expected {d + 2} columns, got {len(row)}")
-            try:
-                values = [int(v) for v in row]
-            except ValueError:
-                raise CsvFormatError(f"{path}:{lineno}: non-integer value in {row}")
-            env, sample = values[0], values[1]
-            per_env.setdefault(env, {})[sample] = values[2:]
-    if not per_env:
+        lines = fh.read().splitlines()
+    if not lines:
+        raise CsvFormatError(f"{path}: empty file")
+    header = next(csv.reader(lines[:1]), [])
+    if header[:2] != ["env", "sample"] or len(header) < 3:
+        raise CsvFormatError(f"{path}: header must be env,sample,X1,...,Xd")
+    d = len(header) - 2
+    data = lines[1:]
+    if not data:
         raise CsvFormatError(f"{path}: no data rows")
+    table, parse_error = None, "blank line"
+    if "" not in data:  # loadtxt would skip blank lines without a word
+        try:
+            table = np.loadtxt(data, dtype=np.int64, delimiter=",", ndmin=2, comments=None)
+        except ValueError as err:
+            parse_error = str(err)
+    if table is None or table.shape != (len(data), d + 2):
+        raise _row_error(path, data, d, parse_error)
 
     sidecar_path = Path(str(path) + ".meta.json")
     cardinalities = seed = true_graph = None
@@ -163,23 +191,50 @@ def ingest_csv(path) -> EnvDataset:
         meta = json.loads(sidecar_path.read_text())
         if meta.get("cardinalities"):
             cardinalities = tuple(meta["cardinalities"])
+            if len(cardinalities) != d:
+                raise CsvFormatError(
+                    f"{sidecar_path}: {len(cardinalities)} cardinalities for {d} variables"
+                )
         seed = meta.get("seed")
         prior_description = meta.get("prior")
         if meta.get("true_graph"):
             true_graph = Dag.from_dict(meta["true_graph"])
 
-    envs = []
-    for env in sorted(per_env):
-        samples = per_env[env]
-        if sorted(samples) != list(range(len(samples))):
-            raise CsvFormatError(f"{path}: environment {env} has non-contiguous sample indices")
-        envs.append(np.array([samples[n] for n in range(len(samples))], dtype=np.int64))
+    # row r of `table` is line r + 2 of the file
+    order = np.lexsort((table[:, 1], table[:, 0]))  # stable: repeats keep file order
+    env, sample = table[order, 0], table[order, 1]
+    same_env = env[1:] == env[:-1]
+    repeat = np.flatnonzero(same_env & (sample[1:] == sample[:-1])) + 1
+    if repeat.size:
+        r = int(order[repeat].min())
+        raise CsvFormatError(
+            f"{path}:{r + 2}: repeats env {table[r, 0]}, sample {table[r, 1]}"
+        )
+    starts = np.flatnonzero(np.r_[True, ~same_env])
+    sizes = np.diff(np.r_[starts, len(order)])
+    gap = np.flatnonzero(sample != np.arange(len(order)) - np.repeat(starts, sizes))
+    if gap.size:
+        r = int(order[gap[0]])
+        raise CsvFormatError(
+            f"{path}:{r + 2}: environment {table[r, 0]} has non-contiguous sample indices"
+        )
+
+    values = table[:, 2:]
     if cardinalities is None:
-        cardinalities = tuple(int(max(rows[:, i].max() for rows in envs)) + 1 for i in range(d))
+        cardinalities = tuple(int(m) + 1 for m in values.max(axis=0))
+    out_of_range = (values < 0) | (values >= np.array(cardinalities))
+    if out_of_range.any():
+        r, i = (int(x) for x in np.argwhere(out_of_range)[0])
+        raise CsvFormatError(
+            f"{path}:{r + 2}: env {table[r, 0]}: variable {i} ({header[i + 2]}) value "
+            f"{values[r, i]} out of range [0, {cardinalities[i]})"
+        )
+    rows = values[order]
+    bounds = np.r_[starts, len(order)].tolist()
     return EnvDataset(
         d=d,
         cardinalities=cardinalities,
-        envs=envs,
+        envs=[rows[a:b] for a, b in zip(bounds[:-1], bounds[1:])],
         true_graph=true_graph,
         seed=seed,
         prior_description=prior_description,

@@ -213,81 +213,86 @@ def _as_rng(seed) -> np.random.Generator:
 
 @dataclass
 class EnvDataset:
-    """Categorical observations indexed (environment, sample, variable)."""
+    """Categorical observations indexed (environment, sample, variable).
+
+    One storage layout serves ragged and uniform data alike: `rows` holds
+    every environment's samples back to back, shape (total, d), and
+    environment e owns rows `offsets[e]:offsets[e + 1]`.  The constructor
+    copies the given per-environment arrays into `rows` once and validates
+    shapes and value ranges there; afterwards `envs` is a list of views into
+    `rows`, and `stacked()` is a reshape view when the data is uniform.
+    """
 
     d: int
     cardinalities: Tuple[int, ...]
-    envs: List[np.ndarray]  # each of shape (N_e, d)
+    envs: List[np.ndarray]  # each of shape (N_e, d); views into `rows` after init
     true_graph: Optional[Dag] = None
     seed: Optional[int] = None
     prior_description: Optional[List[str]] = None
+    rows: np.ndarray = field(init=False, repr=False, compare=False)
+    offsets: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         self.cardinalities = tuple(int(k) for k in self.cardinalities)
         if len(self.cardinalities) != self.d:
             raise ValueError("need one cardinality per variable")
-        arrays = []
-        for e, rows in enumerate(self.envs):
-            rows = np.asarray(rows)
+        arrays = [np.asarray(rows) for rows in self.envs]
+        if not arrays:
+            raise ValueError("dataset has no environments")
+        for e, rows in enumerate(arrays):
             if rows.ndim != 2 or rows.shape[1] != self.d:
                 raise ValueError(f"environment {e}: rows must have shape (N_e, {self.d})")
             if rows.shape[0] < 1:
                 raise ValueError(f"environment {e} is empty")
-            arrays.append(rows)
-        self.envs = arrays
-        n0 = arrays[0].shape[0]
-        self._stack = np.stack(arrays) if all(a.shape[0] == n0 for a in arrays) else None
-        if self._stack is not None:
-            # validate value ranges on the stacked array in one pass
-            flat = self._stack.reshape(-1, self.d)
-            bad = [
-                i
-                for i, k in enumerate(self.cardinalities)
-                if flat[:, i].min() < 0 or flat[:, i].max() >= k
-            ]
-        else:
-            bad = []
-            for rows in arrays:
-                for i, k in enumerate(self.cardinalities):
-                    if rows[:, i].min() < 0 or rows[:, i].max() >= k:
-                        bad.append(i)
-        if bad:
-            i = bad[0]
-            k = self.cardinalities[i]
-            for e, rows in enumerate(arrays):
-                if rows[:, i].min() < 0 or rows[:, i].max() >= k:
-                    raise ValueError(
-                        f"environment {e}: variable {i} value out of range [0, {k})"
-                    )
+        sizes = np.array([rows.shape[0] for rows in arrays])
+        self.offsets = np.concatenate(([0], np.cumsum(sizes)))
+        self.rows = np.concatenate(arrays)
+        self._min_samples = int(sizes.min())
+        bad = (self.rows < 0) | (self.rows >= np.array(self.cardinalities))
+        bad_vars = np.flatnonzero(bad.any(axis=0))
+        if bad_vars.size:
+            i = int(bad_vars[0])
+            e = int(np.searchsorted(self.offsets, np.argmax(bad[:, i]), side="right")) - 1
+            raise ValueError(
+                f"environment {e}: variable {i} value out of range [0, {self.cardinalities[i]})"
+            )
+        bounds = self.offsets.tolist()
+        self.envs = [self.rows[a:b] for a, b in zip(bounds[:-1], bounds[1:])]
 
     @property
     def n_envs(self):
-        return len(self.envs)
+        return len(self.offsets) - 1
 
     @property
     def min_samples(self):
-        return min(rows.shape[0] for rows in self.envs)
+        return self._min_samples
 
     def stacked(self) -> Optional[np.ndarray]:
-        """(n_envs, N, d) array when all environments share a sample count, else None."""
-        return self._stack
+        """(n_envs, N, d) view of `rows` when all environments share a sample
+        count, else None."""
+        n = self.min_samples
+        if self.rows.shape[0] != self.n_envs * n:
+            return None
+        return self.rows.reshape(self.n_envs, n, self.d)
 
     def values_at(self, coords: Sequence[Tuple[int, int]]) -> np.ndarray:
         """Per-environment observation of the given (variable, sample) coordinates.
 
-        Returns an array of shape (n_envs, len(coords)).  Raises if any
-        environment has fewer samples than a referenced sample index.
+        Returns an array of shape (n_envs, len(coords)), gathered by one
+        fancy index into `rows`.  Raises if any environment has fewer samples
+        than a referenced sample index, or if a sample index is negative.
         """
-        max_sample = max(s for _, s in coords) if coords else 0
+        variables = [v for v, _ in coords]
+        samples = [s for _, s in coords]
+        max_sample = max(samples, default=0)
         if self.min_samples <= max_sample:
             raise ValueError(
                 f"statement references sample index {max_sample} but some environment "
                 f"has only {self.min_samples} samples"
             )
-        stack = self.stacked()
-        if stack is not None:
-            return np.stack([stack[:, s, v] for v, s in coords], axis=1)
-        return np.array([[rows[s, v] for v, s in coords] for rows in self.envs])
+        if min(samples, default=0) < 0:
+            raise ValueError(f"negative sample index in {list(coords)}")
+        return self.rows[self.offsets[:-1, None] + samples, variables]
 
 
 def sample_dataset(
@@ -431,11 +436,12 @@ def degenerate_check(ds: EnvDataset, alpha: float = 0.05) -> List[str]:
     from .ci_test import chi2_sf  # local import to avoid a module cycle
 
     warnings = []
+    env_ids = np.repeat(np.arange(ds.n_envs), np.diff(ds.offsets))
     for i in range(ds.d):
         k = ds.cardinalities[i]
-        counts = np.zeros((ds.n_envs, k))
-        for e, rows in enumerate(ds.envs):
-            counts[e] = np.bincount(rows[:, i], minlength=k)
+        # one row of value counts per environment
+        counts = np.bincount(env_ids * k + ds.rows[:, i], minlength=ds.n_envs * k)
+        counts = counts.reshape(ds.n_envs, k).astype(float)
         col_tot = counts.sum(axis=0)
         if np.count_nonzero(col_tot) <= 1:
             warnings.append(f"variable {i} is constant across the whole dataset")

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from exdag.ci_test import (
     ContingencyCube,
@@ -19,6 +21,30 @@ def _dataset(rows_per_env):
     d = envs[0].shape[1]
     cards = tuple(int(max(r[:, i].max() for r in envs)) + 1 for i in range(d))
     return EnvDataset(d=d, cardinalities=cards, envs=envs)
+
+
+def _g_test_loop(counts):
+    """Reference: the per-stratum G-test loop, (statistic, dof, p_value)."""
+    counts = counts.astype(float)
+    g_stat = 0.0
+    dof = 0
+    for table in counts:
+        total = table.sum()
+        if total == 0:
+            continue
+        row = table.sum(axis=1)
+        col = table.sum(axis=0)
+        r = int(np.count_nonzero(row))
+        c = int(np.count_nonzero(col))
+        if r < 2 or c < 2:
+            continue
+        expected = np.outer(row, col) / total
+        with np.errstate(divide="ignore", invalid="ignore"):
+            terms = np.where(table > 0, table * np.log(table / expected), 0.0)
+        g_stat += 2.0 * terms.sum()
+        dof += (r - 1) * (c - 1)
+    p = chi2_sf(g_stat, dof) if dof > 0 else 1.0
+    return float(g_stat), dof, float(p)
 
 
 class TestTabulate:
@@ -95,6 +121,24 @@ class TestGTest:
         cube = ContingencyCube(np.zeros((1, 2, 2)), 2, 2, ())
         with pytest.raises(ValueError, match="empty"):
             g_test(cube)
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n_strata=st.integers(1, 200),
+        kx=st.integers(1, 8),
+        ky=st.integers(1, 8),
+        rate=st.sampled_from([0.02, 0.1, 0.5, 2.0, 20.0]),
+    )
+    def test_matches_per_stratum_loop(self, seed, n_strata, kx, ky, rate):
+        counts = np.random.default_rng(seed).poisson(rate, size=(n_strata, kx, ky))
+        cube = ContingencyCube(counts=counts, x_card=kx, y_card=ky, strata_cards=(n_strata,))
+        if counts.sum() == 0:
+            with pytest.raises(ValueError, match="empty"):
+                g_test(cube)
+            return
+        res = g_test(cube)
+        assert (res.statistic, res.dof, res.p_value) == _g_test_loop(counts)
 
     def test_perfect_independence_gives_zero_statistic(self):
         counts = np.array([[[10, 10], [20, 20]]], dtype=float)

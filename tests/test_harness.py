@@ -1,3 +1,5 @@
+import csv
+import hashlib
 import json
 
 import numpy as np
@@ -15,7 +17,27 @@ from exdag.harness import (
     preset_graph,
     write_dataset_csv,
 )
-from exdag.sampling import bivariate_xor_model, sample_dataset
+from exdag.discovery import discover
+from exdag.sampling import (
+    DirichletColumnsPrior,
+    EnvDataset,
+    MixturePrior,
+    bivariate_xor_model,
+    sample_dataset,
+)
+
+
+def _ragged(ds: EnvDataset, seed: int) -> EnvDataset:
+    """`ds` with each environment cut to its first 2-4 samples."""
+    keep = np.random.default_rng(seed).integers(2, 5, size=ds.n_envs)
+    return EnvDataset(
+        ds.d,
+        ds.cardinalities,
+        [rows[:k] for rows, k in zip(ds.envs, keep)],
+        true_graph=ds.true_graph,
+        seed=ds.seed,
+        prior_description=ds.prior_description,
+    )
 
 
 class TestPresets:
@@ -91,6 +113,84 @@ class TestCsvRoundTrip:
         path.write_text("env,sample,X1\n0,0,1\n0,2,0\n")
         with pytest.raises(CsvFormatError, match="non-contiguous"):
             ingest_csv(path)
+
+    def test_non_contiguous_samples_line_numbered(self, tmp_path):
+        path = tmp_path / "gap.csv"
+        path.write_text("env,sample,X1\n3,0,1\n0,0,0\n3,2,0\n0,1,1\n")
+        with pytest.raises(CsvFormatError, match=r"gap\.csv:4: environment 3 has non-contiguous"):
+            ingest_csv(path)
+
+    def test_blank_line_is_line_numbered(self, tmp_path):
+        path = tmp_path / "blank.csv"
+        path.write_text("env,sample,X1\n0,0,1\n\n0,1,0\n")
+        with pytest.raises(CsvFormatError, match=r"blank\.csv:3: expected 3 columns, got 0"):
+            ingest_csv(path)
+
+    def test_duplicate_rows_rejected(self, tmp_path):
+        path = tmp_path / "dup.csv"
+        path.write_text("env,sample,X1,X2\n0,0,1,0\n0,1,1,0\n0,1,1,1\n")
+        with pytest.raises(CsvFormatError, match=r"dup\.csv:4: repeats env 0, sample 1"):
+            ingest_csv(path)
+
+    def test_negative_value_rejected(self, tmp_path):
+        path = tmp_path / "neg.csv"
+        path.write_text("env,sample,X1,X2\n7,0,1,0\n7,1,1,0\n2,0,0,-1\n2,1,0,0\n")
+        with pytest.raises(
+            CsvFormatError, match=r"neg\.csv:4: env 2: variable 1 \(X2\) value -1 out of range"
+        ):
+            ingest_csv(path)
+
+    @pytest.mark.parametrize("value", [2, 5])
+    def test_value_at_or_above_sidecar_cardinality_rejected(self, tmp_path, value):
+        path = tmp_path / "big.csv"
+        path.write_text(f"env,sample,X1,X2\n0,0,1,0\n0,1,{value},1\n")
+        (tmp_path / "big.csv.meta.json").write_text(json.dumps({"cardinalities": [2, 2]}))
+        with pytest.raises(
+            CsvFormatError,
+            match=rf"big\.csv:3: env 0: variable 0 \(X1\) value {value} out of range \[0, 2\)",
+        ):
+            ingest_csv(path)
+
+    def test_writer_matches_csv_module(self, tmp_path):
+        g, prior = bivariate_xor_model()
+        ds = _ragged(sample_dataset(g, prior, 30, 4, 2), seed=3)
+        path = tmp_path / "new.csv"
+        write_dataset_csv(ds, path)
+        ref = tmp_path / "ref.csv"
+        with ref.open("w", newline="") as fh:
+            writer = csv.writer(fh)
+            writer.writerow(["env", "sample"] + [f"X{i + 1}" for i in range(ds.d)])
+            for e, rows in enumerate(ds.envs):
+                for n in range(rows.shape[0]):
+                    writer.writerow([e, n] + [int(v) for v in rows[n]])
+        assert path.read_bytes() == ref.read_bytes()
+
+
+class TestPinnedRaggedDiscovery:
+    """Discovery on fixed ragged datasets, round-tripped through CSV, must
+    serialize to exactly the bytes recorded before the dataset layout became
+    one array: same statements, G, dof, p-values and graph."""
+
+    @pytest.mark.parametrize(
+        "name, n_envs, digest",
+        [
+            ("diamond4", 3000, "0275ffee8f10f993e1f8f5db044e9486f1ce0851199bcb9f15538df415bd7f29"),
+            ("mixed4", 1500, "af0aa6c5ef2f76cf9bc89459b0974df98b6e099c2ebe3c55f2352fe53e9374c5"),
+        ],
+    )
+    def test_result_bytes_unchanged(self, tmp_path, name, n_envs, digest):
+        if name == "mixed4":
+            g = Dag(4, frozenset({(0, 1), (0, 2), (1, 3), (2, 3)}))
+            prior = MixturePrior(tuple(DirichletColumnsPrior((0.5,) * k) for k in (3, 2, 3, 2)))
+        else:
+            g = preset_graph(name)
+            prior = harness.default_binary_prior(g)
+        ds = _ragged(sample_dataset(g, prior, n_envs, 4, 5), seed=6)
+        path = tmp_path / "ragged.csv"
+        write_dataset_csv(ds, path)
+        result = discover(ingest_csv(path), force=True)
+        text = json.dumps(result.to_dict(), sort_keys=True)
+        assert hashlib.sha256(text.encode()).hexdigest() == digest
 
 
 class TestDiscoverFile:

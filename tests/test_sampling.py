@@ -131,6 +131,20 @@ class TestEnvDataset:
         with pytest.raises(ValueError, match="sample index 2"):
             ds.values_at([(0, 2)])
 
+    @pytest.mark.parametrize("ragged", [False, True])
+    def test_values_at_matches_per_environment_loop(self, ragged):
+        rng = np.random.default_rng(4)
+        sizes = rng.integers(2, 6, size=40) if ragged else np.full(40, 3)
+        envs = [rng.integers(0, (2, 3, 4), size=(n, 3)) for n in sizes]
+        ds = EnvDataset(d=3, cardinalities=(2, 3, 4), envs=envs)
+        assert (ds.stacked() is None) == ragged
+        coords = [(2, 1), (0, 0), (1, 1), (2, 0)]
+        ref = np.array([[rows[s, v] for v, s in coords] for rows in envs])
+        assert np.array_equal(ds.values_at(coords), ref)
+        assert all(np.array_equal(a, b) for a, b in zip(ds.envs, envs))
+        with pytest.raises(ValueError, match="negative"):
+            ds.values_at([(0, -1)])
+
 
 class TestSampleDataset:
     def test_shapes_and_ranges(self):
