@@ -17,8 +17,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable, List, Optional, Tuple
 
-import numpy as np
-
 from .ci_test import DEFAULT_ALPHA, CiResult, test_statement
 from .graphs import CiStatement, Dag
 from .sampling import EnvDataset
@@ -87,7 +85,10 @@ class DiscoveryResult:
 def data_tester(ds: EnvDataset, alpha: float = DEFAULT_ALPHA) -> CiTester:
     """Statistical backend: stratified G-test with one row per environment."""
     if ds.min_samples < 2:
-        raise ValueError("discovery requires at least 2 samples in every environment")
+        raise ValueError(
+            "discovery requires at least 2 samples in every environment "
+            "(the cross-sample tests reference sample index 1)"
+        )
     return lambda stmt: test_statement(ds, stmt, alpha)
 
 
@@ -210,8 +211,7 @@ def bivariate_direction(ds: EnvDataset, alpha: float = DEFAULT_ALPHA) -> str:
     listed order."""
     if ds.d != 2:
         raise ValueError("bivariate_direction requires exactly 2 variables")
-    if ds.min_samples < 2:
-        raise ValueError("bivariate_direction requires at least 2 samples per environment")
+    tester = data_tester(ds, alpha)
     statements = [
         (X_TO_Y, CiStatement(frozenset([(0, 0)]), frozenset([(1, 1)]), frozenset([(0, 1)]))),
         (Y_TO_X, CiStatement(frozenset([(0, 0)]), frozenset([(1, 1)]), frozenset([(1, 0)]))),
@@ -219,7 +219,7 @@ def bivariate_direction(ds: EnvDataset, alpha: float = DEFAULT_ALPHA) -> str:
     ]
     best_label, best_p = None, -1.0
     for label, stmt in statements:
-        res = test_statement(ds, stmt, alpha)
+        res = tester(stmt)
         if res.p_value > best_p:
             best_label, best_p = label, res.p_value
     return best_label

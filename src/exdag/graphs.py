@@ -14,7 +14,8 @@ import itertools
 import json
 from collections import deque
 from dataclasses import dataclass
-from typing import FrozenSet, Hashable, Iterable, List, Tuple
+from functools import cached_property
+from typing import FrozenSet, Hashable, Iterable, Iterator, List, Tuple
 
 Node = Hashable
 DmagNode = Tuple[int, int]  # (variable index, sample index)
@@ -141,6 +142,10 @@ class Dag:
     def __str__(self):
         return f"Dag(d={self.d}, edges={sorted(self.edges)})"
 
+    @cached_property
+    def _incidence(self):
+        return _incidence_lists(range(self.d), self.edges, ())
+
 
 @dataclass(frozen=True)
 class Dmag:
@@ -189,6 +194,10 @@ class Dmag:
     def from_json(cls, text: str) -> "Dmag":
         return cls.from_dict(json.loads(text))
 
+    @cached_property
+    def _incidence(self):
+        return _incidence_lists(self.nodes, self.directed, self.bidirected)
+
 
 def icm_unroll(g: Dag, n_samples: int) -> Dmag:
     """Unroll a DAG over sample copies, tying copies of each variable with
@@ -205,43 +214,36 @@ def icm_unroll(g: Dag, n_samples: int) -> Dmag:
     return Dmag(nodes, directed, bidirected)
 
 
-def _mixed_separated(nodes, directed, bidirected, s: CiStatement) -> bool:
-    """Reachability-based separation over a mixed graph.
-
-    Walk states are (node, entered-through-arrowhead).  A node passed through
-    as a collider (arrowhead on both incident edge marks) is open iff it is
-    in the conditioning set or an ancestor of it; a non-collider is open iff
-    it is outside the conditioning set.
-    """
-    for group in (s.left, s.right, s.given):
-        for v in group:
-            if v not in nodes:
-                raise ValueError(f"statement references unknown node {v}")
-
-    # incidence list: node -> [(neighbor, head_at_node, head_at_neighbor)]
+def _incidence_lists(nodes, directed, bidirected):
+    """node -> [(neighbor, head_at_node, head_at_neighbor)] over every edge:
+    the structure each separation query walks, built once per graph."""
     inc = {v: [] for v in nodes}
-    children = {v: [] for v in nodes}
     for u, v in directed:
         inc[u].append((v, False, True))
         inc[v].append((u, True, False))
-        children[u].append(v)
     for pair in bidirected:
         u, v = tuple(pair)
         inc[u].append((v, True, True))
         inc[v].append((u, True, True))
+    return inc
 
-    # ancestors of the conditioning set (directed edges only), incl. itself
-    an_z = set(s.given)
-    stack = list(s.given)
-    parents = {v: [] for v in nodes}
-    for u, v in directed:
-        parents[v].append(u)
-    while stack:
-        v = stack.pop()
-        for u in parents[v]:
-            if u not in an_z:
-                an_z.add(u)
-                stack.append(u)
+
+def _separated(inc, s: CiStatement) -> bool:
+    """Bayes-Ball reachability (Shachter, UAI 1998) over incidence lists.
+
+    Walk states are (node, entered-through-arrowhead).  A node passed through
+    as a collider (arrowhead on both incident edge marks) is open iff it is
+    in the conditioning set; a non-collider is open iff it is outside it.
+    A walk may revisit nodes, so it can run from a collider down to a
+    conditioned descendant and back up: such walks connect exactly the
+    pairs that paths with every collider an ancestor of the conditioning
+    set do, without computing that ancestor set.
+    """
+    for group in (s.left, s.right, s.given):
+        for v in group:
+            if v not in inc:
+                raise ValueError(f"statement references unknown node {v}")
+    right, given = s.right, s.given
 
     seen = set()
     queue = deque()
@@ -251,15 +253,13 @@ def _mixed_separated(nodes, directed, bidirected, s: CiStatement) -> bool:
             if state not in seen:
                 seen.add(state)
                 queue.append(state)
-    right = set(s.right)
-    given = set(s.given)
     while queue:
         v, came_in_head = queue.popleft()
         if v in right:
             return False
         for w, head_at_v, head_at_w in inc[v]:
             if came_in_head and head_at_v:
-                passable = v in an_z  # open collider
+                passable = v in given  # collider
             else:
                 passable = v not in given
             if passable:
@@ -272,33 +272,36 @@ def _mixed_separated(nodes, directed, bidirected, s: CiStatement) -> bool:
 
 def d_separated(g: Dag, s: CiStatement) -> bool:
     """True iff every path between left and right is blocked given `given`."""
-    return _mixed_separated(set(range(g.d)), g.edges, frozenset(), s)
+    return _separated(g._incidence, s)
 
 
 def m_separated(m: Dmag, s: CiStatement) -> bool:
     """m-separation over a mixed graph: as d-separation, but a node entered
     and exited through bidirected arrowheads also counts as a collider."""
-    return _mixed_separated(m.nodes, m.directed, m.bidirected, s)
+    return _separated(m._incidence, s)
 
 
-def ci_set(m: Dmag, max_condition_size: int) -> List[CiStatement]:
-    """All singleton-left/singleton-right m-separation statements of the
-    graph, with conditioning sets up to `max_condition_size`, in canonical
-    sorted order.  Restricting to singleton sides is sufficient for the
-    pairwise-structural equivalence checks this feeds."""
-    nodes = sorted(m.nodes)
-    if len(nodes) > CI_SET_NODE_LIMIT:
-        raise EnumerationSizeError(
-            f"ci_set enumeration limited to {CI_SET_NODE_LIMIT} nodes, got {len(nodes)}"
-        )
-    out = []
+def ci_statements(nodes: Iterable[Node], max_condition_size: int) -> Iterator[CiStatement]:
+    """All singleton-left/singleton-right statements over `nodes` with
+    conditioning sets up to `max_condition_size`, in canonical order: pairs
+    a < b, then conditioning sets by size, then lexicographically."""
+    nodes = sorted(nodes)
     for a, b in itertools.combinations(nodes, 2):
         rest = [v for v in nodes if v not in (a, b)]
         for size in range(min(max_condition_size, len(rest)) + 1):
             for given in itertools.combinations(rest, size):
-                stmt = CiStatement(frozenset([a]), frozenset([b]), frozenset(given))
-                if m_separated(m, stmt):
-                    out.append(stmt)
+                yield CiStatement(frozenset([a]), frozenset([b]), frozenset(given))
+
+
+def ci_set(m: Dmag, max_condition_size: int) -> List[CiStatement]:
+    """All `ci_statements` of the graph's nodes that are m-separations, in
+    canonical sorted order.  Restricting to singleton sides is sufficient
+    for the pairwise-structural equivalence checks this feeds."""
+    if len(m.nodes) > CI_SET_NODE_LIMIT:
+        raise EnumerationSizeError(
+            f"ci_set enumeration limited to {CI_SET_NODE_LIMIT} nodes, got {len(m.nodes)}"
+        )
+    out = [s for s in ci_statements(m.nodes, max_condition_size) if m_separated(m, s)]
     out.sort(key=CiStatement.sort_key)
     return out
 

@@ -6,13 +6,12 @@ desk scale, plus exhaustive oracle and identifiability verification sweeps.
 from __future__ import annotations
 
 import csv
-import itertools
 import json
 import re
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass
 from pathlib import Path
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -242,13 +241,7 @@ def ingest_csv(path) -> EnvDataset:
 
 
 def discover_file(path, alpha: float = DEFAULT_ALPHA, force: bool = False):
-    ds = ingest_csv(path)
-    if ds.min_samples < 2:
-        raise ValueError(
-            "discovery needs at least 2 samples in every environment "
-            "(the cross-sample tests reference sample index 1)"
-        )
-    return discover(ds, alpha=alpha, force=force)
+    return discover(ingest_csv(path), alpha=alpha, force=force)
 
 
 # ---------------------------------------------------------------------------
@@ -370,7 +363,7 @@ def run_oracle_sweep(
     rng = np.random.default_rng(seed)
     graph_reports = []
     graph_ci_sets = []
-    for gi, g in enumerate(dags):
+    for g in dags:
         dmag_cis = ci_set(icm_unroll(g, samples_per_env), max_condition_size)
         graph_ci_sets.append(frozenset(s.sort_key() for s in dmag_cis))
         markov_ok = True
@@ -383,8 +376,8 @@ def run_oracle_sweep(
                 markov_ok = False
             if report.faithful:
                 faithful_count += 1
-            exact_set = oracle_mod.true_ci_set(model, max_condition_size)
-            if exact_set == dmag_cis:
+            # the exact CI set equals the graph's iff neither list has a violation
+            if report.markov_ok and report.faithful:
                 bridge_count += 1
         graph_reports.append(
             {

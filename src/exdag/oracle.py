@@ -11,14 +11,13 @@ distribution is Markov and faithful to the unrolled mixed graph.
 from __future__ import annotations
 
 import itertools
-import math
 from dataclasses import dataclass, field
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from .ci_test import CiResult, DEFAULT_ALPHA
-from .graphs import CiStatement, Dag, EnumerationSizeError, icm_unroll, m_separated
+from .graphs import CiStatement, Dag, EnumerationSizeError, ci_statements, icm_unroll, m_separated
 from .sampling import AtomMixturePrior, MixturePrior, parent_configs
 
 STATE_SPACE_LIMIT = 2**20
@@ -181,13 +180,11 @@ def _marginal(model: FiniteMixtureModel, groups: Sequence[Sequence[Tuple[int, in
     perm = [kept_sorted.index(a) for a in flat_axes]
     marg = np.transpose(marg, perm)
     sizes = []
-    pos = 0
     for group in axes:
         size = 1
         for a in group:
             size *= joint.shape[a]
         sizes.append(size)
-        pos += len(group)
     return marg.reshape(tuple(sizes))
 
 
@@ -212,22 +209,13 @@ def exact_ci(model: FiniteMixtureModel, stmt: CiStatement, tol: float = DEFAULT_
     return bool(diff.max() <= tol)
 
 
-def enumerate_statements(model: FiniteMixtureModel, max_condition_size: int):
-    """All singleton-left/singleton-right statements over (var, sample)
-    nodes with conditioning sets up to the given size, canonical order."""
-    nodes = sorted((i, s) for i in range(model.d) for s in range(model.samples_per_env))
-    for a, b in itertools.combinations(nodes, 2):
-        rest = [v for v in nodes if v not in (a, b)]
-        for size in range(min(max_condition_size, len(rest)) + 1):
-            for given in itertools.combinations(rest, size):
-                yield CiStatement(frozenset([a]), frozenset([b]), frozenset(given))
-
-
 def true_ci_set(
     model: FiniteMixtureModel, max_condition_size: int, tol: float = DEFAULT_CI_TOL
 ) -> List[CiStatement]:
-    """All enumerated statements that hold in the exact joint, sorted."""
-    out = [s for s in enumerate_statements(model, max_condition_size) if exact_ci(model, s, tol)]
+    """All `ci_statements` over the model's (variable, sample) nodes that
+    hold in the exact joint, sorted."""
+    nodes = [(i, s) for i in range(model.d) for s in range(model.samples_per_env)]
+    out = [s for s in ci_statements(nodes, max_condition_size) if exact_ci(model, s, tol)]
     out.sort(key=CiStatement.sort_key)
     return out
 
@@ -255,13 +243,14 @@ class MarkovFaithfulReport:
 def verify_markov_faithful(
     model: FiniteMixtureModel, max_condition_size: int, tol: float = DEFAULT_CI_TOL
 ) -> MarkovFaithfulReport:
-    """Sweep all enumerated statements; report separations that fail in the
-    distribution (Markov violations: must never occur) and distributional
-    independences the graph does not imply (faithfulness violations: occur
-    only for degenerate mixtures)."""
+    """Sweep all `ci_statements` over the unrolled graph's nodes; report
+    separations that fail in the distribution (Markov violations: must never
+    occur) and distributional independences the graph does not imply
+    (faithfulness violations: occur only for degenerate mixtures), each list
+    in enumeration order."""
     dmag = icm_unroll(model.graph, model.samples_per_env)
     markov, faithless = [], []
-    for stmt in enumerate_statements(model, max_condition_size):
+    for stmt in ci_statements(dmag.nodes, max_condition_size):
         separated = m_separated(dmag, stmt)
         independent = exact_ci(model, stmt, tol)
         if separated and not independent:

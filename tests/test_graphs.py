@@ -1,4 +1,5 @@
 import itertools
+import random
 
 import pytest
 
@@ -161,6 +162,100 @@ class TestMSeparation:
         # the path Y1 <-> Y2 <- X2
         m = icm_unroll(Dag(2, frozenset({(0, 1)})), 2)
         assert not m_separated(m, statement([(1, 0)], [(0, 1)], [(1, 1)]))
+
+
+def brute_force_separated(nodes, directed, bidirected, s):
+    """Reference m-separation straight from the definition: no simple path
+    joins a left node to a right node on which every collider (arrowheads
+    on both of its path edges) is in the conditioning set or an ancestor of
+    it, and every other interior node is outside the conditioning set.
+    Paths are edge sequences, so a directed and a bidirected edge between
+    the same two nodes are different paths."""
+    incident = {v: [] for v in nodes}  # v -> [(neighbor, head at v, head at neighbor)]
+    for u, v in directed:
+        incident[u].append((v, False, True))
+        incident[v].append((u, True, False))
+    for u, v in map(tuple, bidirected):
+        incident[u].append((v, True, True))
+        incident[v].append((u, True, True))
+    an_given = set(s.given)
+    while True:
+        grown = {u for u, v in directed if v in an_given} - an_given
+        if not grown:
+            break
+        an_given |= grown
+
+    def connects(v, head_in, visited):
+        for w, head_at_v, head_at_w in incident[v]:
+            if w in visited:
+                continue
+            if head_in is not None:  # v is interior to the path
+                if head_in and head_at_v:
+                    if v not in an_given:
+                        continue
+                elif v in s.given:
+                    continue
+            if w in s.right or connects(w, head_at_w, visited | {w}):
+                return True
+        return False
+
+    return not any(connects(x, None, {x}) for x in s.left)
+
+
+def _random_statement(rng, nodes):
+    """Disjoint left, right and given sets, left and right nonempty."""
+    while True:
+        roles = [rng.choice("LRZ..") for _ in nodes]
+        left = [v for v, r in zip(nodes, roles) if r == "L"]
+        right = [v for v, r in zip(nodes, roles) if r == "R"]
+        if left and right:
+            given = [v for v, r in zip(nodes, roles) if r == "Z"]
+            return statement(left, right, given)
+
+
+class TestSeparationAgainstPathDefinition:
+    """`m_separated` and `d_separated` agree with path enumeration on small
+    random graphs, for singleton and multi-node sides."""
+
+    def test_m_separated(self):
+        rng = random.Random(0)
+        verdicts = []
+        for _ in range(300):
+            n = rng.randint(2, 6)
+            order = rng.sample(range(n), n)
+            directed = {
+                (order[a], order[b])
+                for a, b in itertools.combinations(range(n), 2)
+                if rng.random() < 0.35
+            }
+            bidirected = {
+                frozenset(p) for p in itertools.combinations(range(n), 2) if rng.random() < 0.25
+            }
+            m = Dmag(frozenset(range(n)), frozenset(directed), frozenset(bidirected))
+            for _ in range(10):
+                s = _random_statement(rng, list(range(n)))
+                want = brute_force_separated(m.nodes, m.directed, m.bidirected, s)
+                assert m_separated(m, s) == want, (m.to_dict(), str(s))
+                verdicts.append(want)
+        assert 0.2 < sum(verdicts) / len(verdicts) < 0.8
+
+    def test_d_separated(self):
+        rng = random.Random(1)
+        verdicts = []
+        for _ in range(300):
+            n = rng.randint(2, 6)
+            order = rng.sample(range(n), n)
+            g = Dag(n, frozenset(
+                (order[a], order[b])
+                for a, b in itertools.combinations(range(n), 2)
+                if rng.random() < 0.4
+            ))
+            for _ in range(10):
+                s = _random_statement(rng, list(range(n)))
+                want = brute_force_separated(range(n), g.edges, (), s)
+                assert d_separated(g, s) == want, (str(g), str(s))
+                verdicts.append(want)
+        assert 0.2 < sum(verdicts) / len(verdicts) < 0.8
 
 
 class TestCiSet:

@@ -5,9 +5,9 @@ import json
 import numpy as np
 import pytest
 
-from exdag import harness
+from exdag import harness, oracle
 from exdag.cli import main
-from exdag.graphs import Dag
+from exdag.graphs import Dag, ci_set, icm_unroll
 from exdag.harness import (
     CsvFormatError,
     ExperimentConfig,
@@ -259,6 +259,31 @@ class TestOracleSweep:
         assert result["n_dags"] == 3
         assert result["all_markov_ok"]
         assert result["icm_ci_sets_distinct"]
+
+    def test_unfaithful_models_lower_bridge_fraction(self, monkeypatch):
+        # every other model has a single atom per node: its sample copies are
+        # i.i.d., so it is Markov but not faithful to the unrolled graph
+        generic = oracle.random_generic_model
+        models = []
+
+        def alternate(g, samples_per_env, rng):
+            model = generic(g, samples_per_env, rng)
+            if len(models) % 2:
+                atoms = [[(1.0, node_atoms[0][1])] for node_atoms in model.atoms]
+                model = oracle.FiniteMixtureModel(g, atoms, samples_per_env, model.cardinalities)
+            models.append(model)
+            return model
+
+        monkeypatch.setattr(oracle, "random_generic_model", alternate)
+        result = harness.run_oracle_sweep(d=2, models_per_graph=2, seed=0)
+        assert result["all_markov_ok"]
+        for row, pair in zip(result["graphs"], zip(models[::2], models[1::2])):
+            g = Dag.from_dict(row["graph"])
+            want = ci_set(icm_unroll(g, 2), 3)
+            bridged = [oracle.true_ci_set(model, 3) == want for model in pair]
+            assert bridged == [True, False]
+            assert row["bridge_fraction"] == 0.5
+            assert row["faithful_fraction"] == 0.5
 
     def test_identifiability_d2(self):
         result = harness.run_identifiability(d=2)

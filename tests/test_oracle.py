@@ -1,9 +1,12 @@
+import hashlib
 import itertools
+import json
 
 import numpy as np
 import pytest
 
-from exdag.graphs import Dag, EnumerationSizeError, ci_set, icm_unroll, statement
+from exdag import harness
+from exdag.graphs import Dag, EnumerationSizeError, ci_set, enumerate_dags, icm_unroll, statement
 from exdag.oracle import (
     FiniteMixtureModel,
     exact_ci,
@@ -215,3 +218,72 @@ class TestOracleTester:
         tester = oracle_tester(model)
         assert tester(statement([(0, 0)], [(1, 1)], [(0, 1)])).p_value == 1.0
         assert tester(statement([(0, 0)], [(1, 1)], [(1, 0)])).p_value == 0.0
+
+
+def _sha256(lines):
+    return hashlib.sha256("\n".join(lines).encode()).hexdigest()
+
+
+def _ci_set_lines():
+    lines = []
+    for d in (1, 2, 3):
+        for g in enumerate_dags(d):
+            lines.append(g.to_json())
+            lines.extend(str(s) for s in ci_set(icm_unroll(g, 2), 2 * g.d))
+    return lines
+
+
+def _seeded_models():
+    """Generic models on every 2-node DAG, three 3-node DAGs, three samples
+    and a ternary variable, plus one single-atom (unfaithful) model."""
+    rng = np.random.default_rng(11)
+    graphs = enumerate_dags(2) + [
+        Dag(3, frozenset({(0, 1), (1, 2)})),
+        Dag(3, frozenset({(0, 1), (0, 2)})),
+        Dag(3, frozenset({(0, 2), (1, 2)})),
+    ]
+    models = [random_generic_model(g, 2, rng) for g in graphs]
+    models.append(random_generic_model(XY, 3, rng))
+    models.append(random_generic_model(XY, 2, rng, cardinalities=(3, 2)))
+    single_atom = [
+        [(1.0, np.array([[0.7], [0.3]]))],
+        [(1.0, np.array([[0.9, 0.2], [0.1, 0.8]]))],
+    ]
+    models.append(FiniteMixtureModel(XY, single_atom, 2, (2, 2)))
+    return models
+
+
+def _oracle_lines():
+    lines = []
+    for model in _seeded_models():
+        n_nodes = model.d * model.samples_per_env
+        for k in (1, n_nodes):
+            lines.extend(str(s) for s in true_ci_set(model, k))
+            lines.append(json.dumps(verify_markov_faithful(model, k).to_dict()))
+    return lines
+
+
+def _sweep_lines():
+    return [
+        json.dumps(harness.run_oracle_sweep(d=2, models_per_graph=3, seed=0), sort_keys=True),
+        json.dumps(harness.run_identifiability(d=3), sort_keys=True),
+    ]
+
+
+class TestPinnedDigests:
+    """SHA-256 digests recorded before `ci_set` and the oracle shared one
+    statement enumerator and separation became a walk over a per-graph
+    index: the same statements hold, and `verify_markov_faithful` lists its
+    violations in the same order."""
+
+    @pytest.mark.parametrize(
+        "lines, digest",
+        [
+            (_ci_set_lines, "b7daa8f6589428664d9559d7401ceed4ceecaf8d459b5a51b9df5766d76f00e2"),
+            (_oracle_lines, "833de22df9642777b86e79fcad0f826208498203e30a142e3a6eadf076e8f3e3"),
+            (_sweep_lines, "b0a9e3376789593e8448ff5082d6e74aebc5c5b78954a6a859558acddb807963"),
+        ],
+        ids=["ci_set_every_dag_up_to_d3", "exact_sets_and_reports", "sweep_dicts"],
+    )
+    def test_output_unchanged(self, lines, digest):
+        assert _sha256(lines()) == digest
