@@ -228,12 +228,11 @@ def ingest_csv(path) -> EnvDataset:
             f"{path}:{r + 2}: env {table[r, 0]}: variable {i} ({header[i + 2]}) value "
             f"{values[r, i]} out of range [0, {cardinalities[i]})"
         )
-    rows = values[order]
-    bounds = np.r_[starts, len(order)].tolist()
-    return EnvDataset(
-        d=d,
-        cardinalities=cardinalities,
-        envs=[rows[a:b] for a, b in zip(bounds[:-1], bounds[1:])],
+    return EnvDataset._from_rows(
+        d,
+        cardinalities,
+        values[order],
+        np.r_[starts, len(order)],
         true_graph=true_graph,
         seed=seed,
         prior_description=prior_description,

@@ -10,7 +10,7 @@ parallelizable per environment.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Optional, Sequence, Tuple, Union
+from typing import Callable, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -164,44 +164,58 @@ def parent_config_index(values: np.ndarray, pa_cards: Sequence[int]) -> np.ndarr
     return np.ravel_multi_index(tuple(values.T), tuple(pa_cards))
 
 
-def _draw_node_cpt(prior: NodePrior, n_cfg: int, rng: np.random.Generator) -> np.ndarray:
-    if isinstance(prior, BetaColumnsPrior):
-        p1 = rng.beta(prior.a, prior.b, size=n_cfg)
-        return np.vstack([1.0 - p1, p1])
-    if isinstance(prior, XorBetaPrior):
-        if n_cfg & (n_cfg - 1):
-            raise ValueError("XorBetaPrior requires binary parents")
-        psi = rng.beta(prior.a, prior.b)
-        parity = np.array([bin(cfg).count("1") % 2 for cfg in range(n_cfg)])
-        p1 = np.where(parity == 0, psi, 1.0 - psi)
-        return np.vstack([1.0 - p1, p1])
-    if isinstance(prior, DirichletColumnsPrior):
-        cols = rng.dirichlet(np.asarray(prior.alpha), size=n_cfg)
-        return cols.T
-    if isinstance(prior, AtomMixturePrior):
-        weights = np.array([w for w, _ in prior.atoms])
-        idx = rng.choice(len(prior.atoms), p=weights)
-        cpt = prior.atoms[idx][1]
-        if cpt.shape[1] != n_cfg:
-            raise ValueError(
-                f"atom CPT has {cpt.shape[1]} columns, graph implies {n_cfg} parent configs"
-            )
-        return cpt.copy()
-    raise TypeError(f"unknown prior type {type(prior).__name__}")
+def _node_drawers(g: Dag, prior: MixturePrior) -> List[Callable]:
+    """One mechanism drawer per node: rng -> the node's table for one
+    environment.  A binary prior yields the row P(X=1 | parent config), shape
+    (n_cfg,); a Dirichlet or atom prior yields the (k, n_cfg) CPT.  Shapes and
+    parent cardinalities are checked here, once per (graph, prior)."""
+    if prior.d != g.d:
+        raise ValueError(f"prior covers {prior.d} nodes, graph has {g.d}")
+    cards = prior.cardinalities
+    drawers = []
+    for i, p in enumerate(prior.node_priors):
+        pa, n_cfg = parent_configs(g, cards, i)
+        if isinstance(p, BetaColumnsPrior):
+            def draw(rng, a=p.a, b=p.b, n=n_cfg):
+                return rng.beta(a, b, size=n)
+        elif isinstance(p, XorBetaPrior):
+            for j in pa:
+                if cards[j] != 2:
+                    raise ValueError(
+                        f"XorBetaPrior requires binary parents: node {i} has parent {j} "
+                        f"with {cards[j]} categories"
+                    )
+            # with binary parents the bits of a config index are the parents' values
+            odd = np.array([bin(c).count("1") & 1 for c in range(n_cfg)], dtype=bool)
+            def draw(rng, a=p.a, b=p.b, odd=odd):
+                psi = rng.beta(a, b)
+                return np.where(odd, 1.0 - psi, psi)
+        elif isinstance(p, DirichletColumnsPrior):
+            def draw(rng, alpha=np.asarray(p.alpha), n=n_cfg):
+                return rng.dirichlet(alpha, size=n).T
+        elif isinstance(p, AtomMixturePrior):
+            for _, cpt in p.atoms:
+                if cpt.shape[1] != n_cfg:
+                    raise ValueError(
+                        f"atom CPT has {cpt.shape[1]} columns, graph implies {n_cfg} parent configs"
+                    )
+            def draw(rng, w=np.array([w for w, _ in p.atoms]), cpts=[c for _, c in p.atoms]):
+                return cpts[rng.choice(len(cpts), p=w)]
+        else:
+            raise TypeError(f"unknown prior type {type(p).__name__}")
+        drawers.append(draw)
+    return drawers
 
 
 def sample_env_params(
     prior: MixturePrior, g: Dag, rng_seed: Union[int, np.random.Generator]
 ) -> EnvParams:
     """Draw one independent CPT per node.  Deterministic given the seed."""
-    if prior.d != g.d:
-        raise ValueError(f"prior covers {prior.d} nodes, graph has {g.d}")
     rng = _as_rng(rng_seed)
-    cards = prior.cardinalities
     cpts = []
-    for i in range(g.d):
-        _, n_cfg = parent_configs(g, cards, i)
-        cpts.append(_draw_node_cpt(prior.node_priors[i], n_cfg, rng))
+    for draw in _node_drawers(g, prior):
+        table = draw(rng)
+        cpts.append(np.vstack([1.0 - table, table]) if table.ndim == 1 else table.copy())
     return EnvParams(cpts)
 
 
@@ -211,43 +225,55 @@ def _as_rng(seed) -> np.random.Generator:
     return np.random.default_rng(seed)
 
 
-@dataclass
+@dataclass(eq=False)
 class EnvDataset:
     """Categorical observations indexed (environment, sample, variable).
 
     One storage layout serves ragged and uniform data alike: `rows` holds
     every environment's samples back to back, shape (total, d), and
     environment e owns rows `offsets[e]:offsets[e + 1]`.  The constructor
-    copies the given per-environment arrays into `rows` once and validates
-    shapes and value ranges there; afterwards `envs` is a list of views into
-    `rows`, and `stacked()` is a reshape view when the data is uniform.
+    takes per-environment arrays, checks their shapes and copies them into
+    `rows` once; the producers in this package hand over `rows` and `offsets`
+    directly (`_from_rows`).  Either way the same checks then run on the
+    layout, and `envs` becomes a list of views into `rows`; `stacked()` is a
+    reshape view when the data is uniform.  Datasets compare by identity.
     """
 
     d: int
     cardinalities: Tuple[int, ...]
-    envs: List[np.ndarray]  # each of shape (N_e, d); views into `rows` after init
+    envs: List[np.ndarray] = field(repr=False)  # each (N_e, d); views into `rows` after init
     true_graph: Optional[Dag] = None
     seed: Optional[int] = None
     prior_description: Optional[List[str]] = None
-    rows: np.ndarray = field(init=False, repr=False, compare=False)
-    offsets: np.ndarray = field(init=False, repr=False, compare=False)
+    rows: np.ndarray = field(init=False, repr=False)
+    offsets: np.ndarray = field(init=False, repr=False)
+
+    @classmethod
+    def _from_rows(cls, d, cardinalities, rows, offsets, **meta) -> "EnvDataset":
+        """Dataset over an existing (total, d) `rows` array and its
+        (n_envs + 1) `offsets`, which must start at 0 and end at `total`."""
+        ds = cls.__new__(cls)
+        ds.rows, ds.offsets = rows, offsets
+        ds.__init__(d, cardinalities, None, **meta)  # envs=None: layout given
+        return ds
 
     def __post_init__(self):
         self.cardinalities = tuple(int(k) for k in self.cardinalities)
         if len(self.cardinalities) != self.d:
             raise ValueError("need one cardinality per variable")
-        arrays = [np.asarray(rows) for rows in self.envs]
-        if not arrays:
-            raise ValueError("dataset has no environments")
-        for e, rows in enumerate(arrays):
-            if rows.ndim != 2 or rows.shape[1] != self.d:
-                raise ValueError(f"environment {e}: rows must have shape (N_e, {self.d})")
-            if rows.shape[0] < 1:
-                raise ValueError(f"environment {e} is empty")
-        sizes = np.array([rows.shape[0] for rows in arrays])
-        self.offsets = np.concatenate(([0], np.cumsum(sizes)))
-        self.rows = np.concatenate(arrays)
+        if self.envs is not None:
+            arrays = [np.asarray(rows) for rows in self.envs]
+            if not arrays:
+                raise ValueError("dataset has no environments")
+            for e, rows in enumerate(arrays):
+                if rows.ndim != 2 or rows.shape[1] != self.d:
+                    raise ValueError(f"environment {e}: rows must have shape (N_e, {self.d})")
+            self.offsets = np.concatenate(([0], np.cumsum([rows.shape[0] for rows in arrays])))
+            self.rows = np.concatenate(arrays)
+        sizes = np.diff(self.offsets)
         self._min_samples = int(sizes.min())
+        if self._min_samples < 1:
+            raise ValueError(f"environment {int(np.argmin(sizes))} is empty")
         bad = (self.rows < 0) | (self.rows >= np.array(self.cardinalities))
         bad_vars = np.flatnonzero(bad.any(axis=0))
         if bad_vars.size:
@@ -302,123 +328,51 @@ def sample_dataset(
     samples_per_env: int,
     rng_seed: int,
 ) -> EnvDataset:
-    """Per environment: one CPT draw per node, then ancestral sampling."""
+    """Per environment: one mechanism draw per node, then ancestral sampling,
+    on the generator seeded (rng_seed, environment index).  Samples are
+    written straight into the dataset's `rows`."""
     if n_envs < 1 or samples_per_env < 1:
         raise ValueError("n_envs and samples_per_env must be >= 1")
+    drawers = _node_drawers(g, prior)
     cards = prior.cardinalities
-    run_env = _compile_sampler(g, prior, cards)
-    envs = [
-        run_env(np.random.default_rng((rng_seed, e)), samples_per_env)
-        for e in range(n_envs)
-    ]
-    return EnvDataset(
-        d=g.d,
-        cardinalities=cards,
-        envs=envs,
+    # per node, (parent, mixed radix) pairs from the last parent (radix 1) to
+    # the first, matching np.ravel_multi_index C order
+    radices = []
+    for i in range(g.d):
+        pa, _ = parent_configs(g, cards, i)
+        pairs, radix = [], 1
+        for p in reversed(pa):
+            pairs.append((p, radix))
+            radix *= cards[p]
+        radices.append(pairs)
+    order = g.topological_order()
+    n = samples_per_env
+    rows = np.empty((n_envs * n, g.d), dtype=np.int64)
+    for e in range(n_envs):
+        rng = np.random.default_rng((rng_seed, e))
+        tables = [draw(rng) for draw in drawers]
+        values = rows[e * n : (e + 1) * n]
+        for i in order:
+            cfg = slice(0, 1)  # parentless: the single column
+            if radices[i]:
+                cfg = values[:, radices[i][0][0]]
+                for p, radix in radices[i][1:]:
+                    cfg = cfg + values[:, p] * radix
+            u = rng.random(n)
+            table = tables[i]
+            if table.ndim == 1:  # P(X=1 | pa) row
+                values[:, i] = u >= 1.0 - table[cfg]
+            else:
+                values[:, i] = (u >= np.cumsum(table, axis=0)[:, cfg]).sum(axis=0)
+    return EnvDataset._from_rows(
+        g.d,
+        cards,
+        rows,
+        np.arange(0, rows.shape[0] + 1, n),
         true_graph=g,
         seed=rng_seed,
         prior_description=prior.describe(),
     )
-
-
-def _compile_sampler(g: Dag, prior: MixturePrior, cards):
-    """Build a fast per-environment sampler.
-
-    Makes exactly the same generator calls (same order, sizes, and
-    distributions) as sample_env_params followed by _ancestral_sample, so the
-    output stream is identical, but hoists validation, dispatch, and parent
-    bookkeeping out of the per-environment loop.
-    """
-    if prior.d != g.d:
-        raise ValueError(f"prior covers {prior.d} nodes, graph has {g.d}")
-    d = g.d
-    order = g.topological_order()
-    drawers = []  # per node: rng -> p0 row (binary) or cumulative CPT (general)
-    binary = []
-    for i in range(d):
-        p = prior.node_priors[i]
-        _, n_cfg = parent_configs(g, cards, i)
-        if isinstance(p, BetaColumnsPrior):
-            def draw(rng, a=p.a, b=p.b, n=n_cfg):
-                return 1.0 - rng.beta(a, b, size=n)
-            is_binary = True
-        elif isinstance(p, XorBetaPrior):
-            if n_cfg & (n_cfg - 1):
-                raise ValueError("XorBetaPrior requires binary parents")
-            odd = np.array([bin(c).count("1") & 1 for c in range(n_cfg)], dtype=bool)
-            def draw(rng, a=p.a, b=p.b, odd=odd):
-                psi = rng.beta(a, b)
-                return 1.0 - np.where(odd, 1.0 - psi, psi)
-            is_binary = True
-        elif isinstance(p, DirichletColumnsPrior):
-            def draw(rng, alpha=np.asarray(p.alpha), n=n_cfg):
-                return np.cumsum(rng.dirichlet(alpha, size=n).T, axis=0)
-            is_binary = False
-        elif isinstance(p, AtomMixturePrior):
-            weights = np.array([w for w, _ in p.atoms])
-            csums = [np.cumsum(cpt, axis=0) for _, cpt in p.atoms]
-            for cs in csums:
-                if cs.shape[1] != n_cfg:
-                    raise ValueError(
-                        f"atom CPT has {cs.shape[1]} columns, graph implies {n_cfg} parent configs"
-                    )
-            def draw(rng, w=weights, cs=csums, k=len(p.atoms)):
-                return cs[rng.choice(k, p=w)]
-            is_binary = False
-        else:
-            raise TypeError(f"unknown prior type {type(p).__name__}")
-        drawers.append(draw)
-        binary.append(is_binary)
-    # mixed-radix parent-config multipliers, first (lowest-index) parent most
-    # significant, matching np.ravel_multi_index C order
-    mults = []
-    for i in range(d):
-        pa, _ = parent_configs(g, cards, i)
-        pairs = []
-        radix = 1
-        for p in reversed(pa):
-            pairs.append((p, radix))
-            radix *= cards[p]
-        mults.append(tuple(reversed(pairs)))
-
-    def run_env(rng, n):
-        tables = [drawers[i](rng) for i in range(d)]
-        values = np.zeros((n, d), dtype=np.int64)
-        for i in order:
-            if mults[i]:
-                (p0, m0), rest = mults[i][0], mults[i][1:]
-                cfg = values[:, p0] * m0 if m0 > 1 else values[:, p0]
-                for p, m in rest:
-                    cfg = cfg + (values[:, p] * m if m > 1 else values[:, p])
-            else:
-                cfg = 0
-            u = rng.random(n)
-            table = tables[i]
-            if binary[i]:
-                values[:, i] = u >= table[cfg]
-            elif mults[i]:
-                values[:, i] = (u[None, :] >= table[:, cfg]).sum(axis=0)
-            else:
-                values[:, i] = (u[None, :] >= table[:, :1]).sum(axis=0)
-        return values
-
-    return run_env
-
-
-def _ancestral_sample(order, pa_info, cards, params: EnvParams, n: int, rng) -> np.ndarray:
-    values = np.zeros((n, len(cards)), dtype=np.int64)
-    for i in order:
-        pa, _ = pa_info[i]
-        if pa:
-            cfg = np.ravel_multi_index(
-                tuple(values[:, p] for p in pa), tuple(cards[p] for p in pa)
-            )
-        else:
-            cfg = np.zeros(n, dtype=np.intp)
-        probs = params.cpts[i][:, cfg]  # (k_i, n)
-        u = rng.random(n)
-        values[:, i] = (u[None, :] >= np.cumsum(probs, axis=0)).sum(axis=0)
-    return values
 
 
 def bivariate_xor_model() -> Tuple[Dag, MixturePrior]:

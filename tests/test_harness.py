@@ -166,6 +166,53 @@ class TestCsvRoundTrip:
         assert path.read_bytes() == ref.read_bytes()
 
 
+class TestProducerLayout:
+    """`sample_dataset` and `ingest_csv` hand their `rows`/`offsets` to the
+    dataset directly; the result must equal the list constructor's."""
+
+    @pytest.mark.parametrize("ragged", [False, True])
+    def test_matches_list_constructor(self, tmp_path, ragged):
+        g = Dag(3, frozenset({(0, 1), (1, 2)}))
+        prior = MixturePrior(tuple(DirichletColumnsPrior((0.5,) * k) for k in (3, 2, 4)))
+        sampled = sample_dataset(g, prior, 40, 4, 7)
+        ds = _ragged(sampled, seed=8) if ragged else sampled
+        path = tmp_path / "data.csv"
+        write_dataset_csv(ds, path)
+        produced = [ingest_csv(path)] + ([] if ragged else [sampled])
+        coords = [(2, 1), (0, 0), (1, 1)]
+        for built in produced:
+            ref = EnvDataset(built.d, built.cardinalities, [rows.copy() for rows in ds.envs])
+            assert np.array_equal(built.rows, ref.rows)
+            assert np.array_equal(built.offsets, ref.offsets)
+            assert len(built.envs) == len(ref.envs)
+            assert all(np.array_equal(a, b) for a, b in zip(built.envs, ref.envs))
+            assert all(np.shares_memory(rows, built.rows) for rows in built.envs)
+            if ragged:
+                assert built.stacked() is None and ref.stacked() is None
+            else:
+                assert np.array_equal(built.stacked(), ref.stacked())
+            assert built.min_samples == ref.min_samples
+            assert np.array_equal(built.values_at(coords), ref.values_at(coords))
+
+    @pytest.mark.parametrize(
+        "envs, message",
+        [
+            ([np.array([[0, 1]]), np.zeros((0, 2), dtype=np.int64)], "environment 1 is empty"),
+            (
+                [np.array([[0, 1]]), np.array([[1, 2]])],
+                r"environment 1: variable 1 value out of range \[0, 2\)",
+            ),
+        ],
+    )
+    def test_same_rejections_as_list_constructor(self, envs, message):
+        rows = np.concatenate(envs)
+        offsets = np.concatenate(([0], np.cumsum([len(a) for a in envs])))
+        with pytest.raises(ValueError, match=message):
+            EnvDataset(2, (2, 2), envs)
+        with pytest.raises(ValueError, match=message):
+            EnvDataset._from_rows(2, (2, 2), rows, offsets)
+
+
 class TestPinnedRaggedDiscovery:
     """Discovery on fixed ragged datasets, round-tripped through CSV, must
     serialize to exactly the bytes recorded before the dataset layout became

@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -7,6 +9,7 @@ from exdag.sampling import (
     BetaColumnsPrior,
     DirichletColumnsPrior,
     EnvDataset,
+    EnvParams,
     MixturePrior,
     XorBetaPrior,
     bivariate_xor_model,
@@ -18,6 +21,22 @@ from exdag.sampling import (
 )
 
 CHAIN = Dag(3, frozenset({(0, 1), (1, 2)}))
+
+
+def _ancestral_sample(order, pa_info, cards, params: EnvParams, n: int, rng) -> np.ndarray:
+    values = np.zeros((n, len(cards)), dtype=np.int64)
+    for i in order:
+        pa, _ = pa_info[i]
+        if pa:
+            cfg = np.ravel_multi_index(
+                tuple(values[:, p] for p in pa), tuple(cards[p] for p in pa)
+            )
+        else:
+            cfg = np.zeros(n, dtype=np.intp)
+        probs = params.cpts[i][:, cfg]  # (k_i, n)
+        u = rng.random(n)
+        values[:, i] = (u[None, :] >= np.cumsum(probs, axis=0)).sum(axis=0)
+    return values
 
 
 class TestPriors:
@@ -89,9 +108,12 @@ class TestSampleEnvParams:
 
     def test_xor_requires_binary_parents(self):
         g = Dag(2, frozenset({(0, 1)}))
-        prior = MixturePrior((DirichletColumnsPrior((1.0,) * 3), XorBetaPrior(1, 3)))
-        with pytest.raises(ValueError, match="binary"):
-            sample_dataset(g, prior, 2, 2, 0)
+        for k in (3, 4):  # 4 configs would pass a power-of-two check
+            prior = MixturePrior((DirichletColumnsPrior((1.0,) * k), XorBetaPrior(1, 3)))
+            with pytest.raises(ValueError, match="binary"):
+                sample_dataset(g, prior, 2, 2, 0)
+            with pytest.raises(ValueError, match=f"node 1 has parent 0 with {k} categories"):
+                sample_env_params(prior, g, 0)
 
     def test_prior_graph_size_mismatch(self):
         prior = MixturePrior((BetaColumnsPrior(1, 3),) * 2)
@@ -145,6 +167,13 @@ class TestEnvDataset:
         with pytest.raises(ValueError, match="negative"):
             ds.values_at([(0, -1)])
 
+    def test_identity_equality_and_short_repr(self):
+        envs = [np.array([[e % 2]]) for e in range(10_000)]
+        a = EnvDataset(d=1, cardinalities=(2,), envs=envs)
+        b = EnvDataset(d=1, cardinalities=(2,), envs=envs)
+        assert a == a and a != b
+        assert len(repr(a)) < 200
+
 
 class TestSampleDataset:
     def test_shapes_and_ranges(self):
@@ -173,13 +202,17 @@ class TestSampleDataset:
         assert np.array_equal(small.stacked(), big.stacked()[:10])
 
     def test_matches_reference_path(self):
-        # the compiled sampler must agree with the documented two-step
-        # semantics: per-env CPT draw then ancestral sampling on one stream
-        from exdag.sampling import _ancestral_sample
-
-        g = Dag(3, frozenset({(0, 1), (0, 2)}))
+        # the sampler must agree with the documented two-step semantics:
+        # per-env CPT draw then ancestral sampling on one stream
+        g = Dag(4, frozenset({(0, 1), (0, 2), (1, 3), (2, 3)}))
+        atom = AtomMixturePrior(
+            [
+                (0.4, [[0.9, 0.2, 0.5, 0.0], [0.1, 0.8, 0.5, 1.0]]),
+                (0.6, [[0.3, 0.6, 1.0, 0.25], [0.7, 0.4, 0.0, 0.75]]),
+            ]
+        )
         prior = MixturePrior(
-            (BetaColumnsPrior(1, 3), XorBetaPrior(1, 3), DirichletColumnsPrior((1.0, 2.0)))
+            (BetaColumnsPrior(1, 3), XorBetaPrior(1, 3), DirichletColumnsPrior((1.0, 2.0)), atom)
         )
         ds = sample_dataset(g, prior, 20, 3, 13)
         cards = prior.cardinalities
@@ -211,6 +244,97 @@ class TestSampleDataset:
             sample_dataset(g, prior, 0, 2, 0)
         with pytest.raises(ValueError):
             sample_dataset(g, prior, 2, 0, 0)
+
+
+class TestPinnedSamplerStream:
+    """The sampler's output must stay bit for bit what it was when these
+    digests were recorded, for every prior kind, on a graph with two
+    parentless nodes and one two-parent node that comes last in topological
+    order but first by index."""
+
+    GRAPH = Dag(3, frozenset({(1, 0), (2, 0)}))
+    PRIORS = {
+        "beta": MixturePrior(
+            (BetaColumnsPrior(1, 3), BetaColumnsPrior(2, 1), BetaColumnsPrior(0.5, 0.5))
+        ),
+        "xor": MixturePrior((XorBetaPrior(1, 3), XorBetaPrior(2, 2), XorBetaPrior(1, 3))),
+        "dirichlet": MixturePrior((DirichletColumnsPrior((1.0, 2.0, 0.5)),) * 3),
+        "atom": MixturePrior(
+            (
+                AtomMixturePrior(
+                    [
+                        (
+                            0.25,
+                            [[0.1, 0.2, 0.3, 0.4], [0.3, 0.3, 0.3, 0.3], [0.6, 0.5, 0.4, 0.3]],
+                        ),
+                        (
+                            0.75,
+                            [[1.0, 0.0, 0.5, 0.2], [0.0, 1.0, 0.25, 0.2], [0.0, 0.0, 0.25, 0.6]],
+                        ),
+                    ]
+                ),
+                AtomMixturePrior([(0.3, [[0.2], [0.8]]), (0.7, [[0.9], [0.1]])]),
+                AtomMixturePrior([(1.0, [[0.5], [0.5]])]),
+            )
+        ),
+    }
+
+    @pytest.mark.parametrize(
+        "name, samples_per_env, digest",
+        [
+            ("beta", 1, "c1dd801cb39df08dd16c09cfa2c3a28488f4ca0689ddecf243c99d19335e16f6"),
+            ("beta", 2, "d6049a656fa48679f12f6ad50fb6f0f12e7f25cc9220f0d5fe20928afb78108d"),
+            ("beta", 4, "fe22c892391f870a5b3ad9e632d84e00ee3470245a1e2656fde328384b300fd7"),
+            ("xor", 1, "51b8976e8a26df81c69f1d78f64dee7477d11fe9753ccfdff0521b5c0f939c19"),
+            ("xor", 2, "eb1423a6273e4afb863c51f451031012844120ab450700c8cf1eeee8ab0a2fcb"),
+            ("xor", 4, "651ecd22699528d83904f716dac600d06b4a81bc02e406cdea687944d13ac1eb"),
+            ("dirichlet", 1, "2958097fb663b97f4805a578df5531b906610d99f4d536e980f851ad37df218a"),
+            ("dirichlet", 2, "3e5896faddad7efb54d6a7d395cc46a8884028cdce7f36b93a1ddac77485a6a8"),
+            ("dirichlet", 4, "382ebc320e5275a5f0f1058c97fc955da69eec6d6a36b3f10826e8f1b5a6e723"),
+            ("atom", 1, "0d1e7570fcae2a51ad754a391dd3f2e6718be9be719d2627f8b2c397fbb1281d"),
+            ("atom", 2, "be5c20a8fbc0c73dec670f3a3f94f877f6167133d71adbd9793d18a560a6aa2f"),
+            ("atom", 4, "9a4c17c028d293593677a16141985a972dda10c0ed2815fad13900ca329454e4"),
+        ],
+    )
+    def test_rows(self, name, samples_per_env, digest):
+        ds = sample_dataset(self.GRAPH, self.PRIORS[name], 64, samples_per_env, 11)
+        # values, not the storage dtype, are pinned
+        assert hashlib.sha256(ds.rows.astype(np.int64).tobytes()).hexdigest() == digest
+
+    @pytest.mark.parametrize(
+        "name, from_seeds, from_generator",
+        [
+            (
+                "beta",
+                "6ad02ac20b1adbe52bef2fd7661749f7ea9e3de26e702c4d38ef4527d50125f3",
+                "44906e8586d68775f2f98294fa05c074700c1d9848d2c50945e5e930eca2abc2",
+            ),
+            (
+                "xor",
+                "da1d849aed8b814bdb14ed0d7493d5367c0563a04325572b599a7053c851d1f9",
+                "0893248166a6facaff54eafd581ecb5511b3aa852e1e910fd3a8bff8ac84dbfc",
+            ),
+            (
+                "dirichlet",
+                "897e5343be636bc55680417e8e18e4b958c88d631d270940f0245905083e3076",
+                "7d12d1c974ce335893eb11daae6f4cd519797bbe5c92f3a53dd56b57ca45bdc6",
+            ),
+            (
+                "atom",
+                "34297f618b5e63211859fca91b085da714bc0aca9fd5a7c23072644bfa0a0c82",
+                "6e4f6a0ec19d582a13178637684162672613995b797e9ce1db09f0417799a1fd",
+            ),
+        ],
+    )
+    def test_env_params(self, name, from_seeds, from_generator):
+        prior = self.PRIORS[name]
+        rng = np.random.default_rng(23)
+        for seeds, digest in (([0, 1, 2], from_seeds), ([rng] * 3, from_generator)):
+            h = hashlib.sha256()
+            for seed in seeds:
+                for cpt in sample_env_params(prior, self.GRAPH, seed).cpts:
+                    h.update(np.ascontiguousarray(cpt, dtype=np.float64).tobytes())
+            assert h.hexdigest() == digest
 
 
 class TestBivariateXorModel:
