@@ -37,8 +37,6 @@ from .discovery import (
     bivariate_direction,
     discover,
     discover_with_tester,
-    find_edges,
-    find_sink_order,
 )
 from .oracle import (
     FiniteMixtureModel,

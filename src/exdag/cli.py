@@ -13,6 +13,7 @@ import sys
 from pathlib import Path
 
 from . import harness
+from .ci_test import DEFAULT_ALPHA
 from .discovery import NoSinkFoundError, bivariate_direction, discover
 from .graphs import Dag
 from .sampling import (
@@ -183,7 +184,7 @@ def main(argv=None) -> int:
         try:
             result = harness.discover_file(
                 input_path,
-                alpha=_pick(args, cfg, "alpha", 0.05, float),
+                alpha=_pick(args, cfg, "alpha", DEFAULT_ALPHA, float),
                 force=bool(_pick(args, cfg, "force", False, bool)),
             )
         except NoSinkFoundError as exc:
@@ -202,7 +203,7 @@ def main(argv=None) -> int:
         if input_path is None:
             parser.error("bivariate requires --in")
         ds = harness.ingest_csv(input_path)
-        print(bivariate_direction(ds, _pick(args, cfg, "alpha", 0.05, float)))
+        print(bivariate_direction(ds, _pick(args, cfg, "alpha", DEFAULT_ALPHA, float)))
         return 0
 
     if args.command == "sweep-bivariate":
@@ -218,7 +219,7 @@ def main(argv=None) -> int:
             kind="bivariate-sweep",
             env_grid=grid,
             repeats=_pick(args, cfg, "repeats", 100 if paper else 20, int),
-            alpha=_pick(args, cfg, "alpha", 0.05, float),
+            alpha=_pick(args, cfg, "alpha", DEFAULT_ALPHA, float),
             seed=_pick(args, cfg, "seed", 0, int),
             samples_per_env=_pick(args, cfg, "samples_per_env", 2, int),
             paper_scale=paper,
@@ -239,7 +240,7 @@ def main(argv=None) -> int:
             env_grid=grid,
             graphs=graphs,
             repeats=_pick(args, cfg, "repeats", 100 if paper else 20, int),
-            alpha=_pick(args, cfg, "alpha", 0.05, float),
+            alpha=_pick(args, cfg, "alpha", DEFAULT_ALPHA, float),
             seed=_pick(args, cfg, "seed", 0, int),
             samples_per_env=_pick(args, cfg, "samples_per_env", 2, int),
             paper_scale=paper,

@@ -142,10 +142,6 @@ def find_sink_order_with_tester(
     return SinkOrder(tuple(buckets))
 
 
-def find_sink_order(ds: EnvDataset, alpha: float = DEFAULT_ALPHA, force: bool = False) -> SinkOrder:
-    return find_sink_order_with_tester(data_tester(ds, alpha), ds.d, force=force)
-
-
 def find_edges_with_tester(
     tester: CiTester,
     order: SinkOrder,
@@ -185,10 +181,6 @@ def find_edges_with_tester(
                         parents[i].add(j)
                         children[j].add(i)
     return Dag(d, frozenset(edges))
-
-
-def find_edges(ds: EnvDataset, order: SinkOrder, alpha: float = DEFAULT_ALPHA) -> Dag:
-    return find_edges_with_tester(data_tester(ds, alpha), order)
 
 
 def discover_with_tester(

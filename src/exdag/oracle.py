@@ -11,6 +11,7 @@ distribution is Markov and faithful to the unrolled mixed graph.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass, field
 from typing import List, Optional, Sequence, Tuple
 
@@ -18,7 +19,7 @@ import numpy as np
 
 from .ci_test import CiResult, DEFAULT_ALPHA
 from .graphs import CiStatement, Dag, EnumerationSizeError, ci_statements, icm_unroll, m_separated
-from .sampling import AtomMixturePrior, MixturePrior, parent_configs
+from .sampling import AtomMixturePrior, MixturePrior, _check_cpt, parent_configs
 
 STATE_SPACE_LIMIT = 2**20
 DEFAULT_CI_TOL = 1e-9
@@ -45,17 +46,22 @@ class FiniteMixtureModel:
             raise ValueError("need atoms and a cardinality for every node")
         if self.samples_per_env < 1:
             raise ValueError("samples_per_env must be >= 1")
+        # float64 arrays, so that exact_joint can index them and computes in float64
+        self.atoms = [
+            [(w, np.asarray(cpt, dtype=float)) for w, cpt in node_atoms] for node_atoms in self.atoms
+        ]
         for i in range(d):
             _, n_cfg = parent_configs(self.graph, self.cardinalities, i)
             total = 0.0
             for w, cpt in self.atoms[i]:
-                cpt = np.asarray(cpt, dtype=float)
                 if cpt.shape != (self.cardinalities[i], n_cfg):
                     raise ValueError(
                         f"node {i}: atom CPT shape {cpt.shape} != ({self.cardinalities[i]}, {n_cfg})"
                     )
-                if np.any(np.abs(cpt.sum(axis=0) - 1.0) > 1e-9):
-                    raise ValueError(f"node {i}: atom CPT columns must sum to 1")
+                try:
+                    _check_cpt(cpt)
+                except ValueError as err:
+                    raise ValueError(f"node {i}: {err}") from None
                 if w < 0:
                     raise ValueError("atom weights must be nonnegative")
                 total += w
@@ -126,78 +132,44 @@ def exact_joint(model: FiniteMixtureModel) -> np.ndarray:
 
     P(x) = prod_i [ sum_a w_{i,a} prod_n cpt_{i,a}(x_{i;n} | pa_{i;n}) ]:
     the sum over atom combinations factorizes per node because mechanisms
-    are drawn independently.
+    are drawn independently.  Each node's factor is built over open index
+    grids, so it spans only the axes of the node and its parents, and costs
+    one full-size multiply into the joint.
     """
     if model._joint is not None:
         return model._joint
-    shape = model.shape
-    total = int(np.prod(shape))
-    strides = np.empty(len(shape), dtype=np.int64)
-    acc = 1
-    for a in range(len(shape) - 1, -1, -1):
-        strides[a] = acc
-        acc *= shape[a]
-    idx = np.arange(total)
-    axis_values = {}
-
-    def values(axis: int) -> np.ndarray:
-        if axis not in axis_values:
-            axis_values[axis] = (idx // strides[axis]) % shape[axis]
-        return axis_values[axis]
-
-    joint = np.ones(total)
+    grid = np.indices(model.shape, sparse=True)
+    joint = np.ones(model.shape)
     for i in range(model.d):
         pa, _ = parent_configs(model.graph, model.cardinalities, i)
-        pa_cards = tuple(model.cardinalities[p] for p in pa)
-        factor = np.zeros(total)
+        factor = 0.0
         for w, cpt in model.atoms[i]:
-            prod = np.ones(total)
+            prod = 1.0
             for s in range(model.samples_per_env):
-                x = values(model.axis_of(i, s))
-                if pa:
-                    cfg = np.ravel_multi_index(
-                        tuple(values(model.axis_of(p, s)) for p in pa), pa_cards
-                    )
-                else:
-                    cfg = 0
-                prod *= cpt[x, cfg]
-            factor += w * prod
+                cfg = 0
+                for p in pa:
+                    cfg = cfg * model.cardinalities[p] + grid[model.axis_of(p, s)]
+                prod = prod * cpt[grid[model.axis_of(i, s)], cfg]
+            factor = factor + w * prod
         joint *= factor
-    model._joint = joint.reshape(shape)
-    return model._joint
-
-
-def _marginal(model: FiniteMixtureModel, groups: Sequence[Sequence[Tuple[int, int]]]) -> np.ndarray:
-    """Marginal of the joint over the concatenated node groups, with axes
-    ordered group by group (each group sorted), then flattened per group."""
-    joint = exact_joint(model)
-    axes = [[model.axis_of(v, s) for v, s in sorted(group)] for group in groups]
-    flat_axes = [a for group in axes for a in group]
-    drop = tuple(a for a in range(joint.ndim) if a not in flat_axes)
-    marg = joint.sum(axis=drop)
-    # remaining axes are in increasing original order; permute to group order
-    kept_sorted = sorted(flat_axes)
-    perm = [kept_sorted.index(a) for a in flat_axes]
-    marg = np.transpose(marg, perm)
-    sizes = []
-    for group in axes:
-        size = 1
-        for a in group:
-            size *= joint.shape[a]
-        sizes.append(size)
-    return marg.reshape(tuple(sizes))
+    model._joint = joint
+    return joint
 
 
 def exact_ci(model: FiniteMixtureModel, stmt: CiStatement, tol: float = DEFAULT_CI_TOL) -> bool:
     """True iff left and right are conditionally independent given `given`
     in the exact joint, up to `tol` on conditional probabilities."""
-    for v, s in itertools.chain(stmt.left, stmt.right, stmt.given):
+    groups = [sorted(stmt.left), sorted(stmt.right), sorted(stmt.given)]
+    for v, s in itertools.chain(*groups):
         if not (0 <= v < model.d and 0 <= s < model.samples_per_env):
             raise ValueError(f"statement references unknown node ({v}, {s})")
-    if stmt.given:
-        p = _marginal(model, [stmt.left, stmt.right, stmt.given])  # (L, R, G)
-    else:
-        p = _marginal(model, [stmt.left, stmt.right])[:, :, None]
+    joint = exact_joint(model)
+    axes = [model.axis_of(v, s) for group in groups for v, s in group]
+    kept = sorted(axes)
+    # marginal over the statement's nodes, axes in (left, right, given) order
+    p = joint.sum(axis=tuple(a for a in range(joint.ndim) if a not in axes))
+    sizes = [math.prod(model.cardinalities[v] for v, _ in group) for group in groups]
+    p = p.transpose([kept.index(a) for a in axes]).reshape(sizes)
     p_g = p.sum(axis=(0, 1))
     mask = p_g > 0
     if not np.any(mask):

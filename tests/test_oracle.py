@@ -8,6 +8,7 @@ import pytest
 from exdag import harness
 from exdag.graphs import Dag, EnumerationSizeError, ci_set, enumerate_dags, icm_unroll, statement
 from exdag.oracle import (
+    STATE_SPACE_LIMIT,
     FiniteMixtureModel,
     exact_ci,
     exact_joint,
@@ -66,6 +67,15 @@ class TestModelValidation:
         atoms = [[(1.0, np.array([[0.5, 0.5], [0.5, 0.5]]))], [(1.0, np.array([[0.5], [0.5]]))]]
         with pytest.raises(ValueError, match="shape"):
             FiniteMixtureModel(XY, atoms, 2, (2, 2))
+
+    def test_entries_must_lie_in_unit_interval(self):
+        atoms = [[(1.0, np.array([[1.5], [-0.5]]))]]
+        with pytest.raises(ValueError, match=r"node 0: .*\[0, 1\]"):
+            FiniteMixtureModel(Dag(1, frozenset()), atoms, 2, (2,))
+        data = two_atom_xy_model().to_dict()
+        data["atoms"][1][0]["cpt"] = [[1.2, 0.1], [-0.2, 0.9]]
+        with pytest.raises(ValueError, match=r"node 1: .*\[0, 1\]"):
+            FiniteMixtureModel.from_dict(data)
 
     def test_columns_must_normalize(self):
         atoms = [[(1.0, np.array([[0.5], [0.4]]))], [(1.0, np.array([[0.5, 0.5], [0.5, 0.5]]))]]
@@ -138,6 +148,27 @@ class TestExactJoint:
         assert np.all(np.abs(freq - joint.ravel()) <= tol + 1e-12)
 
 
+def brute_force_ci(model, stmt, tol):
+    """Reference verdict: tabulate P(left, right, given) from `naive_joint`
+    one configuration at a time, then compare P(l, r | g) with
+    P(l | g) P(r | g) wherever P(g) > 0."""
+    joint = naive_joint(model)
+    sides = [sorted(side) for side in (stmt.left, stmt.right, stmt.given)]
+    p_lrg, p_g, p_lg, p_rg = {}, {}, {}, {}
+    for config in itertools.product(*[range(k) for k in model.shape]):
+        l, r, g = (tuple(config[model.axis_of(v, s)] for v, s in side) for side in sides)
+        p = joint[config]
+        p_lrg[l, r, g] = p_lrg.get((l, r, g), 0.0) + p
+        p_g[g] = p_g.get(g, 0.0) + p
+        p_lg[l, g] = p_lg.get((l, g), 0.0) + p
+        p_rg[r, g] = p_rg.get((r, g), 0.0) + p
+    return all(
+        abs(p / p_g[g] - (p_lg[l, g] / p_g[g]) * (p_rg[r, g] / p_g[g])) <= tol
+        for (l, r, g), p in p_lrg.items()
+        if p_g[g] > 0
+    )
+
+
 class TestExactCi:
     def test_causal_statement_holds(self):
         model = two_atom_xy_model()
@@ -155,6 +186,35 @@ class TestExactCi:
     def test_unknown_node_rejected(self):
         with pytest.raises(ValueError, match="unknown node"):
             exact_ci(two_atom_xy_model(), statement([(0, 0)], [(5, 1)]))
+
+    def test_multi_node_sides_match_brute_force(self):
+        # node 2 is isolated, so some multi-node statements hold; mixed
+        # cardinalities make a mis-ordered group reshape a different table
+        g = Dag(3, frozenset({(0, 1)}))
+        model = random_generic_model(g, 2, np.random.default_rng(8), cardinalities=(2, 3, 2))
+        # sorted (var, sample) order differs from axis order inside each side
+        stmts = [
+            statement([(1, 0), (0, 1)], [(2, 1), (2, 0)]),
+            statement([(2, 1), (2, 0)], [(1, 1), (0, 0)], [(1, 0)]),
+            statement([(1, 1), (0, 0)], [(1, 0), (0, 1)], [(2, 0)]),
+        ]
+        nodes = [(v, s) for s in range(2) for v in range(3)]
+        rng = np.random.default_rng(9)
+        while len(stmts) < 120:
+            picked = [nodes[j] for j in rng.permutation(len(nodes))]
+            n_left, n_right = rng.integers(1, 3, size=2)
+            if n_left + n_right < 3:
+                continue
+            n_given = rng.integers(0, len(nodes) - n_left - n_right + 1)
+            stmts.append(statement(
+                picked[:n_left],
+                picked[n_left:n_left + n_right],
+                picked[n_left + n_right:n_left + n_right + n_given],
+            ))
+        verdicts = [exact_ci(model, s) for s in stmts]
+        assert verdicts == [brute_force_ci(model, s, 1e-9) for s in stmts]
+        assert verdicts[0] and not verdicts[2]
+        assert 0 < sum(verdicts) < len(verdicts)
 
 
 class TestVerifyMarkovFaithful:
@@ -268,6 +328,48 @@ def _sweep_lines():
         json.dumps(harness.run_oracle_sweep(d=2, models_per_graph=3, seed=0), sort_keys=True),
         json.dumps(harness.run_identifiability(d=3), sort_keys=True),
     ]
+
+
+def _small_joint_models():
+    """Generic models on every DAG with d <= 3, at 2 and 3 samples, with
+    cardinalities drawn from {2, 3}."""
+    rng = np.random.default_rng(17)
+    for d in (1, 2, 3):
+        for g in enumerate_dags(d):
+            for n in (2, 3):
+                cards = tuple(int(k) for k in rng.integers(2, 4, size=d))
+                yield random_generic_model(g, n, rng, cardinalities=cards)
+
+
+def _limit_joint_models():
+    """One binary diamond at 5 samples: exactly STATE_SPACE_LIMIT states."""
+    g = Dag(4, frozenset({(0, 1), (0, 2), (1, 3), (2, 3)}))
+    model = random_generic_model(g, 5, np.random.default_rng(19))
+    assert exact_joint(model).size == STATE_SPACE_LIMIT
+    yield model
+
+
+class TestPinnedJointDigests:
+    """SHA-256 of `exact_joint(model).tobytes()`, recorded while the joint
+    was still built by decoding a flat index: the broadcast build over open
+    index grids makes the same floating-point operations in the same order,
+    so every byte is the same."""
+
+    @pytest.mark.parametrize(
+        "models, digest",
+        [
+            (_small_joint_models, "69e020b54d500beaea5da0faacfc6b7e905feacea9f02a8fa4573d8d6aff459b"),
+            (_limit_joint_models, "a6f12e381735ac04fd2ca977d7c1c04f070f6f6ecef8b9fb18a81f7d5fce6e9d"),
+        ],
+        ids=["every_dag_up_to_d3", "state_space_limit"],
+    )
+    def test_joint_bytes_unchanged(self, models, digest):
+        h = hashlib.sha256()
+        for model in models():
+            joint = exact_joint(model)
+            h.update(repr(joint.shape).encode())
+            h.update(joint.tobytes())
+        assert h.hexdigest() == digest
 
 
 class TestPinnedDigests:
