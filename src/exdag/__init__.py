@@ -22,11 +22,18 @@ from .sampling import (
     MixturePrior,
     XorBetaPrior,
     bivariate_xor_model,
-    degenerate_check,
     sample_dataset,
     sample_env_params,
 )
-from .ci_test import CiResult, ContingencyCube, chi2_sf, g_test, tabulate, test_statement
+from .ci_test import (
+    CiResult,
+    ContingencyCube,
+    chi2_sf,
+    degenerate_check,
+    g_test,
+    tabulate,
+    test_statement,
+)
 from .discovery import (
     DiscoveryResult,
     NoSinkFoundError,

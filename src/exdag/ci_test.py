@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Tuple
+from typing import List, Optional, Tuple
 
 import numpy as np
 
@@ -64,28 +64,22 @@ class CiResult:
         }
 
 
-def _side_codes(ds: EnvDataset, nodes) -> Tuple[np.ndarray, int]:
-    """Flatten a node set's per-environment values into a single code."""
-    coords = sorted(nodes)
-    values = ds.values_at(coords)
-    cards = tuple(ds.cardinalities[v] for v, _ in coords)
-    codes = np.ravel_multi_index(tuple(values.T), cards)
-    return codes, int(np.prod(cards))
-
-
 def tabulate(ds: EnvDataset, stmt: CiStatement) -> ContingencyCube:
-    """Accumulate one observation per environment into a stratified table."""
-    x_codes, kx = _side_codes(ds, stmt.left)
-    y_codes, ky = _side_codes(ds, stmt.right)
-    if stmt.given:
-        z_codes, kz = _side_codes(ds, stmt.given)
-        strata_cards = tuple(ds.cardinalities[v] for v, _ in sorted(stmt.given))
-    else:
-        z_codes, kz = np.zeros(ds.n_envs, dtype=np.intp), 1
-        strata_cards = ()
-    flat = (z_codes * kx + x_codes) * ky + y_codes
-    counts = np.bincount(flat, minlength=kz * kx * ky).reshape(kz, kx, ky)
-    return ContingencyCube(counts=counts, x_card=kx, y_card=ky, strata_cards=strata_cards)
+    """Accumulate one observation per environment into a stratified table.
+
+    The sorted given, left and right coordinates are gathered in one
+    `values_at` call and coded by one C-order mixed-radix index, so an
+    environment with given code z, left code x and right code y lands in
+    cell (z * kx + x) * ky + y.
+    """
+    given, left = sorted(stmt.given), sorted(stmt.left)
+    coords = given + left + sorted(stmt.right)
+    cards = [ds.cardinalities[v] for v, _ in coords]
+    codes = np.ravel_multi_index(tuple(ds.values_at(coords).T), cards)
+    kx = math.prod(cards[len(given) : len(given) + len(left)])
+    ky = math.prod(cards[len(given) + len(left) :])
+    counts = np.bincount(codes, minlength=math.prod(cards)).reshape(-1, kx, ky)
+    return ContingencyCube(counts, kx, ky, strata_cards=tuple(cards[: len(given)]))
 
 
 def g_test(
@@ -137,6 +131,30 @@ def g_test(
 def test_statement(ds: EnvDataset, stmt: CiStatement, alpha: float = DEFAULT_ALPHA) -> CiResult:
     """Tabulate then G-test; verdict independent iff p > alpha."""
     return g_test(tabulate(ds, stmt), statement=stmt, alpha=alpha)
+
+
+def degenerate_check(ds: EnvDataset, alpha: float = DEFAULT_ALPHA) -> List[str]:
+    """Flag variables whose marginal looks identical across environments
+    (which would break faithfulness of the exchangeable process) and
+    variables that are outright constant.  Homogeneity is `g_test` on the
+    one-stratum table of counts indexed (environment, value)."""
+    warnings = []
+    env_ids = np.repeat(np.arange(ds.n_envs), np.diff(ds.offsets))
+    for i in range(ds.d):
+        values = ds.rows[:, i]
+        if (values == values[0]).all():
+            warnings.append(f"variable {i} is constant across the whole dataset")
+            continue
+        k = ds.cardinalities[i]
+        counts = np.bincount(env_ids * k + values, minlength=ds.n_envs * k)
+        cube = ContingencyCube(counts.reshape(1, ds.n_envs, k), ds.n_envs, k, ())
+        p = g_test(cube).p_value
+        if p > alpha:
+            warnings.append(
+                f"variable {i}: no detectable heterogeneity across environments "
+                f"(homogeneity p={p:.3g}); marginal may collapse to i.i.d."
+            )
+    return warnings
 
 
 # ---------------------------------------------------------------------------

@@ -62,9 +62,9 @@ def _parse_graph(spec: str) -> Dag:
 
 
 def _parse_prior(spec, g: Dag) -> MixturePrior:
-    """`xor` (bivariate benchmark), `beta:a,b` (per-column Beta draws), or a
-    JSON file/string with a per-node prior list.  Default: the parity-tied
-    xor mechanism used by the multivariate experiments."""
+    """`xor` (bivariate benchmark) or a JSON file/string with a per-node
+    prior list.  Default: the parity-tied xor mechanism used by the
+    multivariate experiments."""
     if spec is None:
         return harness.default_binary_prior(g)
     if spec == "xor":
@@ -72,11 +72,13 @@ def _parse_prior(spec, g: Dag) -> MixturePrior:
         if xg.edges != g.edges or g.d != 2:
             raise SystemExit("--prior xor requires the bivariate graph X1->X2")
         return prior
-    if spec.startswith("beta:"):
-        a, b = (float(x) for x in spec[len("beta:"):].split(","))
-        return harness.beta_columns_prior(g, a, b)
     path = Path(spec)
-    data = json.loads(path.read_text() if path.exists() else spec)
+    try:
+        data = json.loads(path.read_text() if path.exists() else spec)
+    except json.JSONDecodeError as err:
+        raise SystemExit(
+            f"--prior {spec!r}: expected xor, a JSON prior file or a JSON prior list ({err})"
+        ) from None
     node_priors = []
     for entry in data:
         kind = entry["kind"]
@@ -105,7 +107,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("simulate", help="generate a dataset CSV (+ JSON sidecar)")
     p.add_argument("--graph", help="preset name, JSON file, or inline JSON")
-    p.add_argument("--prior", help="xor | beta:a,b | JSON prior spec")
+    p.add_argument("--prior", help="xor | JSON prior spec (file or inline)")
     p.add_argument("--envs", type=int)
     p.add_argument("--samples-per-env", type=int)
     p.add_argument("--seed", type=int)

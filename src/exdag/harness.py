@@ -8,6 +8,7 @@ from __future__ import annotations
 import csv
 import json
 import re
+from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass
 from pathlib import Path
@@ -28,10 +29,8 @@ from .graphs import (
     ci_set,
     enumerate_dags,
     icm_unroll,
-    markov_equivalent_dags,
 )
 from .sampling import (
-    BetaColumnsPrior,
     EnvDataset,
     MixturePrior,
     XorBetaPrior,
@@ -58,17 +57,15 @@ def preset_graph(name: str) -> Dag:
         raise ValueError(f"unknown preset graph {name!r}; options: {sorted(PRESET_GRAPHS)}")
 
 
-def beta_columns_prior(g: Dag, a: float = 1.0, b: float = 3.0) -> MixturePrior:
-    """Independent Beta(a, b) per CPT column for every (binary) node."""
-    return MixturePrior(tuple(BetaColumnsPrior(a, b) for _ in range(g.d)))
-
-
 def default_binary_prior(g: Dag, a: float = 1.0, b: float = 3.0) -> MixturePrior:
     """Multivariate experiment prior: every node is a Ber(psi) flip xor the
     parity of its parents with psi ~ Beta(a, b), extending the bivariate
-    benchmark's mechanism to arbitrary binary graphs.  Per-column Beta
-    draws (see `beta_columns_prior`) make the sink tests nearly powerless
-    at the published environment counts."""
+    benchmark's mechanism to arbitrary binary graphs.  Independent Beta
+    draws per CPT column give every column the same mean, so no edge can be
+    found: with each column's Beta(1, 3) replaced by the 2-point atoms that
+    match its moments up to order 3, oracle discovery at two samples per
+    environment returns the empty graph on fork3, collider3 and chain4,
+    where these xor atoms recover all three."""
     return MixturePrior(tuple(XorBetaPrior(a, b) for _ in range(g.d)))
 
 
@@ -247,24 +244,22 @@ def discover_file(path, alpha: float = DEFAULT_ALPHA, force: bool = False):
 # bivariate sweep
 
 
-def _bivariate_point(args):
-    n_envs, repeats, alpha, seed, samples_per_env = args
+def _bivariate_point(n_envs: int, cfg: ExperimentConfig) -> dict:
     g, prior = bivariate_xor_model()
     correct = 0
-    for r in range(repeats):
-        ds = sample_dataset(g, prior, n_envs, samples_per_env, derive_seed(seed, n_envs, r))
-        if bivariate_direction(ds, alpha) == X_TO_Y:
+    for r in range(cfg.repeats):
+        seed = derive_seed(cfg.seed, n_envs, r)
+        ds = sample_dataset(g, prior, n_envs, cfg.samples_per_env, seed)
+        if bivariate_direction(ds, cfg.alpha) == X_TO_Y:
             correct += 1
-    return {"n_envs": n_envs, "repeats": repeats, "correct_fraction": correct / repeats}
+    return {"n_envs": n_envs, "repeats": cfg.repeats, "correct_fraction": correct / cfg.repeats}
 
 
-def run_bivariate_sweep(cfg: ExperimentConfig, workers: int = 1) -> List[dict]:
+def run_bivariate_sweep(cfg: ExperimentConfig) -> List[dict]:
     """Correct-direction fraction of the three-hypothesis decision on the
     xor benchmark, per environment count."""
     grid = cfg.env_grid or (500, 2000, 4000)
-    jobs = [(e, cfg.repeats, cfg.alpha, cfg.seed, cfg.samples_per_env) for e in grid]
-    rows = list(_pool_map(_bivariate_point, jobs, workers))
-    rows.sort(key=lambda r: r["n_envs"])
+    rows = [_bivariate_point(n_envs, cfg) for n_envs in sorted(grid)]
     if cfg.out_dir:
         _write_sweep(cfg, rows, "bivariate_sweep.csv", ["n_envs", "repeats", "correct_fraction"])
     return rows
@@ -415,23 +410,14 @@ def run_identifiability(d: int = 3, samples_per_env: int = 2, out_dir: Optional[
     for idx, key in enumerate(icm_keys):
         icm_classes.setdefault(key, []).append(idx)
 
-    iid_class_of = [-1] * len(dags)
-    n_iid_classes = 0
-    for i, g in enumerate(dags):
-        if iid_class_of[i] >= 0:
-            continue
-        iid_class_of[i] = n_iid_classes
-        for j in range(i + 1, len(dags)):
-            if iid_class_of[j] < 0 and markov_equivalent_dags(g, dags[j]):
-                iid_class_of[j] = n_iid_classes
-        n_iid_classes += 1
-    iid_sizes = [iid_class_of.count(c) for c in range(n_iid_classes)]
+    # classical equivalence is exactly equality of (skeleton, v-structures)
+    iid_sizes = Counter((g.skeleton(), g.v_structures()) for g in dags).values()
 
     result = {
         "d": d,
         "n_dags": len(dags),
         "icm_class_sizes": sorted(len(v) for v in icm_classes.values()),
-        "iid_class_count": n_iid_classes,
+        "iid_class_count": len(iid_sizes),
         "iid_class_sizes": sorted(iid_sizes),
     }
     if out_dir:

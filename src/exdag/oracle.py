@@ -23,6 +23,8 @@ from .sampling import AtomMixturePrior, MixturePrior, _check_cpt, parent_configs
 
 STATE_SPACE_LIMIT = 2**20
 DEFAULT_CI_TOL = 1e-9
+# random_generic_model redraws a node's atoms closer than this in every entry
+MIN_ATOM_SEPARATION = 1e-3
 
 
 @dataclass
@@ -156,9 +158,9 @@ def exact_joint(model: FiniteMixtureModel) -> np.ndarray:
     return joint
 
 
-def exact_ci(model: FiniteMixtureModel, stmt: CiStatement, tol: float = DEFAULT_CI_TOL) -> bool:
+def exact_ci(model: FiniteMixtureModel, stmt: CiStatement) -> bool:
     """True iff left and right are conditionally independent given `given`
-    in the exact joint, up to `tol` on conditional probabilities."""
+    in the exact joint, up to `DEFAULT_CI_TOL` on conditional probabilities."""
     groups = [sorted(stmt.left), sorted(stmt.right), sorted(stmt.given)]
     for v, s in itertools.chain(*groups):
         if not (0 <= v < model.d and 0 <= s < model.samples_per_env):
@@ -178,16 +180,14 @@ def exact_ci(model: FiniteMixtureModel, stmt: CiStatement, tol: float = DEFAULT_
     p_l = p.sum(axis=1)
     p_r = p.sum(axis=0)
     diff = np.abs(p - p_l[:, None, :] * p_r[None, :, :])
-    return bool(diff.max() <= tol)
+    return bool(diff.max() <= DEFAULT_CI_TOL)
 
 
-def true_ci_set(
-    model: FiniteMixtureModel, max_condition_size: int, tol: float = DEFAULT_CI_TOL
-) -> List[CiStatement]:
+def true_ci_set(model: FiniteMixtureModel, max_condition_size: int) -> List[CiStatement]:
     """All `ci_statements` over the model's (variable, sample) nodes that
     hold in the exact joint, sorted."""
     nodes = [(i, s) for i in range(model.d) for s in range(model.samples_per_env)]
-    out = [s for s in ci_statements(nodes, max_condition_size) if exact_ci(model, s, tol)]
+    out = [s for s in ci_statements(nodes, max_condition_size) if exact_ci(model, s)]
     out.sort(key=CiStatement.sort_key)
     return out
 
@@ -213,7 +213,7 @@ class MarkovFaithfulReport:
 
 
 def verify_markov_faithful(
-    model: FiniteMixtureModel, max_condition_size: int, tol: float = DEFAULT_CI_TOL
+    model: FiniteMixtureModel, max_condition_size: int
 ) -> MarkovFaithfulReport:
     """Sweep all `ci_statements` over the unrolled graph's nodes; report
     separations that fail in the distribution (Markov violations: must never
@@ -224,7 +224,7 @@ def verify_markov_faithful(
     markov, faithless = [], []
     for stmt in ci_statements(dmag.nodes, max_condition_size):
         separated = m_separated(dmag, stmt)
-        independent = exact_ci(model, stmt, tol)
+        independent = exact_ci(model, stmt)
         if separated and not independent:
             markov.append(stmt)
         elif independent and not separated:
@@ -248,7 +248,6 @@ def random_generic_model(
     samples_per_env: int,
     rng: np.random.Generator,
     atoms_per_node: int = 2,
-    min_separation: float = 1e-3,
     cardinalities: Optional[Sequence[int]] = None,
 ) -> FiniteMixtureModel:
     """Random atoms drawn uniformly from the simplex per CPT column, with
@@ -263,7 +262,7 @@ def random_generic_model(
             node_atoms = [rng.dirichlet(np.ones(k), size=n_cfg).T for _ in range(atoms_per_node)]
             ok = True
             for a, b in itertools.combinations(node_atoms, 2):
-                if np.abs(a - b).max() < min_separation:
+                if np.abs(a - b).max() < MIN_ATOM_SEPARATION:
                     ok = False
                     break
             if ok:
@@ -275,12 +274,12 @@ def random_generic_model(
     )
 
 
-def oracle_tester(model: FiniteMixtureModel, tol: float = DEFAULT_CI_TOL):
+def oracle_tester(model: FiniteMixtureModel):
     """A CI-test backend that answers from the exact joint (p = 1 or 0),
     for running discovery in the infinite-data limit."""
 
     def tester(stmt: CiStatement) -> CiResult:
-        independent = exact_ci(model, stmt, tol)
+        independent = exact_ci(model, stmt)
         return CiResult(
             statement=stmt,
             statistic=0.0,

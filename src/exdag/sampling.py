@@ -156,14 +156,6 @@ def parent_configs(g: Dag, cardinalities: Sequence[int], i: int) -> Tuple[Tuple[
     return pa, n_cfg
 
 
-def parent_config_index(values: np.ndarray, pa_cards: Sequence[int]) -> np.ndarray:
-    """Mixed-radix column index for parent value combinations (C order:
-    first parent most significant)."""
-    if len(pa_cards) == 0:
-        return np.zeros(values.shape[0] if values.ndim > 1 else 1, dtype=np.intp)
-    return np.ravel_multi_index(tuple(values.T), tuple(pa_cards))
-
-
 def _node_drawers(g: Dag, prior: MixturePrior) -> List[Callable]:
     """One mechanism drawer per node: rng -> the node's table for one
     environment.  A binary prior yields the row P(X=1 | parent config), shape
@@ -363,7 +355,9 @@ def sample_dataset(
             if table.ndim == 1:  # P(X=1 | pa) row
                 values[:, i] = u >= 1.0 - table[cfg]
             else:
-                values[:, i] = (u >= np.cumsum(table, axis=0)[:, cfg]).sum(axis=0)
+                # the k-1 inner thresholds: a last cumulative row below 1.0
+                # must not yield category k
+                values[:, i] = (u >= np.cumsum(table, axis=0)[:-1, cfg]).sum(axis=0)
     return EnvDataset._from_rows(
         g.d,
         cards,
@@ -381,36 +375,3 @@ def bivariate_xor_model() -> Tuple[Dag, MixturePrior]:
     g = Dag(2, frozenset({(0, 1)}))
     prior = MixturePrior((BetaColumnsPrior(1.0, 3.0), XorBetaPrior(1.0, 3.0)))
     return g, prior
-
-
-def degenerate_check(ds: EnvDataset, alpha: float = 0.05) -> List[str]:
-    """Flag variables whose marginal looks identical across environments
-    (which would break faithfulness of the exchangeable process) and
-    variables that are outright constant."""
-    from .ci_test import chi2_sf  # local import to avoid a module cycle
-
-    warnings = []
-    env_ids = np.repeat(np.arange(ds.n_envs), np.diff(ds.offsets))
-    for i in range(ds.d):
-        k = ds.cardinalities[i]
-        # one row of value counts per environment
-        counts = np.bincount(env_ids * k + ds.rows[:, i], minlength=ds.n_envs * k)
-        counts = counts.reshape(ds.n_envs, k).astype(float)
-        col_tot = counts.sum(axis=0)
-        if np.count_nonzero(col_tot) <= 1:
-            warnings.append(f"variable {i} is constant across the whole dataset")
-            continue
-        # G-test of homogeneity across environments
-        row_tot = counts.sum(axis=1, keepdims=True)
-        expected = row_tot * (col_tot / col_tot.sum())
-        with np.errstate(divide="ignore", invalid="ignore"):
-            terms = np.where(counts > 0, counts * np.log(counts / expected), 0.0)
-        stat = 2.0 * terms.sum()
-        dof = (ds.n_envs - 1) * (np.count_nonzero(col_tot) - 1)
-        p = chi2_sf(stat, dof)
-        if p > alpha:
-            warnings.append(
-                f"variable {i}: no detectable heterogeneity across environments "
-                f"(homogeneity p={p:.3g}); marginal may collapse to i.i.d."
-            )
-    return warnings

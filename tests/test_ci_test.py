@@ -1,4 +1,6 @@
+import hashlib
 import math
+import struct
 
 import numpy as np
 import pytest
@@ -83,6 +85,48 @@ class TestTabulate:
         cube = tabulate(ds, statement([(0, 0), (1, 0)], [(2, 1)]))
         assert cube.x_card == 4
         assert cube.counts.sum() == 3
+
+
+class TestPinnedTabulation:
+    """Counts and (G, dof, p) of seeded statements with multi-node sides,
+    0-2 given nodes and cardinalities 2-4 on ragged data.  Each side is drawn
+    from a shuffled node list, so coordinates arrive in no sorted order."""
+
+    DIGEST = "15d297dce0a877a056cc4f41b69cc6e3a3cc74ce91fc1d15ef56e7b9dc43ce81"
+
+    @staticmethod
+    def _datasets():
+        for seed in range(6):
+            rng = np.random.default_rng(seed)
+            cards = rng.integers(2, 5, size=4)
+            n_envs = int(rng.integers(40, 400))
+            sizes = rng.integers(3, 6, size=n_envs)
+            rows = rng.integers(0, cards, size=(int(sizes.sum()), 4))
+            copy = rng.random(rows.shape[0]) < 0.4  # make X1 lean on X0
+            rows[copy, 1] = rows[copy, 0] % cards[1]
+            envs = np.split(rows, np.cumsum(sizes)[:-1])
+            yield rng, EnvDataset(d=4, cardinalities=tuple(int(k) for k in cards), envs=envs)
+
+    def test_counts_and_results_unchanged(self):
+        h = hashlib.sha256()
+        n = 0
+        for rng, ds in self._datasets():
+            nodes = [(v, s) for v in range(ds.d) for s in range(3)]
+            for _ in range(60):
+                picks = [nodes[i] for i in rng.permutation(len(nodes))]
+                nl, nr = int(rng.integers(1, 3)), int(rng.integers(1, 3))
+                ng = int(rng.integers(0, 3))
+                stmt = statement(picks[:nl], picks[nl : nl + nr], picks[nl + nr : nl + nr + ng])
+                cube = tabulate(ds, stmt)
+                res = run_ci_test(ds, stmt)
+                h.update(np.asarray(cube.counts.shape, dtype=np.int64).tobytes())
+                h.update(cube.counts.astype(np.int64).tobytes())
+                h.update(struct.pack("<3q", cube.x_card, cube.y_card, len(cube.strata_cards)))
+                h.update(np.asarray(cube.strata_cards, dtype=np.int64).tobytes())
+                h.update(struct.pack("<dqd", res.statistic, res.dof, res.p_value))
+                n += 1
+        assert n == 360
+        assert h.hexdigest() == self.DIGEST
 
 
 class TestGTest:

@@ -364,6 +364,11 @@ class TestCli:
         assert main(["bivariate", "--in", str(csv_path)]) == 0
         assert capsys.readouterr().out.strip() == "X->Y"
 
+    def test_unknown_prior_spec_names_it(self, tmp_path):
+        with pytest.raises(SystemExit, match="beta:1,3"):
+            main(["simulate", "--graph", "fork3", "--prior", "beta:1,3",
+                  "--out", str(tmp_path / "x.csv")])
+
     def test_identifiability_command(self, capsys):
         assert main(["identifiability", "--d", "2"]) == 0
         out = capsys.readouterr().out

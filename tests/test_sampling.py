@@ -3,6 +3,7 @@ import hashlib
 import numpy as np
 import pytest
 
+from exdag.ci_test import degenerate_check
 from exdag.graphs import Dag
 from exdag.sampling import (
     AtomMixturePrior,
@@ -13,8 +14,6 @@ from exdag.sampling import (
     MixturePrior,
     XorBetaPrior,
     bivariate_xor_model,
-    degenerate_check,
-    parent_config_index,
     parent_configs,
     sample_dataset,
     sample_env_params,
@@ -75,11 +74,6 @@ class TestParentConfigs:
         g = Dag(3, frozenset({(0, 2), (1, 2)}))
         assert parent_configs(g, (2, 3, 2), 2) == ((0, 1), 6)
         assert parent_configs(g, (2, 3, 2), 0) == ((), 1)
-
-    def test_index_matches_ravel(self):
-        values = np.array([[0, 0], [0, 1], [1, 2]])
-        idx = parent_config_index(values, (2, 3))
-        assert idx.tolist() == [0, 1, 5]
 
 
 class TestSampleEnvParams:
@@ -238,6 +232,21 @@ class TestSampleDataset:
         xors = stack[:, :, 0] ^ stack[:, :, 1]
         assert np.all(xors[:, 0] == xors[:, 1])
 
+    def test_column_sum_below_one_stays_in_range(self, monkeypatch):
+        # an accepted atom column summing to 1 - 5e-10 and a uniform draw
+        # above that sum must still yield the last category, not k
+        class TopDraw:
+            def random(self, n):
+                return np.full(n, np.nextafter(1.0, 0.0))
+
+            def choice(self, n, p):
+                return 0
+
+        monkeypatch.setattr(np.random, "default_rng", lambda seed: TopDraw())
+        prior = MixturePrior((AtomMixturePrior([(1.0, [[0.5], [0.5 - 5e-10]])]),))
+        ds = sample_dataset(Dag(1, frozenset()), prior, 3, 2, 0)
+        assert ds.rows.tolist() == [[1]] * 6
+
     def test_invalid_sizes(self):
         g, prior = bivariate_xor_model()
         with pytest.raises(ValueError):
@@ -364,3 +373,31 @@ class TestDegenerateCheck:
         g, prior = bivariate_xor_model()
         ds = sample_dataset(g, prior, 500, 4, 0)
         assert degenerate_check(ds) == []
+
+    def test_pinned_warnings(self):
+        """Warnings over seeded ragged datasets whose variables range from
+        homogeneous (Dirichlet concentration 1e4) to strongly heterogeneous,
+        with a constant variable in every fifth dataset."""
+        cards = (2, 3, 4)
+        lines = []
+        for seed in range(30):
+            rng = np.random.default_rng(seed)
+            n_envs = int(rng.integers(20, 200))
+            sizes = rng.integers(1, 5, size=n_envs)
+            env = np.repeat(np.arange(n_envs), sizes)
+            cols = []
+            for i, k in enumerate(cards):
+                conc = [0.3, 3.0, 30.0, 300.0][seed % 4] if i else 1e4
+                p = rng.dirichlet(np.full(k, conc), size=n_envs)
+                u = rng.random(env.size)
+                col = (u[:, None] >= np.cumsum(p[env], axis=1)[:, :-1]).sum(axis=1)
+                if seed % 5 == 0 and i == 2:
+                    col[:] = 1
+                cols.append(col)
+            envs = np.split(np.column_stack(cols), np.cumsum(sizes)[:-1])
+            ds = EnvDataset(d=3, cardinalities=cards, envs=envs)
+            lines += [f"{seed}: {w}" for w in degenerate_check(ds)]
+        assert len(lines) == 26
+        assert sum("constant" in w for w in lines) == 6
+        digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
+        assert digest == "f652b756e25e3d71b937e7b91a136b4b1e67ce56f92b32168c6c0814a142420e"
