@@ -79,21 +79,28 @@ def _parse_prior(spec, g: Dag) -> MixturePrior:
         raise SystemExit(
             f"--prior {spec!r}: expected xor, a JSON prior file or a JSON prior list ({err})"
         ) from None
+    if not isinstance(data, list) or len(data) != g.d:
+        raise SystemExit(f"--prior {spec!r}: expected a JSON list of one prior per node ({g.d})")
     node_priors = []
-    for entry in data:
-        kind = entry["kind"]
-        if kind == "beta":
-            node_priors.append(BetaColumnsPrior(entry["a"], entry["b"]))
-        elif kind == "xor_beta":
-            node_priors.append(XorBetaPrior(entry["a"], entry["b"]))
-        elif kind == "dirichlet":
-            node_priors.append(DirichletColumnsPrior(tuple(entry["alpha"])))
-        elif kind == "atoms":
-            node_priors.append(
-                AtomMixturePrior([(a["weight"], a["cpt"]) for a in entry["atoms"]])
-            )
-        else:
-            raise SystemExit(f"unknown prior kind {kind!r}")
+    for i, entry in enumerate(data):
+        try:
+            kind = entry["kind"]
+            if kind == "beta":
+                node_priors.append(BetaColumnsPrior(entry["a"], entry["b"]))
+            elif kind == "xor_beta":
+                node_priors.append(XorBetaPrior(entry["a"], entry["b"]))
+            elif kind == "dirichlet":
+                node_priors.append(DirichletColumnsPrior(tuple(entry["alpha"])))
+            elif kind == "atoms":
+                node_priors.append(
+                    AtomMixturePrior([(a["weight"], a["cpt"]) for a in entry["atoms"]])
+                )
+            else:
+                raise SystemExit(f"--prior {spec!r}: unknown prior kind {kind!r} for node {i}")
+        except (KeyError, TypeError, ValueError) as err:
+            raise SystemExit(
+                f"--prior {spec!r}: bad prior for node {i} ({type(err).__name__}: {err})"
+            ) from None
     return MixturePrior(tuple(node_priors))
 
 

@@ -71,6 +71,14 @@ class CiStatement:
         if (self.left & self.right) or (self.left & self.given) or (self.right & self.given):
             raise ValueError("left, right and given must be disjoint")
 
+    @classmethod
+    def _from_disjoint(cls, left: frozenset, right: frozenset, given: frozenset) -> "CiStatement":
+        """Build from frozensets the caller guarantees nonempty-sided and
+        pairwise disjoint, skipping `__post_init__`'s re-wrap and checks."""
+        stmt = object.__new__(cls)
+        stmt.__dict__.update(left=left, right=right, given=given)
+        return stmt
+
     def sort_key(self):
         return (tuple(sorted(self.left)), tuple(sorted(self.right)), tuple(sorted(self.given)))
 
@@ -284,13 +292,14 @@ def m_separated(m: Dmag, s: CiStatement) -> bool:
 def ci_statements(nodes: Iterable[Node], max_condition_size: int) -> Iterator[CiStatement]:
     """All singleton-left/singleton-right statements over `nodes` with
     conditioning sets up to `max_condition_size`, in canonical order: pairs
-    a < b, then conditioning sets by size, then lexicographically."""
+    a < b, then conditioning sets by size, then lexicographically.  The sides
+    are disjoint by construction, so they skip the constructor's checks."""
     nodes = sorted(nodes)
     for a, b in itertools.combinations(nodes, 2):
         rest = [v for v in nodes if v not in (a, b)]
         for size in range(min(max_condition_size, len(rest)) + 1):
             for given in itertools.combinations(rest, size):
-                yield CiStatement(frozenset([a]), frozenset([b]), frozenset(given))
+                yield CiStatement._from_disjoint(frozenset([a]), frozenset([b]), frozenset(given))
 
 
 def ci_set(m: Dmag, max_condition_size: int) -> List[CiStatement]:

@@ -11,7 +11,6 @@ distribution is Markov and faithful to the unrolled mixed graph.
 from __future__ import annotations
 
 import itertools
-import math
 from dataclasses import dataclass, field
 from typing import List, Optional, Sequence, Tuple
 
@@ -39,7 +38,9 @@ class FiniteMixtureModel:
     atoms: List[List[Tuple[float, np.ndarray]]]
     samples_per_env: int
     cardinalities: Tuple[int, ...]
-    _joint: Optional[np.ndarray] = field(default=None, repr=False, compare=False)
+    # out of __init__, so dataclasses.replace starts both caches empty
+    _joint: Optional[np.ndarray] = field(init=False, default=None, repr=False, compare=False)
+    _marginals: dict = field(init=False, default_factory=dict, repr=False, compare=False)
 
     def __post_init__(self):
         d = self.graph.d
@@ -159,28 +160,27 @@ def exact_joint(model: FiniteMixtureModel) -> np.ndarray:
 
 
 def exact_ci(model: FiniteMixtureModel, stmt: CiStatement) -> bool:
-    """True iff left and right are conditionally independent given `given`
-    in the exact joint, up to `DEFAULT_CI_TOL` on conditional probabilities."""
-    groups = [sorted(stmt.left), sorted(stmt.right), sorted(stmt.given)]
-    for v, s in itertools.chain(*groups):
-        if not (0 <= v < model.d and 0 <= s < model.samples_per_env):
+    """True iff left and right are conditionally independent given `given` in
+    the exact joint.  |p(l,r|g) - p(l|g) p(r|g)| <= `DEFAULT_CI_TOL` is tested
+    multiplied through by p(g)^2, as |p(l,r,g) p(g) - p(l,g) p(r,g)| <= tol p(g)^2
+    per cell, so a cell with p(g) = 0 reads 0 <= 0 (p(g)^2 must not underflow,
+    which holds for p(g) >~ 1e-154).  Marginals come from a memo per model."""
+    d, n = model.d, model.samples_per_env
+    for v, s in itertools.chain(stmt.left, stmt.right, stmt.given):
+        if not (0 <= v < d and 0 <= s < n):
             raise ValueError(f"statement references unknown node ({v}, {s})")
-    joint = exact_joint(model)
-    axes = [model.axis_of(v, s) for group in groups for v, s in group]
-    kept = sorted(axes)
-    # marginal over the statement's nodes, axes in (left, right, given) order
-    p = joint.sum(axis=tuple(a for a in range(joint.ndim) if a not in axes))
-    sizes = [math.prod(model.cardinalities[v] for v, _ in group) for group in groups]
-    p = p.transpose([kept.index(a) for a in axes]).reshape(sizes)
-    p_g = p.sum(axis=(0, 1))
-    mask = p_g > 0
-    if not np.any(mask):
-        return True
-    p = p[:, :, mask] / p_g[mask]
-    p_l = p.sum(axis=1)
-    p_r = p.sum(axis=0)
-    diff = np.abs(p - p_l[:, None, :] * p_r[None, :, :])
-    return bool(diff.max() <= DEFAULT_CI_TOL)
+    left, right, given = (
+        frozenset(model.axis_of(v, s) for v, s in side)
+        for side in (stmt.left, stmt.right, stmt.given)
+    )
+    keys = (left | right | given, left | given, right | given, given)
+    for axes in keys:
+        if axes not in model._marginals:
+            joint = exact_joint(model)
+            dropped = tuple(a for a in range(joint.ndim) if a not in axes)
+            model._marginals[axes] = joint.sum(axis=dropped, keepdims=True)
+    p_lrg, p_lg, p_rg, p_g = (model._marginals[axes] for axes in keys)
+    return bool((np.abs(p_lrg * p_g - p_lg * p_rg) <= DEFAULT_CI_TOL * p_g**2).all())
 
 
 def true_ci_set(model: FiniteMixtureModel, max_condition_size: int) -> List[CiStatement]:

@@ -9,6 +9,7 @@ from exdag.graphs import (
     Dmag,
     EnumerationSizeError,
     ci_set,
+    ci_statements,
     d_separated,
     enumerate_dags,
     icm_unroll,
@@ -73,6 +74,14 @@ class TestCiStatement:
             CiStatement(frozenset({0}), frozenset({0}), frozenset())
         with pytest.raises(ValueError, match="disjoint"):
             CiStatement(frozenset({0}), frozenset({1}), frozenset({1}))
+
+    def test_enumerated_statements_equal_checked_ones(self):
+        # ci_statements skips the constructor's checks; its statements must
+        # still be what the checked constructor builds
+        for s in ci_statements(range(5), 3):
+            checked = CiStatement(s.left, s.right, s.given)
+            assert s == checked and hash(s) == hash(checked)
+            assert all(type(side) is frozenset for side in (s.left, s.right, s.given))
 
     def test_statement_helper(self):
         s = statement([0], [1], [2])

@@ -1,6 +1,7 @@
 import csv
 import hashlib
 import json
+import re
 
 import numpy as np
 import pytest
@@ -368,6 +369,27 @@ class TestCli:
         with pytest.raises(SystemExit, match="beta:1,3"):
             main(["simulate", "--graph", "fork3", "--prior", "beta:1,3",
                   "--out", str(tmp_path / "x.csv")])
+
+    @pytest.mark.parametrize(
+        "spec",
+        [
+            '{"kind": "beta"}',
+            '[{"kind": "xor_beta", "a": 1, "b": 3}]',
+            '[{"kind": "xor_beta", "a": 1, "b": 3}, {"kind": "beta"}, 3]',
+            '[{"kind": "xor_beta", "a": 1, "b": 3}, {"kind": "gamma"}, 3]',
+        ],
+        ids=["object", "too_few_nodes", "missing_field", "unknown_kind"],
+    )
+    def test_wrong_shape_prior_spec_names_it(self, tmp_path, spec):
+        with pytest.raises(SystemExit, match=re.escape(repr(spec))):
+            main(["simulate", "--graph", "fork3", "--prior", spec,
+                  "--out", str(tmp_path / "x.csv")])
+
+    def test_json_prior_list(self, tmp_path, capsys):
+        spec = json.dumps([{"kind": "xor_beta", "a": 1, "b": 3}] * 3)
+        assert main(["simulate", "--graph", "fork3", "--prior", spec, "--envs", "20",
+                     "--out", str(tmp_path / "x.csv")]) == 0
+        assert "20 environments" in capsys.readouterr().out
 
     def test_identifiability_command(self, capsys):
         assert main(["identifiability", "--d", "2"]) == 0

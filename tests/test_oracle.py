@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import itertools
 import json
@@ -6,7 +7,15 @@ import numpy as np
 import pytest
 
 from exdag import harness
-from exdag.graphs import Dag, EnumerationSizeError, ci_set, enumerate_dags, icm_unroll, statement
+from exdag.graphs import (
+    Dag,
+    EnumerationSizeError,
+    ci_set,
+    ci_statements,
+    enumerate_dags,
+    icm_unroll,
+    statement,
+)
 from exdag.oracle import (
     STATE_SPACE_LIMIT,
     FiniteMixtureModel,
@@ -215,6 +224,49 @@ class TestExactCi:
         assert verdicts == [brute_force_ci(model, s, 1e-9) for s in stmts]
         assert verdicts[0] and not verdicts[2]
         assert 0 < sum(verdicts) < len(verdicts)
+
+    def test_zero_mass_conditioning_cells_match_brute_force(self):
+        # 0/1 CPT entries give conditioning cells of exactly zero mass, where
+        # the division-free rule reads 0 <= 0 and the reference skips the cell
+        g = Dag(3, frozenset({(0, 1), (1, 2)}))
+        atoms = random_generic_model(g, 2, np.random.default_rng(4), cardinalities=(2, 3, 2)).atoms
+        atoms[0][0][1][:, 0] = [1.0, 0.0]
+        for node_atoms in atoms[1:]:
+            for _, cpt in node_atoms:
+                cpt[:, 0] = np.eye(cpt.shape[0])[-1]
+        model = FiniteMixtureModel(g, atoms, 2, (2, 3, 2))
+        stmts = list(ci_statements([(v, s) for s in range(2) for v in range(3)], 4))
+        verdicts = [exact_ci(model, s) for s in stmts]
+        assert verdicts == [brute_force_ci(model, s, 1e-9) for s in stmts]
+        assert 0 < sum(verdicts) < len(verdicts)
+        given_axes = (frozenset(model.axis_of(v, t) for v, t in s.given) for s in stmts)
+        assert sum(bool((model._marginals[axes] == 0).any()) for axes in given_axes) > 10
+
+    def test_memoized_marginals_equal_fresh_sums(self):
+        g = Dag(3, frozenset({(0, 2), (1, 2)}))
+        model = random_generic_model(g, 2, np.random.default_rng(6), cardinalities=(3, 2, 2))
+        true_ci_set(model, 4)
+        fresh = exact_joint(FiniteMixtureModel.from_dict(model.to_dict()))
+        assert 0 < len(model._marginals) <= 2**fresh.ndim
+        for axes, marginal in model._marginals.items():
+            dropped = tuple(a for a in range(fresh.ndim) if a not in axes)
+            assert np.array_equal(marginal, fresh.sum(axis=dropped, keepdims=True))
+
+    def test_replace_starts_fresh_caches(self):
+        fork3 = harness.preset_graph("fork3")
+        model = random_generic_model(fork3, 2, np.random.default_rng(0))
+        old_joint = exact_joint(model)
+        old_set = true_ci_set(model, 6)
+        for other in (
+            random_generic_model(fork3, 2, np.random.default_rng(1)),
+            random_generic_model(fork3, 2, np.random.default_rng(1), atoms_per_node=1),
+        ):
+            replaced = dataclasses.replace(model, atoms=other.atoms)
+            assert exact_joint(replaced) is not old_joint
+            assert np.array_equal(exact_joint(replaced), exact_joint(other))
+            assert true_ci_set(replaced, 6) == true_ci_set(other, 6)
+        # one atom per node is iid across samples: more independences hold
+        assert true_ci_set(replaced, 6) != old_set
 
 
 class TestVerifyMarkovFaithful:
