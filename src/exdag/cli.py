@@ -22,6 +22,7 @@ from .sampling import (
     DirichletColumnsPrior,
     MixturePrior,
     XorBetaPrior,
+    _node_drawers,
     bivariate_xor_model,
     sample_dataset,
 )
@@ -101,7 +102,12 @@ def _parse_prior(spec, g: Dag) -> MixturePrior:
             raise SystemExit(
                 f"--prior {spec!r}: bad prior for node {i} ({type(err).__name__}: {err})"
             ) from None
-    return MixturePrior(tuple(node_priors))
+    prior = MixturePrior(tuple(node_priors))
+    try:
+        _node_drawers(g, prior)  # the sampler's own check of the prior against the graph
+    except ValueError as err:
+        raise SystemExit(f"--prior {spec!r}: does not fit the graph ({err})") from None
+    return prior
 
 
 def build_parser() -> argparse.ArgumentParser:

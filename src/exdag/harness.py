@@ -116,8 +116,9 @@ def write_dataset_csv(ds: EnvDataset, path) -> None:
     sample = np.arange(ds.rows.shape[0]) - np.repeat(ds.offsets[:-1], sizes)
     table = np.column_stack((env, sample, ds.rows))
     header = ",".join(["env", "sample"] + [f"X{i + 1}" for i in range(ds.d)])
+    line = ",".join(["%d"] * table.shape[1]) + "\r\n"
     with path.open("w", newline="") as fh:
-        np.savetxt(fh, table, fmt="%d", delimiter=",", newline="\r\n", header=header, comments="")
+        fh.write("".join([header + "\r\n"] + [line % tuple(row) for row in table.tolist()]))
     sidecar = {
         "seed": ds.seed,
         "cardinalities": list(ds.cardinalities),

@@ -3,14 +3,16 @@
 Each environment draws one conditional-probability table (CPT) per variable
 from its prior, then produces conditionally i.i.d. ancestral samples through
 the causal graph using those fixed CPTs.  Environments use counter-based
-seeding (root seed, environment index), so generation is reproducible and
-parallelizable per environment.
+seeding (root seed, environment index), so environment e's data does not
+depend on how many environments are drawn.  `sample_dataset` makes every
+environment's rng calls in one loop (the draw stage), then samples each node
+for all environments at once (the ancestral stage).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, List, Optional, Sequence, Tuple, Union
+from typing import Callable, List, NamedTuple, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -156,20 +158,39 @@ def parent_configs(g: Dag, cardinalities: Sequence[int], i: int) -> Tuple[Tuple[
     return pa, n_cfg
 
 
-def _node_drawers(g: Dag, prior: MixturePrior) -> List[Callable]:
-    """One mechanism drawer per node: rng -> the node's table for one
-    environment.  A binary prior yields the row P(X=1 | parent config), shape
-    (n_cfg,); a Dirichlet or atom prior yields the (k, n_cfg) CPT.  Shapes and
-    parent cardinalities are checked here, once per (graph, prior)."""
+class _Mechanism(NamedTuple):
+    """One node's mechanism prior in the sampler's two stages.  `draw(rng)`
+    makes the node's rng calls for one environment and returns its raw
+    variate, of shape `shape` and type `dtype`; `cpts(raws)` maps a stacked
+    (n_envs, *shape) block of raw variates to the environments' CPTs, shape
+    (n_envs, k, n_cfg)."""
+
+    draw: Callable[[np.random.Generator], object]
+    shape: Tuple[int, ...]
+    dtype: type
+    cpts: Callable[[np.ndarray], np.ndarray]
+
+
+def _binary_cpts(rows: np.ndarray) -> np.ndarray:
+    """(n_envs, n_cfg) rows P(X=1 | parent config) -> (n_envs, 2, n_cfg) CPTs."""
+    return np.stack((1.0 - rows, rows), axis=1)
+
+
+def _node_drawers(g: Dag, prior: MixturePrior) -> List[_Mechanism]:
+    """One `_Mechanism` per node.  The raw variate is a Beta row per parent
+    config, the xor flip probability psi, a Dirichlet draw (n_cfg, k) or an
+    atom index.  Shapes and parent cardinalities are checked here, once per
+    (graph, prior), and each mismatch names its node."""
     if prior.d != g.d:
         raise ValueError(f"prior covers {prior.d} nodes, graph has {g.d}")
     cards = prior.cardinalities
-    drawers = []
+    mechanisms = []
     for i, p in enumerate(prior.node_priors):
         pa, n_cfg = parent_configs(g, cards, i)
         if isinstance(p, BetaColumnsPrior):
             def draw(rng, a=p.a, b=p.b, n=n_cfg):
                 return rng.beta(a, b, size=n)
+            shape, dtype, cpts = (n_cfg,), float, _binary_cpts
         elif isinstance(p, XorBetaPrior):
             for j in pa:
                 if cards[j] != 2:
@@ -179,36 +200,45 @@ def _node_drawers(g: Dag, prior: MixturePrior) -> List[Callable]:
                     )
             # with binary parents the bits of a config index are the parents' values
             odd = np.array([bin(c).count("1") & 1 for c in range(n_cfg)], dtype=bool)
-            def draw(rng, a=p.a, b=p.b, odd=odd):
-                psi = rng.beta(a, b)
-                return np.where(odd, 1.0 - psi, psi)
+            def draw(rng, a=p.a, b=p.b):
+                return rng.beta(a, b)
+            def cpts(psi, odd=odd):
+                return _binary_cpts(np.where(odd, 1.0 - psi[:, None], psi[:, None]))
+            shape, dtype = (), float
         elif isinstance(p, DirichletColumnsPrior):
             def draw(rng, alpha=np.asarray(p.alpha), n=n_cfg):
-                return rng.dirichlet(alpha, size=n).T
+                return rng.dirichlet(alpha, size=n)  # one CPT column per row
+            def cpts(columns):
+                return columns.swapaxes(1, 2)
+            shape, dtype = (n_cfg, p.cardinality), float
         elif isinstance(p, AtomMixturePrior):
             for _, cpt in p.atoms:
                 if cpt.shape[1] != n_cfg:
                     raise ValueError(
-                        f"atom CPT has {cpt.shape[1]} columns, graph implies {n_cfg} parent configs"
+                        f"node {i}: atom CPT has {cpt.shape[1]} columns, graph implies "
+                        f"{n_cfg} parent configs"
                     )
-            def draw(rng, w=np.array([w for w, _ in p.atoms]), cpts=[c for _, c in p.atoms]):
-                return cpts[rng.choice(len(cpts), p=w)]
+            def draw(rng, w=np.array([w for w, _ in p.atoms])):
+                return rng.choice(len(w), p=w)
+            def cpts(idx, atoms=np.stack([c for _, c in p.atoms])):
+                return atoms[idx]
+            shape, dtype = (), np.intp
         else:
             raise TypeError(f"unknown prior type {type(p).__name__}")
-        drawers.append(draw)
-    return drawers
+        mechanisms.append(_Mechanism(draw, shape, dtype, cpts))
+    return mechanisms
 
 
 def sample_env_params(
     prior: MixturePrior, g: Dag, rng_seed: Union[int, np.random.Generator]
 ) -> EnvParams:
-    """Draw one independent CPT per node.  Deterministic given the seed."""
+    """Draw one independent CPT per node, in node-index order: the
+    mechanism draws of `sample_dataset`'s draw stage, for one environment.
+    Deterministic given the seed."""
     rng = _as_rng(rng_seed)
-    cpts = []
-    for draw in _node_drawers(g, prior):
-        table = draw(rng)
-        cpts.append(np.vstack([1.0 - table, table]) if table.ndim == 1 else table.copy())
-    return EnvParams(cpts)
+    return EnvParams(
+        [m.cpts(np.array([m.draw(rng)], dtype=m.dtype))[0] for m in _node_drawers(g, prior)]
+    )
 
 
 def _as_rng(seed) -> np.random.Generator:
@@ -313,6 +343,52 @@ class EnvDataset:
         return self.rows[self.offsets[:-1, None] + samples, variables]
 
 
+def _draw_stage(
+    mechanisms: List[_Mechanism], d: int, n_envs: int, n: int, rng_seed: int
+) -> Tuple[List[np.ndarray], np.ndarray]:
+    """The draw stage of `sample_dataset`.  Returns each node's
+    (n_envs, *shape) raw variates and the (n_envs, d, n) uniforms, whose row
+    t feeds the t-th node in topological order."""
+    raws = [np.empty((n_envs,) + m.shape, dtype=m.dtype) for m in mechanisms]
+    uniforms = np.empty((n_envs, d, n))
+    for e in range(n_envs):
+        rng = np.random.default_rng((rng_seed, e))
+        for raw, m in zip(raws, mechanisms):
+            raw[e] = m.draw(rng)
+        # each double takes one 64-bit word, so row t equals the t-th of d
+        # consecutive rng.random(n) calls
+        uniforms[e] = rng.random((d, n))
+    return raws, uniforms
+
+
+def _ancestral_stage(
+    g: Dag,
+    cards: Sequence[int],
+    mechanisms: List[_Mechanism],
+    raws: List[np.ndarray],
+    uniforms: np.ndarray,
+) -> np.ndarray:
+    """The ancestral stage of `sample_dataset`: per node, its CPTs for every
+    environment, then one threshold comparison over the (n_envs, n) block,
+    the parents' values selecting the CPT column.  Returns the
+    (n_envs * n, d) `rows`, environment by environment."""
+    n_envs, d, n = uniforms.shape
+    rows = np.empty((n_envs * n, d), dtype=np.int64)
+    values = rows.reshape(n_envs, n, d)
+    env = np.arange(n_envs)[:, None]
+    for t, i in enumerate(g.topological_order()):
+        pa, _ = parent_configs(g, cards, i)
+        cfg = 0  # parentless: the single column
+        if pa:
+            cfg = np.ravel_multi_index(tuple(values[..., p] for p in pa), [cards[p] for p in pa])
+        columns = mechanisms[i].cpts(raws[i])[env, :, cfg]  # (n_envs, n or 1, k)
+        # the k-1 inner cumulative thresholds: a last cumulative entry below
+        # 1.0 must not yield category k
+        thresholds = np.cumsum(columns, axis=-1)[..., :-1]
+        values[..., i] = (uniforms[:, t, :, None] >= thresholds).sum(axis=-1)
+    return rows
+
+
 def sample_dataset(
     g: Dag,
     prior: MixturePrior,
@@ -320,49 +396,26 @@ def sample_dataset(
     samples_per_env: int,
     rng_seed: int,
 ) -> EnvDataset:
-    """Per environment: one mechanism draw per node, then ancestral sampling,
-    on the generator seeded (rng_seed, environment index).  Samples are
-    written straight into the dataset's `rows`."""
+    """Sample `n_envs` environments of `samples_per_env` rows each, in two
+    stages.  The draw stage loops over environments and makes only the rng
+    calls: environment e, on the generator seeded (rng_seed, e), draws each
+    node's mechanism in node-index order, then the uniforms of each node in
+    topological order.  The data stream depends on that order.  The
+    ancestral stage then samples each node for all environments at once.
+    Samples are written straight into the dataset's `rows`; the draw
+    stage's arrays are freed before the dataset is built."""
     if n_envs < 1 or samples_per_env < 1:
         raise ValueError("n_envs and samples_per_env must be >= 1")
-    drawers = _node_drawers(g, prior)
+    mechanisms = _node_drawers(g, prior)
     cards = prior.cardinalities
-    # per node, (parent, mixed radix) pairs from the last parent (radix 1) to
-    # the first, matching np.ravel_multi_index C order
-    radices = []
-    for i in range(g.d):
-        pa, _ = parent_configs(g, cards, i)
-        pairs, radix = [], 1
-        for p in reversed(pa):
-            pairs.append((p, radix))
-            radix *= cards[p]
-        radices.append(pairs)
-    order = g.topological_order()
-    n = samples_per_env
-    rows = np.empty((n_envs * n, g.d), dtype=np.int64)
-    for e in range(n_envs):
-        rng = np.random.default_rng((rng_seed, e))
-        tables = [draw(rng) for draw in drawers]
-        values = rows[e * n : (e + 1) * n]
-        for i in order:
-            cfg = slice(0, 1)  # parentless: the single column
-            if radices[i]:
-                cfg = values[:, radices[i][0][0]]
-                for p, radix in radices[i][1:]:
-                    cfg = cfg + values[:, p] * radix
-            u = rng.random(n)
-            table = tables[i]
-            if table.ndim == 1:  # P(X=1 | pa) row
-                values[:, i] = u >= 1.0 - table[cfg]
-            else:
-                # the k-1 inner thresholds: a last cumulative row below 1.0
-                # must not yield category k
-                values[:, i] = (u >= np.cumsum(table, axis=0)[:-1, cfg]).sum(axis=0)
+    rows = _ancestral_stage(
+        g, cards, mechanisms, *_draw_stage(mechanisms, g.d, n_envs, samples_per_env, rng_seed)
+    )
     return EnvDataset._from_rows(
         g.d,
         cards,
         rows,
-        np.arange(0, rows.shape[0] + 1, n),
+        np.arange(0, rows.shape[0] + 1, samples_per_env),
         true_graph=g,
         seed=rng_seed,
         prior_description=prior.describe(),

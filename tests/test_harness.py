@@ -385,6 +385,27 @@ class TestCli:
             main(["simulate", "--graph", "fork3", "--prior", spec,
                   "--out", str(tmp_path / "x.csv")])
 
+    @pytest.mark.parametrize(
+        "spec",
+        [
+            json.dumps([
+                {"kind": "xor_beta", "a": 1, "b": 3},
+                {"kind": "atoms", "atoms": [{"weight": 1, "cpt": [[0.5], [0.5]]}]},
+                {"kind": "xor_beta", "a": 1, "b": 3},
+            ]),
+            json.dumps([
+                {"kind": "dirichlet", "alpha": [1, 1, 1]},
+                {"kind": "xor_beta", "a": 1, "b": 3},
+                {"kind": "xor_beta", "a": 1, "b": 3},
+            ]),
+        ],
+        ids=["atom_columns", "xor_under_ternary_root"],
+    )
+    def test_prior_not_fitting_graph_names_node(self, tmp_path, spec):
+        with pytest.raises(SystemExit, match=re.escape(repr(spec)) + ".*node 1"):
+            main(["simulate", "--graph", "fork3", "--prior", spec,
+                  "--out", str(tmp_path / "x.csv")])
+
     def test_json_prior_list(self, tmp_path, capsys):
         spec = json.dumps([{"kind": "xor_beta", "a": 1, "b": 3}] * 3)
         assert main(["simulate", "--graph", "fork3", "--prior", spec, "--envs", "20",

@@ -310,6 +310,30 @@ class TestPinnedSamplerStream:
         # values, not the storage dtype, are pinned
         assert hashlib.sha256(ds.rows.astype(np.int64).tobytes()).hexdigest() == digest
 
+    @pytest.mark.parametrize("name", sorted(PRIORS))
+    def test_environment_prefix_stable(self, name):
+        small = sample_dataset(self.GRAPH, self.PRIORS[name], 10, 3, 5)
+        big = sample_dataset(self.GRAPH, self.PRIORS[name], 40, 3, 5)
+        assert np.array_equal(small.stacked(), big.stacked()[:10])
+
+    # mixed 3x2 parent radices: node 3 has parents 1 (3 categories) and 2
+    # (2 categories), node 5 has parents 2 and 4 (2 and 2)
+    MIXED_GRAPH = Dag(6, frozenset({(0, 1), (0, 2), (1, 3), (2, 3), (3, 4), (4, 5), (2, 5)}))
+    MIXED_PRIOR = MixturePrior(
+        tuple(DirichletColumnsPrior((0.5,) * k) for k in (3, 3, 2, 3, 2, 3))
+    )
+
+    @pytest.mark.parametrize(
+        "samples_per_env, digest",
+        [
+            (2, "e6c3594d6e820911e6d4f216631ad9ffe03b4699019d6830d3bc4752e248409b"),
+            (4, "b52f00d17405503a2669692a1be13199b38e877bf4f33ee8f665313046eb52a4"),
+        ],
+    )
+    def test_mixed_radix_rows(self, samples_per_env, digest):
+        ds = sample_dataset(self.MIXED_GRAPH, self.MIXED_PRIOR, 64, samples_per_env, 11)
+        assert hashlib.sha256(ds.rows.astype(np.int64).tobytes()).hexdigest() == digest
+
     @pytest.mark.parametrize(
         "name, from_seeds, from_generator",
         [
