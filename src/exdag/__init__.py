@@ -49,7 +49,6 @@ from .oracle import (
     FiniteMixtureModel,
     exact_ci,
     exact_joint,
-    model_from_atom_prior,
     oracle_tester,
     random_generic_model,
     true_ci_set,

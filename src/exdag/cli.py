@@ -8,14 +8,16 @@ config file can supply any long option's value; explicit flags win.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import sys
 from pathlib import Path
+from typing import Optional
 
 from . import harness
 from .ci_test import DEFAULT_ALPHA
 from .discovery import NoSinkFoundError, bivariate_direction, discover
-from .graphs import Dag
+from .graphs import ENUMERATE_DAGS_LIMIT, Dag
 from .sampling import (
     AtomMixturePrior,
     BetaColumnsPrior,
@@ -49,8 +51,75 @@ def _pick(args, cfg, key, default, cast=str):
         raw = cfg[key]
         if cast is bool:
             return raw.lower() in ("1", "true", "yes")
-        return cast(raw)
+        try:
+            return cast(raw)
+        except (ValueError, argparse.ArgumentTypeError) as err:
+            raise SystemExit(f"{args.config}: {key}={raw}: {err}") from None
     return default
+
+
+# Converters for option values.  Each one is both the flag's argparse `type`
+# and the `_pick` cast of its config value, so the two are checked alike.
+
+
+def _int_in(lo: int, hi: Optional[int] = None):
+    """Converter for an integer in [lo, hi] (no upper bound when hi is None)."""
+
+    def convert(raw):
+        try:
+            value = int(raw)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"expected an integer, got {raw!r}") from None
+        if value < lo or (hi is not None and value > hi):
+            bound = f">= {lo}" if hi is None else f"in [{lo}, {hi}]"
+            raise argparse.ArgumentTypeError(f"expected an integer {bound}, got {value}")
+        return value
+
+    return convert
+
+
+_COUNT = _int_in(1)
+_SEED = _int_in(0)
+# discovery's cross-sample tests read sample index 1
+_DISCOVERY_SAMPLES = _int_in(2)
+_DAG_SIZE = _int_in(1, ENUMERATE_DAGS_LIMIT)
+
+
+def _env_grid(raw) -> tuple:
+    """Comma-separated environment counts, each >= 1."""
+    return tuple(_COUNT(x) for x in str(raw).split(","))
+
+
+def _preset_names(raw) -> tuple:
+    names = tuple(str(raw).split(","))
+    for name in names:
+        if name not in harness.PRESET_GRAPHS:
+            raise argparse.ArgumentTypeError(
+                f"unknown preset graph {name!r}; options: {sorted(harness.PRESET_GRAPHS)}"
+            )
+    return names
+
+
+def _alpha(raw) -> float:
+    try:
+        value = float(raw)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected a number, got {raw!r}") from None
+    if not 0.0 < value < 1.0:
+        raise argparse.ArgumentTypeError(f"expected a level in (0, 1), got {value}")
+    return value
+
+
+@contextlib.contextmanager
+def _input_file(path):
+    """Exit with a message naming the dataset CSV at `path` when reading it,
+    or running the algorithm on it, rejects it."""
+    try:
+        yield
+    except (OSError, harness.CsvFormatError) as err:  # these messages name the file
+        raise SystemExit(str(err)) from None
+    except ValueError as err:
+        raise SystemExit(f"{path}: {err}") from None
 
 
 def _parse_graph(spec: str) -> Dag:
@@ -121,50 +190,50 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("simulate", help="generate a dataset CSV (+ JSON sidecar)")
     p.add_argument("--graph", help="preset name, JSON file, or inline JSON")
     p.add_argument("--prior", help="xor | JSON prior spec (file or inline)")
-    p.add_argument("--envs", type=int)
-    p.add_argument("--samples-per-env", type=int)
-    p.add_argument("--seed", type=int)
+    p.add_argument("--envs", type=_COUNT)
+    p.add_argument("--samples-per-env", type=_COUNT)
+    p.add_argument("--seed", type=_SEED)
     p.add_argument("--out", help="output CSV path")
 
     p = sub.add_parser("discover", help="run discovery on a dataset CSV")
     p.add_argument("--in", dest="input")
-    p.add_argument("--alpha", type=float)
+    p.add_argument("--alpha", type=_alpha)
     p.add_argument("--force", action="store_true", default=None,
                    help="break sink deadlocks by max-min-p instead of failing")
     p.add_argument("--out", help="result JSON path (default: stdout)")
 
     p = sub.add_parser("bivariate", help="three-hypothesis direction call on a 2-variable CSV")
     p.add_argument("--in", dest="input")
-    p.add_argument("--alpha", type=float)
+    p.add_argument("--alpha", type=_alpha)
 
     p = sub.add_parser("sweep-bivariate", help="xor benchmark accuracy over environment counts")
-    p.add_argument("--envs", help="comma-separated grid, e.g. 500,2000,4000")
-    p.add_argument("--repeats", type=int)
-    p.add_argument("--alpha", type=float)
-    p.add_argument("--seed", type=int)
-    p.add_argument("--samples-per-env", type=int)
+    p.add_argument("--envs", type=_env_grid, help="comma-separated grid, e.g. 500,2000,4000")
+    p.add_argument("--repeats", type=_COUNT)
+    p.add_argument("--alpha", type=_alpha)
+    p.add_argument("--seed", type=_SEED)
+    p.add_argument("--samples-per-env", type=_DISCOVERY_SAMPLES)
     p.add_argument("--paper-scale", action="store_true", default=None)
     p.add_argument("--out", help="output directory")
 
     p = sub.add_parser("sweep-multivariate", help="graph recovery rates for preset graphs")
-    p.add_argument("--graphs", help="comma-separated preset names")
-    p.add_argument("--envs", help="comma-separated per-graph environment counts")
-    p.add_argument("--repeats", type=int)
-    p.add_argument("--alpha", type=float)
-    p.add_argument("--seed", type=int)
-    p.add_argument("--samples-per-env", type=int)
+    p.add_argument("--graphs", type=_preset_names, help="comma-separated preset names")
+    p.add_argument("--envs", type=_env_grid, help="comma-separated per-graph environment counts")
+    p.add_argument("--repeats", type=_COUNT)
+    p.add_argument("--alpha", type=_alpha)
+    p.add_argument("--seed", type=_SEED)
+    p.add_argument("--samples-per-env", type=_DISCOVERY_SAMPLES)
     p.add_argument("--paper-scale", action="store_true", default=None)
     p.add_argument("--workers", type=int)
     p.add_argument("--out", help="output directory")
 
     p = sub.add_parser("oracle-verify", help="exact Markov/faithfulness sweep over all DAGs")
-    p.add_argument("--d", type=int)
-    p.add_argument("--models-per-graph", type=int)
-    p.add_argument("--seed", type=int)
+    p.add_argument("--d", type=_DAG_SIZE)
+    p.add_argument("--models-per-graph", type=_COUNT)
+    p.add_argument("--seed", type=_SEED)
     p.add_argument("--out", help="output directory")
 
     p = sub.add_parser("identifiability", help="equivalence-class partition over all DAGs")
-    p.add_argument("--d", type=int)
+    p.add_argument("--d", type=_DAG_SIZE)
     p.add_argument("--out", help="output directory")
     return parser
 
@@ -183,9 +252,9 @@ def main(argv=None) -> int:
         ds = sample_dataset(
             g,
             prior,
-            _pick(args, cfg, "envs", 1000, int),
-            _pick(args, cfg, "samples_per_env", 2, int),
-            _pick(args, cfg, "seed", 0, int),
+            _pick(args, cfg, "envs", 1000, _COUNT),
+            _pick(args, cfg, "samples_per_env", 2, _COUNT),
+            _pick(args, cfg, "seed", 0, _SEED),
         )
         out = _pick(args, cfg, "out", "dataset.csv")
         harness.write_dataset_csv(ds, out)
@@ -196,12 +265,11 @@ def main(argv=None) -> int:
         input_path = _pick(args, cfg, "input", None)
         if input_path is None:
             parser.error("discover requires --in")
+        alpha = _pick(args, cfg, "alpha", DEFAULT_ALPHA, _alpha)
+        force = bool(_pick(args, cfg, "force", False, bool))
         try:
-            result = harness.discover_file(
-                input_path,
-                alpha=_pick(args, cfg, "alpha", DEFAULT_ALPHA, float),
-                force=bool(_pick(args, cfg, "force", False, bool)),
-            )
+            with _input_file(input_path):
+                result = harness.discover_file(input_path, alpha=alpha, force=force)
         except NoSinkFoundError as exc:
             print(f"discovery failed: {exc}", file=sys.stderr)
             return 2
@@ -217,26 +285,23 @@ def main(argv=None) -> int:
         input_path = _pick(args, cfg, "input", None)
         if input_path is None:
             parser.error("bivariate requires --in")
-        ds = harness.ingest_csv(input_path)
-        print(bivariate_direction(ds, _pick(args, cfg, "alpha", DEFAULT_ALPHA, float)))
+        alpha = _pick(args, cfg, "alpha", DEFAULT_ALPHA, _alpha)
+        with _input_file(input_path):
+            direction = bivariate_direction(harness.ingest_csv(input_path), alpha)
+        print(direction)
         return 0
 
     if args.command == "sweep-bivariate":
         paper = bool(_pick(args, cfg, "paper_scale", False, bool))
-        grid_spec = _pick(args, cfg, "envs", None)
-        if grid_spec:
-            grid = tuple(int(x) for x in str(grid_spec).split(","))
-        elif paper:
-            grid = tuple(range(100, 4001, 100))
-        else:
-            grid = (500, 2000, 4000)
+        default_grid = tuple(range(100, 4001, 100)) if paper else (500, 2000, 4000)
+        grid = _pick(args, cfg, "envs", default_grid, _env_grid)
         exp = harness.ExperimentConfig(
             kind="bivariate-sweep",
             env_grid=grid,
-            repeats=_pick(args, cfg, "repeats", 100 if paper else 20, int),
-            alpha=_pick(args, cfg, "alpha", DEFAULT_ALPHA, float),
-            seed=_pick(args, cfg, "seed", 0, int),
-            samples_per_env=_pick(args, cfg, "samples_per_env", 2, int),
+            repeats=_pick(args, cfg, "repeats", 100 if paper else 20, _COUNT),
+            alpha=_pick(args, cfg, "alpha", DEFAULT_ALPHA, _alpha),
+            seed=_pick(args, cfg, "seed", 0, _SEED),
+            samples_per_env=_pick(args, cfg, "samples_per_env", 2, _DISCOVERY_SAMPLES),
             paper_scale=paper,
             out_dir=_pick(args, cfg, "out", None),
         )
@@ -246,18 +311,16 @@ def main(argv=None) -> int:
 
     if args.command == "sweep-multivariate":
         paper = bool(_pick(args, cfg, "paper_scale", False, bool))
-        graphs_spec = _pick(args, cfg, "graphs", None)
-        graphs = tuple(str(graphs_spec).split(",")) if graphs_spec else ()
-        envs_spec = _pick(args, cfg, "envs", None)
-        grid = tuple(int(x) for x in str(envs_spec).split(",")) if envs_spec else ()
+        graphs = _pick(args, cfg, "graphs", (), _preset_names)
+        grid = _pick(args, cfg, "envs", (), _env_grid)
         exp = harness.ExperimentConfig(
             kind="multivariate",
             env_grid=grid,
             graphs=graphs,
-            repeats=_pick(args, cfg, "repeats", 100 if paper else 20, int),
-            alpha=_pick(args, cfg, "alpha", DEFAULT_ALPHA, float),
-            seed=_pick(args, cfg, "seed", 0, int),
-            samples_per_env=_pick(args, cfg, "samples_per_env", 2, int),
+            repeats=_pick(args, cfg, "repeats", 100 if paper else 20, _COUNT),
+            alpha=_pick(args, cfg, "alpha", DEFAULT_ALPHA, _alpha),
+            seed=_pick(args, cfg, "seed", 0, _SEED),
+            samples_per_env=_pick(args, cfg, "samples_per_env", 2, _DISCOVERY_SAMPLES),
             paper_scale=paper,
             out_dir=_pick(args, cfg, "out", None),
         )
@@ -272,9 +335,9 @@ def main(argv=None) -> int:
 
     if args.command == "oracle-verify":
         result = harness.run_oracle_sweep(
-            d=_pick(args, cfg, "d", 3, int),
-            models_per_graph=_pick(args, cfg, "models_per_graph", 5, int),
-            seed=_pick(args, cfg, "seed", 0, int),
+            d=_pick(args, cfg, "d", 3, _DAG_SIZE),
+            models_per_graph=_pick(args, cfg, "models_per_graph", 5, _COUNT),
+            seed=_pick(args, cfg, "seed", 0, _SEED),
             out_dir=_pick(args, cfg, "out", None),
         )
         print(
@@ -286,7 +349,7 @@ def main(argv=None) -> int:
 
     if args.command == "identifiability":
         result = harness.run_identifiability(
-            d=_pick(args, cfg, "d", 3, int),
+            d=_pick(args, cfg, "d", 3, _DAG_SIZE),
             out_dir=_pick(args, cfg, "out", None),
         )
         print(

@@ -1,16 +1,19 @@
 """Exact computation engine for finite-mixture exchangeable processes.
 
-A `FiniteMixtureModel` realizes the mixing measure of each causal mechanism
-as a finite list of (weight, CPT) atoms, which makes the joint over all
-(variable, sample) configurations an exactly computable finite sum.  This
-module supplies the ground truth used everywhere else: exact joints, exact
-conditional-independence verdicts, and whole-model checks that a generated
-distribution is Markov and faithful to the unrolled mixed graph.
+A `FiniteMixtureModel` is the sampler's own `MixturePrior` read exactly:
+when every node's mixing measure is an `AtomMixturePrior`, a finite list of
+(weight, CPT) atoms, the joint over all (variable, sample) configurations
+is an exactly computable finite sum.  The prior is checked against the
+graph by the sampler's own checks.  This module supplies the ground truth
+used everywhere else: exact joints, exact conditional-independence
+verdicts, and whole-model checks that a generated distribution is Markov
+and faithful to the unrolled mixed graph.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass, field
 from typing import List, Optional, Sequence, Tuple
 
@@ -18,7 +21,7 @@ import numpy as np
 
 from .ci_test import CiResult, DEFAULT_ALPHA
 from .graphs import CiStatement, Dag, EnumerationSizeError, ci_statements, icm_unroll, m_separated
-from .sampling import AtomMixturePrior, MixturePrior, _check_cpt, parent_configs
+from .sampling import AtomMixturePrior, MixturePrior, _node_drawers, parent_configs
 
 STATE_SPACE_LIMIT = 2**20
 DEFAULT_CI_TOL = 1e-9
@@ -28,51 +31,27 @@ MIN_ATOM_SEPARATION = 1e-3
 
 @dataclass
 class FiniteMixtureModel:
-    """Per-node finite atom mixtures over CPTs, plus the sample count.
-
-    atoms[i] is a list of (weight, cpt) pairs with cpt of shape
-    (k_i, prod of parent cardinalities).
-    """
+    """The exact n-sample model of a graph and a `MixturePrior` whose node
+    priors are all `AtomMixturePrior`s: the same prior `sample_dataset`
+    draws from, checked against the graph by the same `_node_drawers`.
+    Models compare by graph, prior and sample count."""
 
     graph: Dag
-    atoms: List[List[Tuple[float, np.ndarray]]]
+    prior: MixturePrior
     samples_per_env: int
-    cardinalities: Tuple[int, ...]
     # out of __init__, so dataclasses.replace starts both caches empty
     _joint: Optional[np.ndarray] = field(init=False, default=None, repr=False, compare=False)
     _marginals: dict = field(init=False, default_factory=dict, repr=False, compare=False)
 
     def __post_init__(self):
-        d = self.graph.d
-        self.cardinalities = tuple(int(k) for k in self.cardinalities)
-        if len(self.atoms) != d or len(self.cardinalities) != d:
-            raise ValueError("need atoms and a cardinality for every node")
         if self.samples_per_env < 1:
             raise ValueError("samples_per_env must be >= 1")
-        # float64 arrays, so that exact_joint can index them and computes in float64
-        self.atoms = [
-            [(w, np.asarray(cpt, dtype=float)) for w, cpt in node_atoms] for node_atoms in self.atoms
-        ]
-        for i in range(d):
-            _, n_cfg = parent_configs(self.graph, self.cardinalities, i)
-            total = 0.0
-            for w, cpt in self.atoms[i]:
-                if cpt.shape != (self.cardinalities[i], n_cfg):
-                    raise ValueError(
-                        f"node {i}: atom CPT shape {cpt.shape} != ({self.cardinalities[i]}, {n_cfg})"
-                    )
-                try:
-                    _check_cpt(cpt)
-                except ValueError as err:
-                    raise ValueError(f"node {i}: {err}") from None
-                if w < 0:
-                    raise ValueError("atom weights must be nonnegative")
-                total += w
-            if abs(total - 1.0) > 1e-12:
-                raise ValueError(f"node {i}: atom weights sum to {total}, expected 1")
-        size = 1
-        for k in self.cardinalities:
-            size *= k**self.samples_per_env
+        for i, node_prior in enumerate(self.prior.node_priors):
+            if not isinstance(node_prior, AtomMixturePrior):
+                raise TypeError(f"node {i}: exact models require AtomMixturePrior, got "
+                                f"{type(node_prior).__name__}")
+        _node_drawers(self.graph, self.prior)
+        size = math.prod(self.shape)
         if size > STATE_SPACE_LIMIT:
             raise EnumerationSizeError(
                 f"unrolled state space of {size} configurations exceeds {STATE_SPACE_LIMIT}"
@@ -82,52 +61,41 @@ class FiniteMixtureModel:
     def d(self):
         return self.graph.d
 
+    @property
+    def cardinalities(self) -> Tuple[int, ...]:
+        return self.prior.cardinalities
+
     # axis convention: axis index = sample * d + variable
     def axis_of(self, var: int, sample: int) -> int:
         return sample * self.d + var
 
     @property
     def shape(self) -> Tuple[int, ...]:
-        return tuple(
-            self.cardinalities[i] for _ in range(self.samples_per_env) for i in range(self.d)
-        )
+        return self.cardinalities * self.samples_per_env
 
     def to_dict(self) -> dict:
         return {
             "graph": self.graph.to_dict(),
             "samples_per_env": self.samples_per_env,
-            "cardinalities": list(self.cardinalities),
             "atoms": [
-                [{"weight": w, "cpt": np.asarray(c).tolist()} for w, c in node_atoms]
-                for node_atoms in self.atoms
+                [{"weight": w, "cpt": c.tolist()} for w, c in node_prior.atoms]
+                for node_prior in self.prior.node_priors
             ],
         }
 
     @classmethod
     def from_dict(cls, data: dict) -> "FiniteMixtureModel":
+        node_priors = []
+        for i, node_atoms in enumerate(data["atoms"]):
+            try:
+                node_priors.append(AtomMixturePrior([(a["weight"], a["cpt"]) for a in node_atoms]))
+            except ValueError as err:
+                raise ValueError(f"node {i}: {err}") from None
         return cls(
             graph=Dag.from_dict(data["graph"]),
-            atoms=[
-                [(float(a["weight"]), np.array(a["cpt"], dtype=float)) for a in node_atoms]
-                for node_atoms in data["atoms"]
-            ],
+            prior=MixturePrior(node_priors),
             samples_per_env=int(data["samples_per_env"]),
-            cardinalities=tuple(data["cardinalities"]),
         )
-
-
-def model_from_atom_prior(g: Dag, prior: MixturePrior, samples_per_env: int) -> FiniteMixtureModel:
-    """Interpret a prior made entirely of explicit atom mixtures as an exact model."""
-    atoms = []
-    for i, node_prior in enumerate(prior.node_priors):
-        if not isinstance(node_prior, AtomMixturePrior):
-            raise TypeError(f"node {i}: exact models require AtomMixturePrior, got "
-                            f"{type(node_prior).__name__}")
-        atoms.append([(w, cpt.copy()) for w, cpt in node_prior.atoms])
-    return FiniteMixtureModel(
-        graph=g, atoms=atoms, samples_per_env=samples_per_env,
-        cardinalities=prior.cardinalities,
-    )
 
 
 def exact_joint(model: FiniteMixtureModel) -> np.ndarray:
@@ -146,7 +114,7 @@ def exact_joint(model: FiniteMixtureModel) -> np.ndarray:
     for i in range(model.d):
         pa, _ = parent_configs(model.graph, model.cardinalities, i)
         factor = 0.0
-        for w, cpt in model.atoms[i]:
+        for w, cpt in model.prior.node_priors[i].atoms:
             prod = 1.0
             for s in range(model.samples_per_env):
                 cfg = 0
@@ -254,7 +222,7 @@ def random_generic_model(
     near-coincident atoms of a node redrawn (faithfulness fails only on
     measure-zero parameter coincidences)."""
     cards = tuple(cardinalities) if cardinalities is not None else (2,) * g.d
-    atoms = []
+    node_priors = []
     for i in range(g.d):
         _, n_cfg = parent_configs(g, cards, i)
         k = cards[i]
@@ -268,10 +236,8 @@ def random_generic_model(
             if ok:
                 break
         w = 1.0 / atoms_per_node
-        atoms.append([(w, cpt) for cpt in node_atoms])
-    return FiniteMixtureModel(
-        graph=g, atoms=atoms, samples_per_env=samples_per_env, cardinalities=cards
-    )
+        node_priors.append(AtomMixturePrior([(w, cpt) for cpt in node_atoms]))
+    return FiniteMixtureModel(g, MixturePrior(node_priors), samples_per_env)
 
 
 def oracle_tester(model: FiniteMixtureModel):

@@ -80,7 +80,7 @@ class AtomMixturePrior:
         self.atoms = [(float(w), np.asarray(cpt, dtype=float)) for w, cpt in atoms]
         total = sum(w for w, _ in self.atoms)
         if any(w < 0 for w, _ in self.atoms) or abs(total - 1.0) > COLUMN_SUM_TOL:
-            raise ValueError("atom weights must be nonnegative and sum to 1")
+            raise ValueError(f"atom weights sum to {total}; they must be nonnegative and sum to 1")
         k = self.atoms[0][1].shape[0]
         for _, cpt in self.atoms:
             if cpt.ndim != 2 or cpt.shape[0] != k:
@@ -215,8 +215,8 @@ def _node_drawers(g: Dag, prior: MixturePrior) -> List[_Mechanism]:
             for _, cpt in p.atoms:
                 if cpt.shape[1] != n_cfg:
                     raise ValueError(
-                        f"node {i}: atom CPT has {cpt.shape[1]} columns, graph implies "
-                        f"{n_cfg} parent configs"
+                        f"node {i}: atom CPT shape {cpt.shape} has {cpt.shape[1]} columns, "
+                        f"graph implies {n_cfg} parent configs"
                     )
             def draw(rng, w=np.array([w for w, _ in p.atoms])):
                 return rng.choice(len(w), p=w)

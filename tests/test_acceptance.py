@@ -19,9 +19,9 @@ from exdag.ci_test import test_statement as run_ci_test
 from exdag.discovery import discover_with_tester
 from exdag.graphs import Dag, ci_set, enumerate_dags, icm_unroll, statement
 from exdag.oracle import (
+    FiniteMixtureModel,
     exact_ci,
     exact_joint,
-    model_from_atom_prior,
     oracle_tester,
     random_generic_model,
     true_ci_set,
@@ -202,7 +202,7 @@ def test_criterion_6_statistical_kernel():
         )
     )
     stmt = statement([(0, 0)], [(1, 1)], [(1, 0)])
-    assert exact_ci(model_from_atom_prior(g, prior, 2), stmt)  # oracle certification
+    assert exact_ci(FiniteMixtureModel(g, prior, 2), stmt)  # oracle certification
     alpha, trials = 0.05, 200
     rejections = 0
     for trial in range(trials):

@@ -20,6 +20,7 @@ from exdag.harness import (
 )
 from exdag.discovery import discover
 from exdag.sampling import (
+    AtomMixturePrior,
     DirichletColumnsPrior,
     EnvDataset,
     MixturePrior,
@@ -317,8 +318,8 @@ class TestOracleSweep:
         def alternate(g, samples_per_env, rng):
             model = generic(g, samples_per_env, rng)
             if len(models) % 2:
-                atoms = [[(1.0, node_atoms[0][1])] for node_atoms in model.atoms]
-                model = oracle.FiniteMixtureModel(g, atoms, samples_per_env, model.cardinalities)
+                first = [AtomMixturePrior([(1.0, p.atoms[0][1])]) for p in model.prior.node_priors]
+                model = oracle.FiniteMixtureModel(g, MixturePrior(first), samples_per_env)
             models.append(model)
             return model
 
@@ -405,6 +406,34 @@ class TestCli:
         with pytest.raises(SystemExit, match=re.escape(repr(spec)) + ".*node 1"):
             main(["simulate", "--graph", "fork3", "--prior", spec,
                   "--out", str(tmp_path / "x.csv")])
+
+    @pytest.mark.parametrize(
+        "argv, named",
+        [
+            (["simulate", "--graph", "fork3", "--envs", "0"], "argument --envs:"),
+            (["--config", "bad.cfg", "simulate", "--graph", "fork3"], "bad.cfg: envs=abc"),
+            (["discover", "--in", "one.csv"], "one.csv: discovery requires at least 2 samples"),
+            (["bivariate", "--in", "one.csv"], "one.csv: discovery requires at least 2 samples"),
+            (["sweep-bivariate", "--envs", "3x"], "argument --envs:"),
+            (["sweep-multivariate", "--graphs", "fork3", "--samples-per-env", "1"],
+             "argument --samples-per-env:"),
+            (["oracle-verify", "--d", "7"], "argument --d:"),
+            (["identifiability", "--d", "0"], "argument --d:"),
+        ],
+        ids=["simulate", "config", "discover", "bivariate", "sweep-bivariate",
+             "sweep-multivariate", "oracle-verify", "identifiability"],
+    )
+    def test_bad_value_exits_naming_its_source(self, tmp_path, monkeypatch, capsys, argv, named):
+        monkeypatch.chdir(tmp_path)
+        g, prior = bivariate_xor_model()
+        write_dataset_csv(sample_dataset(g, prior, 20, 1, 0), "one.csv")
+        (tmp_path / "bad.cfg").write_text("envs=abc\n")
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        # argparse prints its message and exits 2; the others exit with the message
+        code = exc.value.code
+        message = capsys.readouterr().err if code == 2 else code
+        assert named in message
 
     def test_json_prior_list(self, tmp_path, capsys):
         spec = json.dumps([{"kind": "xor_beta", "a": 1, "b": 3}] * 3)

@@ -21,7 +21,6 @@ from exdag.oracle import (
     FiniteMixtureModel,
     exact_ci,
     exact_joint,
-    model_from_atom_prior,
     oracle_tester,
     random_generic_model,
     true_ci_set,
@@ -38,29 +37,34 @@ from exdag.sampling import (
 XY = Dag(2, frozenset({(0, 1)}))
 
 
+def atom_prior(atoms):
+    """A `MixturePrior` of one `AtomMixturePrior` per node's (weight, cpt) list."""
+    return MixturePrior([AtomMixturePrior(node_atoms) for node_atoms in atoms])
+
+
 def two_atom_xy_model(n_samples=2):
     atoms = [
-        [(0.5, np.array([[0.8], [0.2]])), (0.5, np.array([[0.2], [0.8]]))],
-        [(0.5, np.array([[0.9, 0.1], [0.1, 0.9]])), (0.5, np.array([[0.3, 0.6], [0.7, 0.4]]))],
+        [(0.5, [[0.8], [0.2]]), (0.5, [[0.2], [0.8]])],
+        [(0.5, [[0.9, 0.1], [0.1, 0.9]]), (0.5, [[0.3, 0.6], [0.7, 0.4]])],
     ]
-    return FiniteMixtureModel(graph=XY, atoms=atoms, samples_per_env=n_samples,
-                              cardinalities=(2, 2))
+    return FiniteMixtureModel(XY, atom_prior(atoms), n_samples)
 
 
 def naive_joint(model):
     """Brute-force reference: enumerate atom combinations and configurations."""
     d, n = model.d, model.samples_per_env
+    atoms = [node_prior.atoms for node_prior in model.prior.node_priors]
     joint = np.zeros(model.shape)
-    atom_choices = itertools.product(*[range(len(model.atoms[i])) for i in range(d)])
+    atom_choices = itertools.product(*[range(len(atoms[i])) for i in range(d)])
     for combo in atom_choices:
         weight = 1.0
         for i, a in enumerate(combo):
-            weight *= model.atoms[i][a][0]
+            weight *= atoms[i][a][0]
         for config in itertools.product(*[range(k) for k in model.shape]):
             p = 1.0
             for i in range(d):
                 pa = sorted(model.graph.parents(i))
-                cpt = model.atoms[i][combo[i]][1]
+                cpt = atoms[i][combo[i]][1]
                 for s in range(n):
                     x = config[model.axis_of(i, s)]
                     cfg = 0
@@ -73,44 +77,59 @@ def naive_joint(model):
 
 class TestModelValidation:
     def test_bad_cpt_shape(self):
-        atoms = [[(1.0, np.array([[0.5, 0.5], [0.5, 0.5]]))], [(1.0, np.array([[0.5], [0.5]]))]]
+        atoms = [[(1.0, [[0.5, 0.5], [0.5, 0.5]])], [(1.0, [[0.5], [0.5]])]]
         with pytest.raises(ValueError, match="shape"):
-            FiniteMixtureModel(XY, atoms, 2, (2, 2))
+            FiniteMixtureModel(XY, atom_prior(atoms), 2)
 
     def test_entries_must_lie_in_unit_interval(self):
-        atoms = [[(1.0, np.array([[1.5], [-0.5]]))]]
-        with pytest.raises(ValueError, match=r"node 0: .*\[0, 1\]"):
-            FiniteMixtureModel(Dag(1, frozenset()), atoms, 2, (2,))
+        with pytest.raises(ValueError, match=r"\[0, 1\]"):
+            atom_prior([[(1.0, [[1.5], [-0.5]])]])
         data = two_atom_xy_model().to_dict()
         data["atoms"][1][0]["cpt"] = [[1.2, 0.1], [-0.2, 0.9]]
         with pytest.raises(ValueError, match=r"node 1: .*\[0, 1\]"):
             FiniteMixtureModel.from_dict(data)
 
     def test_columns_must_normalize(self):
-        atoms = [[(1.0, np.array([[0.5], [0.4]]))], [(1.0, np.array([[0.5, 0.5], [0.5, 0.5]]))]]
         with pytest.raises(ValueError, match="sum to 1"):
-            FiniteMixtureModel(XY, atoms, 2, (2, 2))
+            atom_prior([[(1.0, [[0.5], [0.4]])], [(1.0, [[0.5, 0.5], [0.5, 0.5]])]])
 
     def test_weights_must_normalize(self):
-        atoms = [[(0.7, np.array([[0.5], [0.5]]))], [(1.0, np.array([[0.5, 0.5], [0.5, 0.5]]))]]
         with pytest.raises(ValueError, match="weights sum"):
-            FiniteMixtureModel(XY, atoms, 2, (2, 2))
+            atom_prior([[(0.7, [[0.5], [0.5]])], [(1.0, [[0.5, 0.5], [0.5, 0.5]])]])
 
     def test_state_space_guard(self):
         g = Dag(3, frozenset())
-        atoms = [[(1.0, np.array([[0.5], [0.5]]))] for _ in range(3)]
+        atoms = [[(1.0, [[0.5], [0.5]])] for _ in range(3)]
         with pytest.raises(EnumerationSizeError):
-            FiniteMixtureModel(g, atoms, 8, (2, 2, 2))
+            FiniteMixtureModel(g, atom_prior(atoms), 8)
 
     def test_dict_round_trip(self):
         model = two_atom_xy_model()
         clone = FiniteMixtureModel.from_dict(model.to_dict())
         assert np.allclose(exact_joint(clone), exact_joint(model))
 
-    def test_model_from_atom_prior_requires_atoms(self):
-        prior = MixturePrior((BetaColumnsPrior(1, 3), BetaColumnsPrior(1, 3)))
-        with pytest.raises(TypeError, match="AtomMixturePrior"):
-            model_from_atom_prior(XY, prior, 2)
+    def test_models_compare_by_graph_prior_and_samples(self):
+        model = random_generic_model(XY, 2, np.random.default_rng(0), cardinalities=(3, 2))
+        exact_joint(model)  # a filled cache does not take part in the comparison
+        assert FiniteMixtureModel.from_dict(model.to_dict()) == model
+        other_atoms = random_generic_model(XY, 2, np.random.default_rng(1), cardinalities=(3, 2))
+        assert other_atoms != model
+        assert FiniteMixtureModel(XY, model.prior, 3) != model
+
+    def test_exact_models_require_atoms_and_name_the_node(self):
+        prior = MixturePrior((AtomMixturePrior([(1.0, [[0.5], [0.5]])]), BetaColumnsPrior(1, 3)))
+        with pytest.raises(TypeError, match="node 1: .*AtomMixturePrior"):
+            FiniteMixtureModel(XY, prior, 2)
+
+    def test_sampler_and_model_share_the_graph_check(self):
+        # node 1 has one parent, so its CPT needs two columns
+        prior = atom_prior([[(1.0, [[0.5], [0.5]])], [(1.0, [[0.5], [0.5]])]])
+        with pytest.raises(ValueError) as sampled:
+            sample_dataset(XY, prior, 10, 2, 0)
+        with pytest.raises(ValueError) as exact:
+            FiniteMixtureModel(XY, prior, 2)
+        assert str(sampled.value) == str(exact.value)
+        assert str(exact.value).startswith("node 1: atom CPT shape (2, 1)")
 
 
 class TestExactJoint:
@@ -133,8 +152,8 @@ class TestExactJoint:
     def test_known_mixture_dependence(self):
         # X ~ Ber(theta), theta in {0.2, 0.8} equally weighted:
         # P(X1=1, X2=1) = 0.5*0.04 + 0.5*0.64 = 0.34 != 0.25
-        atoms = [[(0.5, np.array([[0.8], [0.2]])), (0.5, np.array([[0.2], [0.8]]))]]
-        model = FiniteMixtureModel(Dag(1, frozenset()), atoms, 2, (2,))
+        atoms = [[(0.5, [[0.8], [0.2]]), (0.5, [[0.2], [0.8]])]]
+        model = FiniteMixtureModel(Dag(1, frozenset()), atom_prior(atoms), 2)
         joint = exact_joint(model)
         assert joint[1, 1] == pytest.approx(0.34, abs=1e-12)
 
@@ -145,7 +164,7 @@ class TestExactJoint:
                 AtomMixturePrior([(0.5, [[0.9, 0.1], [0.1, 0.9]]), (0.5, [[0.3, 0.6], [0.7, 0.4]])]),
             )
         )
-        model = model_from_atom_prior(XY, prior, 2)
+        model = FiniteMixtureModel(XY, prior, 2)
         joint = exact_joint(model)
         n = 40000
         ds = sample_dataset(XY, prior, n, 2, 0)
@@ -188,8 +207,7 @@ class TestExactCi:
         assert not exact_ci(model, statement([(0, 0)], [(1, 1)], [(1, 0)]))
 
     def test_single_atom_collapses_to_iid(self):
-        atoms = [[(1.0, np.array([[0.7], [0.3]]))]]
-        model = FiniteMixtureModel(Dag(1, frozenset()), atoms, 2, (2,))
+        model = FiniteMixtureModel(Dag(1, frozenset()), atom_prior([[(1.0, [[0.7], [0.3]])]]), 2)
         assert exact_ci(model, statement([(0, 0)], [(0, 1)]))
 
     def test_unknown_node_rejected(self):
@@ -229,12 +247,13 @@ class TestExactCi:
         # 0/1 CPT entries give conditioning cells of exactly zero mass, where
         # the division-free rule reads 0 <= 0 and the reference skips the cell
         g = Dag(3, frozenset({(0, 1), (1, 2)}))
-        atoms = random_generic_model(g, 2, np.random.default_rng(4), cardinalities=(2, 3, 2)).atoms
+        generic = random_generic_model(g, 2, np.random.default_rng(4), cardinalities=(2, 3, 2))
+        atoms = [node_prior.atoms for node_prior in generic.prior.node_priors]
         atoms[0][0][1][:, 0] = [1.0, 0.0]
         for node_atoms in atoms[1:]:
             for _, cpt in node_atoms:
                 cpt[:, 0] = np.eye(cpt.shape[0])[-1]
-        model = FiniteMixtureModel(g, atoms, 2, (2, 3, 2))
+        model = FiniteMixtureModel(g, atom_prior(atoms), 2)
         stmts = list(ci_statements([(v, s) for s in range(2) for v in range(3)], 4))
         verdicts = [exact_ci(model, s) for s in stmts]
         assert verdicts == [brute_force_ci(model, s, 1e-9) for s in stmts]
@@ -261,7 +280,7 @@ class TestExactCi:
             random_generic_model(fork3, 2, np.random.default_rng(1)),
             random_generic_model(fork3, 2, np.random.default_rng(1), atoms_per_node=1),
         ):
-            replaced = dataclasses.replace(model, atoms=other.atoms)
+            replaced = dataclasses.replace(model, prior=other.prior)
             assert exact_joint(replaced) is not old_joint
             assert np.array_equal(exact_joint(replaced), exact_joint(other))
             assert true_ci_set(replaced, 6) == true_ci_set(other, 6)
@@ -278,11 +297,8 @@ class TestVerifyMarkovFaithful:
         assert report.faithful
 
     def test_single_atom_not_faithful(self):
-        atoms = [
-            [(1.0, np.array([[0.7], [0.3]]))],
-            [(1.0, np.array([[0.9, 0.2], [0.1, 0.8]]))],
-        ]
-        model = FiniteMixtureModel(XY, atoms, 2, (2, 2))
+        atoms = [[(1.0, [[0.7], [0.3]])], [(1.0, [[0.9, 0.2], [0.1, 0.8]])]]
+        model = FiniteMixtureModel(XY, atom_prior(atoms), 2)
         report = verify_markov_faithful(model, 2)
         assert report.markov_ok
         assert not report.faithful
@@ -303,8 +319,7 @@ class TestExchangeability:
         assert verify_exchangeability(model, 1e-12)
 
     def test_single_atom(self):
-        atoms = [[(1.0, np.array([[0.6], [0.4]]))]]
-        model = FiniteMixtureModel(Dag(1, frozenset()), atoms, 3, (2,))
+        model = FiniteMixtureModel(Dag(1, frozenset()), atom_prior([[(1.0, [[0.6], [0.4]])]]), 3)
         assert verify_exchangeability(model, 1e-12)
 
 
@@ -313,15 +328,15 @@ class TestRandomGenericModel:
         rng = np.random.default_rng(0)
         for _ in range(10):
             model = random_generic_model(XY, 2, rng, atoms_per_node=3)
-            for node_atoms in model.atoms:
-                for (_, a), (_, b) in itertools.combinations(node_atoms, 2):
+            for node_prior in model.prior.node_priors:
+                for (_, a), (_, b) in itertools.combinations(node_prior.atoms, 2):
                     assert np.abs(a - b).max() >= 1e-3
 
     def test_custom_cardinalities(self):
         rng = np.random.default_rng(0)
         model = random_generic_model(XY, 2, rng, cardinalities=(3, 2))
-        assert model.atoms[0][0][1].shape == (3, 1)
-        assert model.atoms[1][0][1].shape == (2, 3)
+        assert model.prior.node_priors[0].atoms[0][1].shape == (3, 1)
+        assert model.prior.node_priors[1].atoms[0][1].shape == (2, 3)
 
 
 class TestOracleTester:
@@ -357,11 +372,8 @@ def _seeded_models():
     models = [random_generic_model(g, 2, rng) for g in graphs]
     models.append(random_generic_model(XY, 3, rng))
     models.append(random_generic_model(XY, 2, rng, cardinalities=(3, 2)))
-    single_atom = [
-        [(1.0, np.array([[0.7], [0.3]]))],
-        [(1.0, np.array([[0.9, 0.2], [0.1, 0.8]]))],
-    ]
-    models.append(FiniteMixtureModel(XY, single_atom, 2, (2, 2)))
+    single_atom = [[(1.0, [[0.7], [0.3]])], [(1.0, [[0.9, 0.2], [0.1, 0.8]])]]
+    models.append(FiniteMixtureModel(XY, atom_prior(single_atom), 2))
     return models
 
 
