@@ -122,13 +122,29 @@ def _input_file(path):
         raise SystemExit(f"{path}: {err}") from None
 
 
+def _json_text(spec: str) -> str:
+    """The text of the file `spec` names, else `spec` itself as inline JSON.
+    A spec too long to be a file name is inline."""
+    path = Path(spec)
+    try:
+        is_file = path.is_file()
+    except OSError:  # ENAMETOOLONG
+        is_file = False
+    return path.read_text() if is_file else spec
+
+
 def _parse_graph(spec: str) -> Dag:
+    """A preset name, a JSON graph file or an inline JSON graph; anything
+    else exits with a message naming the spec."""
     if spec in harness.PRESET_GRAPHS:
         return harness.preset_graph(spec)
-    path = Path(spec)
-    if path.exists():
-        return Dag.from_json(path.read_text())
-    return Dag.from_json(spec)
+    try:
+        return Dag.from_json(_json_text(spec))
+    except (OSError, KeyError, TypeError, ValueError) as err:  # JSONDecodeError is a ValueError
+        raise SystemExit(
+            f"--graph {spec!r}: expected a preset ({', '.join(harness.PRESET_GRAPHS)}), "
+            f"a JSON graph file or an inline JSON graph ({type(err).__name__}: {err})"
+        ) from None
 
 
 def _parse_prior(spec, g: Dag) -> MixturePrior:
@@ -142,9 +158,8 @@ def _parse_prior(spec, g: Dag) -> MixturePrior:
         if xg.edges != g.edges or g.d != 2:
             raise SystemExit("--prior xor requires the bivariate graph X1->X2")
         return prior
-    path = Path(spec)
     try:
-        data = json.loads(path.read_text() if path.exists() else spec)
+        data = json.loads(_json_text(spec))
     except json.JSONDecodeError as err:
         raise SystemExit(
             f"--prior {spec!r}: expected xor, a JSON prior file or a JSON prior list ({err})"

@@ -4,13 +4,19 @@ Each environment draws one conditional-probability table (CPT) per variable
 from its prior, then produces conditionally i.i.d. ancestral samples through
 the causal graph using those fixed CPTs.  Environments use counter-based
 seeding (root seed, environment index), so environment e's data does not
-depend on how many environments are drawn.  `sample_dataset` makes every
+depend on how many environments are drawn: environment e's generator is
+exactly `np.random.default_rng((seed, e))`.  `sample_dataset` makes every
 environment's rng calls in one loop (the draw stage), then samples each node
-for all environments at once (the ancestral stage).
+for all environments at once (the ancestral stage).  The draw stage does not
+construct a generator per environment: it computes every environment's PCG64
+state in bulk, from numpy's SeedSequence hash and PCG64 seeding algorithms,
+and sets it on one reused generator.  A test pins those states against
+`default_rng((seed, e))`, and every call checks environment 0's.
 """
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field
 from typing import Callable, List, NamedTuple, Optional, Sequence, Tuple, Union
 
@@ -343,16 +349,107 @@ class EnvDataset:
         return self.rows[self.offsets[:-1, None] + samples, variables]
 
 
+# numpy's SeedSequence hash constants (numpy/random/bit_generator.pyx) and
+# PCG64's 128-bit LCG multiplier (numpy/random/src/pcg64/pcg64.h)
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+_PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+_MASK32, _MASK128 = 2**32 - 1, 2**128 - 1
+
+
+def _seed_words(seed: int, n_envs: int) -> np.ndarray:
+    """`SeedSequence((seed, e)).generate_state(4, np.uint64)` for every
+    e < n_envs, shape (n_envs, 4): numpy's SeedSequence hash run as uint32
+    arithmetic over the environment axis.  The entropy is the seed's
+    little-endian uint32 words followed by e as one word; it is mixed into a
+    4-word pool, and the output hash reads the pool cyclically."""
+    n = operator.index(seed)
+    words = [n & _MASK32]
+    while n := n >> 32:
+        words.append(n & _MASK32)
+    entropy = [np.full(n_envs, w, np.uint32) for w in words]
+    entropy.append(np.arange(n_envs, dtype=np.uint32))
+    hash_const = _INIT_A
+
+    def hashmix(value):
+        nonlocal hash_const
+        value = value ^ np.uint32(hash_const)
+        hash_const = hash_const * _MULT_A & _MASK32
+        value = value * np.uint32(hash_const)
+        return value ^ value >> 16
+
+    def mix(x, y):
+        result = np.uint32(_MIX_MULT_L) * x - np.uint32(_MIX_MULT_R) * y
+        return result ^ result >> 16
+
+    # entropy shorter than the pool is padded by hashing zeros
+    zeros = np.zeros(n_envs, np.uint32)
+    pool = [hashmix(entropy[i] if i < len(entropy) else zeros) for i in range(4)]
+    for src in range(4):
+        for dst in range(4):
+            if src != dst:
+                pool[dst] = mix(pool[dst], hashmix(pool[src]))
+    for word in entropy[4:]:
+        for dst in range(4):
+            pool[dst] = mix(pool[dst], hashmix(word))
+    state = np.empty((n_envs, 8), np.uint32)
+    hash_const = _INIT_B
+    for i in range(8):
+        value = pool[i % 4] ^ np.uint32(hash_const)
+        hash_const = hash_const * _MULT_B & _MASK32
+        value = value * np.uint32(hash_const)
+        state[:, i] = value ^ value >> 16
+    return state.astype("<u4").view("<u8").astype(np.uint64)
+
+
+def _pcg64_state(words: np.ndarray) -> dict:
+    """The `bit_generator.state` PCG64 takes from four seed words: the
+    first two are the 128-bit initial state, the last two the stream
+    selector, each high word first; two LCG steps then mix them."""
+    s_hi, s_lo, i_hi, i_lo = words.tolist()
+    inc = ((i_hi << 64 | i_lo) << 1 | 1) & _MASK128
+    state = ((inc + (s_hi << 64 | s_lo)) * _PCG64_MULT + inc) & _MASK128
+    return {
+        "bit_generator": "PCG64",
+        "state": {"state": state, "inc": inc},
+        "has_uint32": 0,
+        "uinteger": 0,
+    }
+
+
 def _draw_stage(
     mechanisms: List[_Mechanism], d: int, n_envs: int, n: int, rng_seed: int
 ) -> Tuple[List[np.ndarray], np.ndarray]:
     """The draw stage of `sample_dataset`.  Returns each node's
     (n_envs, *shape) raw variates and the (n_envs, d, n) uniforms, whose row
-    t feeds the t-th node in topological order."""
+    t feeds the t-th node in topological order.
+
+    Environment e draws from a generator in exactly the state of
+    `np.random.default_rng((rng_seed, e))`.  That state is not built per
+    environment: `_seed_words` computes every environment's SeedSequence
+    output at once, and `_pcg64_state` turns one environment's words into
+    the PCG64 state, which is set on one reused generator.  Environment 0's
+    generator is also built the documented way, which validates the seed as
+    `default_rng` does; if its state differs from the bulk one, numpy's
+    seeding has changed and a RuntimeError says so."""
+    if n_envs > 2**32:
+        raise ValueError(
+            f"n_envs = {n_envs} exceeds 2**32: each environment index is seeded as one uint32 word"
+        )
+    # default_rng(seed) is Generator(PCG64(seed)); ValueError on a negative
+    # seed, TypeError on a non-integer one
+    bit_generator = np.random.PCG64((rng_seed, 0))
+    words = _seed_words(rng_seed, n_envs)
+    if bit_generator.state != _pcg64_state(words[0]):
+        raise RuntimeError(
+            f"bulk seeding does not reproduce default_rng((seed, 0)) under numpy {np.__version__}"
+        )
+    rng = np.random.default_rng(bit_generator)  # wraps it, without reseeding
     raws = [np.empty((n_envs,) + m.shape, dtype=m.dtype) for m in mechanisms]
     uniforms = np.empty((n_envs, d, n))
-    for e in range(n_envs):
-        rng = np.random.default_rng((rng_seed, e))
+    for e, env_words in enumerate(words):
+        bit_generator.state = _pcg64_state(env_words)
         for raw, m in zip(raws, mechanisms):
             raw[e] = m.draw(rng)
         # each double takes one 64-bit word, so row t equals the t-th of d
@@ -398,10 +495,14 @@ def sample_dataset(
 ) -> EnvDataset:
     """Sample `n_envs` environments of `samples_per_env` rows each, in two
     stages.  The draw stage loops over environments and makes only the rng
-    calls: environment e, on the generator seeded (rng_seed, e), draws each
-    node's mechanism in node-index order, then the uniforms of each node in
-    topological order.  The data stream depends on that order.  The
-    ancestral stage then samples each node for all environments at once.
+    calls: environment e, on a generator exactly in the state of
+    `np.random.default_rng((rng_seed, e))`, draws each node's mechanism in
+    node-index order, then the uniforms of each node in topological order.
+    The data stream depends on that order.  The generator states are
+    computed in bulk from numpy's SeedSequence and PCG64 seeding algorithms
+    (`_draw_stage`); a test and a check of environment 0 on every call guard
+    that they equal `default_rng`'s.  The ancestral stage then samples each
+    node for all environments at once.
     Samples are written straight into the dataset's `rows`; the draw
     stage's arrays are freed before the dataset is built."""
     if n_envs < 1 or samples_per_env < 1:

@@ -372,6 +372,29 @@ class TestCli:
                   "--out", str(tmp_path / "x.csv")])
 
     @pytest.mark.parametrize(
+        "spec, reason",
+        [
+            ("fork9", "JSONDecodeError"),
+            ('{"d":2,"edges":[[0,1],[1,0]]}', "graph contains a directed cycle"),
+        ],
+        ids=["unknown_preset", "cyclic"],
+    )
+    def test_bad_graph_spec_names_it(self, tmp_path, spec, reason):
+        with pytest.raises(SystemExit, match=re.escape(repr(spec)) + ".*" + reason):
+            main(["simulate", "--graph", spec, "--out", str(tmp_path / "x.csv")])
+
+    def test_inline_specs_longer_than_a_file_name(self, tmp_path):
+        # a spec past NAME_MAX (255 bytes) cannot name a file, so it is inline JSON
+        g = Dag(12, frozenset((i, j) for i in range(12) for j in range(i + 1, 12) if j - i < 4))
+        graph_spec = g.to_json()
+        prior_spec = json.dumps([{"kind": "xor_beta", "a": 1, "b": 3}] * g.d)
+        assert len(graph_spec) > 255 and len(prior_spec) > 255
+        csv_path = tmp_path / "long.csv"
+        assert main(["simulate", "--graph", graph_spec, "--prior", prior_spec,
+                     "--envs", "5", "--out", str(csv_path)]) == 0
+        assert ingest_csv(csv_path).d == 12
+
+    @pytest.mark.parametrize(
         "spec",
         [
             '{"kind": "beta"}',

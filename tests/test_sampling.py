@@ -3,6 +3,7 @@ import hashlib
 import numpy as np
 import pytest
 
+from exdag import sampling
 from exdag.ci_test import degenerate_check
 from exdag.graphs import Dag
 from exdag.sampling import (
@@ -368,6 +369,59 @@ class TestPinnedSamplerStream:
                 for cpt in sample_env_params(prior, self.GRAPH, seed).cpts:
                     h.update(np.ascontiguousarray(cpt, dtype=np.float64).tobytes())
             assert h.hexdigest() == digest
+
+
+class TestBulkSeeding:
+    """The draw stage's bulk seeding must put environment e's generator in
+    exactly the state of `np.random.default_rng((seed, e))`.  The seeds
+    cross the entropy's uint32 word-count boundaries: 1, 2, 3 and 4 words
+    of seed before the environment's word, the last past the 4-word pool."""
+
+    SEEDS = [0, 1, 2**32 - 1, 2**32, 2**64 - 1, 2**64, 2**100]
+    ENVS = [0, 1, 2, 3, 255, 256, 1000, 2047, 2048, 4095]
+
+    @pytest.mark.parametrize("seed", SEEDS)
+    def test_states_match_default_rng(self, seed):
+        words = sampling._seed_words(seed, max(self.ENVS) + 1)
+        assert words.shape == (max(self.ENVS) + 1, 4) and words.dtype == np.uint64
+        for e in self.ENVS:
+            expected = np.random.SeedSequence((seed, e)).generate_state(4, np.uint64)
+            assert np.array_equal(words[e], expected)
+            state = np.random.default_rng((seed, e)).bit_generator.state
+            assert sampling._pcg64_state(words[e]) == state
+
+    def test_draws_match_default_rng(self):
+        # the reused generator, after a state set, continues each stream
+        g, prior = bivariate_xor_model()
+        ds = sample_dataset(g, prior, 5, 3, 2**64)
+        for e in range(5):
+            rng = np.random.default_rng((2**64, e))
+            params = sample_env_params(prior, g, rng)
+            order = g.topological_order()
+            pa_info = {i: parent_configs(g, prior.cardinalities, i) for i in range(g.d)}
+            ref = _ancestral_sample(order, pa_info, prior.cardinalities, params, 3, rng)
+            assert np.array_equal(ds.envs[e], ref)
+
+    def test_seed_validation_unchanged(self):
+        g, prior = bivariate_xor_model()
+        for bad, error in ((-1, ValueError), (1.5, TypeError)):
+            with pytest.raises(error):
+                np.random.default_rng((bad, 0))
+            with pytest.raises(error):
+                sample_dataset(g, prior, 4, 2, bad)
+
+    def test_drifted_seeding_fails_explicitly(self, monkeypatch):
+        monkeypatch.setattr(sampling, "_PCG64_MULT", sampling._PCG64_MULT + 2)
+        g, prior = bivariate_xor_model()
+        with pytest.raises(RuntimeError, match=np.__version__):
+            sample_dataset(g, prior, 4, 2, 0)
+
+    def test_environment_index_limit(self):
+        # rejected before anything is allocated
+        g, prior = bivariate_xor_model()
+        mechanisms = sampling._node_drawers(g, prior)
+        with pytest.raises(ValueError, match="2\\*\\*32"):
+            sampling._draw_stage(mechanisms, g.d, 2**32 + 1, 2, 0)
 
 
 class TestBivariateXorModel:
