@@ -15,7 +15,6 @@ from .graphs import (
 )
 from .sampling import (
     AtomMixturePrior,
-    BetaColumnsPrior,
     DirichletColumnsPrior,
     EnvDataset,
     EnvParams,

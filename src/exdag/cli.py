@@ -20,7 +20,6 @@ from .discovery import NoSinkFoundError, bivariate_direction, discover
 from .graphs import ENUMERATE_DAGS_LIMIT, Dag
 from .sampling import (
     AtomMixturePrior,
-    BetaColumnsPrior,
     DirichletColumnsPrior,
     MixturePrior,
     XorBetaPrior,
@@ -49,8 +48,6 @@ def _pick(args, cfg, key, default, cast=str):
         return value
     if key in cfg:
         raw = cfg[key]
-        if cast is bool:
-            return raw.lower() in ("1", "true", "yes")
         try:
             return cast(raw)
         except (ValueError, argparse.ArgumentTypeError) as err:
@@ -98,6 +95,14 @@ def _preset_names(raw) -> tuple:
                 f"unknown preset graph {name!r}; options: {sorted(harness.PRESET_GRAPHS)}"
             )
     return names
+
+
+def _switch(raw) -> bool:
+    """A config file's on/off value: 1/true/yes or 0/false/no, in any case."""
+    value = str(raw).lower()
+    if value not in ("1", "true", "yes", "0", "false", "no"):
+        raise argparse.ArgumentTypeError(f"expected 1/true/yes or 0/false/no, got {raw!r}")
+    return value in ("1", "true", "yes")
 
 
 def _alpha(raw) -> float:
@@ -170,9 +175,7 @@ def _parse_prior(spec, g: Dag) -> MixturePrior:
     for i, entry in enumerate(data):
         try:
             kind = entry["kind"]
-            if kind == "beta":
-                node_priors.append(BetaColumnsPrior(entry["a"], entry["b"]))
-            elif kind == "xor_beta":
+            if kind == "xor_beta":
                 node_priors.append(XorBetaPrior(entry["a"], entry["b"]))
             elif kind == "dirichlet":
                 node_priors.append(DirichletColumnsPrior(tuple(entry["alpha"])))
@@ -238,7 +241,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=_SEED)
     p.add_argument("--samples-per-env", type=_DISCOVERY_SAMPLES)
     p.add_argument("--paper-scale", action="store_true", default=None)
-    p.add_argument("--workers", type=int)
+    p.add_argument("--workers", type=_COUNT)
     p.add_argument("--out", help="output directory")
 
     p = sub.add_parser("oracle-verify", help="exact Markov/faithfulness sweep over all DAGs")
@@ -281,7 +284,7 @@ def main(argv=None) -> int:
         if input_path is None:
             parser.error("discover requires --in")
         alpha = _pick(args, cfg, "alpha", DEFAULT_ALPHA, _alpha)
-        force = bool(_pick(args, cfg, "force", False, bool))
+        force = _pick(args, cfg, "force", False, _switch)
         try:
             with _input_file(input_path):
                 result = harness.discover_file(input_path, alpha=alpha, force=force)
@@ -307,7 +310,7 @@ def main(argv=None) -> int:
         return 0
 
     if args.command == "sweep-bivariate":
-        paper = bool(_pick(args, cfg, "paper_scale", False, bool))
+        paper = _pick(args, cfg, "paper_scale", False, _switch)
         default_grid = tuple(range(100, 4001, 100)) if paper else (500, 2000, 4000)
         grid = _pick(args, cfg, "envs", default_grid, _env_grid)
         exp = harness.ExperimentConfig(
@@ -325,7 +328,7 @@ def main(argv=None) -> int:
         return 0
 
     if args.command == "sweep-multivariate":
-        paper = bool(_pick(args, cfg, "paper_scale", False, bool))
+        paper = _pick(args, cfg, "paper_scale", False, _switch)
         graphs = _pick(args, cfg, "graphs", (), _preset_names)
         grid = _pick(args, cfg, "envs", (), _env_grid)
         exp = harness.ExperimentConfig(
@@ -339,7 +342,7 @@ def main(argv=None) -> int:
             paper_scale=paper,
             out_dir=_pick(args, cfg, "out", None),
         )
-        rows = harness.run_multivariate(exp, workers=_pick(args, cfg, "workers", 1, int))
+        rows = harness.run_multivariate(exp, workers=_pick(args, cfg, "workers", 1, _COUNT))
         for row in rows:
             edges = ", ".join(f"{k}:{v:.2f}" for k, v in sorted(row["edge_recovery"].items()))
             print(

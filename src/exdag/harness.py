@@ -433,7 +433,8 @@ def run_identifiability(d: int = 3, samples_per_env: int = 2, out_dir: Optional[
 
 
 def _pool_map(fn, jobs, workers: int):
-    if workers <= 1 or len(jobs) <= 1:
+    workers = min(workers, len(jobs))  # the pool starts every worker at once
+    if workers <= 1:
         return [fn(job) for job in jobs]
     with ProcessPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(fn, jobs))

@@ -5,41 +5,27 @@ from its prior, then produces conditionally i.i.d. ancestral samples through
 the causal graph using those fixed CPTs.  Environments use counter-based
 seeding (root seed, environment index), so environment e's data does not
 depend on how many environments are drawn: environment e's generator is
-exactly `np.random.default_rng((seed, e))`.  `sample_dataset` makes every
-environment's rng calls in one loop (the draw stage), then samples each node
-for all environments at once (the ancestral stage).  The draw stage does not
-construct a generator per environment: it computes every environment's PCG64
-state in bulk, from numpy's SeedSequence hash and PCG64 seeding algorithms,
-and sets it on one reused generator.  A test pins those states against
-`default_rng((seed, e))`, and every call checks environment 0's.
+exactly `np.random.default_rng((seed, e))`.  `sample_dataset` works in
+blocks of environments: it makes a block's rng calls in one loop (the draw
+stage), then samples each node for the whole block at once (the ancestral
+stage).  The draw stage does not construct a generator per environment: it
+computes every environment's PCG64 state in bulk, from numpy's SeedSequence
+hash and PCG64 seeding algorithms, and sets it on one reused generator.  A
+test pins those states against `default_rng((seed, e))`, and every call
+checks environment 0's.
 """
 
 from __future__ import annotations
 
 import operator
 from dataclasses import dataclass, field
-from typing import Callable, List, NamedTuple, Optional, Sequence, Tuple, Union
+from typing import Callable, Iterator, List, NamedTuple, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
 from .graphs import Dag
 
 COLUMN_SUM_TOL = 1e-12
-
-
-@dataclass(frozen=True)
-class BetaColumnsPrior:
-    """Binary node whose P(X=1 | parent config) is an independent Beta draw
-    per parent configuration."""
-
-    a: float
-    b: float
-
-    def __post_init__(self):
-        if self.a <= 0 or self.b <= 0:
-            raise ValueError("Beta parameters must be strictly positive")
-
-    cardinality = 2
 
 
 @dataclass(frozen=True)
@@ -111,7 +97,7 @@ class AtomMixturePrior:
         return f"AtomMixturePrior({len(self.atoms)} atoms, k={self.cardinality})"
 
 
-NodePrior = Union[BetaColumnsPrior, XorBetaPrior, DirichletColumnsPrior, AtomMixturePrior]
+NodePrior = Union[XorBetaPrior, DirichletColumnsPrior, AtomMixturePrior]
 
 
 @dataclass(frozen=True)
@@ -177,27 +163,18 @@ class _Mechanism(NamedTuple):
     cpts: Callable[[np.ndarray], np.ndarray]
 
 
-def _binary_cpts(rows: np.ndarray) -> np.ndarray:
-    """(n_envs, n_cfg) rows P(X=1 | parent config) -> (n_envs, 2, n_cfg) CPTs."""
-    return np.stack((1.0 - rows, rows), axis=1)
-
-
 def _node_drawers(g: Dag, prior: MixturePrior) -> List[_Mechanism]:
-    """One `_Mechanism` per node.  The raw variate is a Beta row per parent
-    config, the xor flip probability psi, a Dirichlet draw (n_cfg, k) or an
-    atom index.  Shapes and parent cardinalities are checked here, once per
-    (graph, prior), and each mismatch names its node."""
+    """One `_Mechanism` per node.  The raw variate is the xor flip
+    probability psi, a Dirichlet draw (n_cfg, k) or an atom index.  Shapes
+    and parent cardinalities are checked here, once per (graph, prior), and
+    each mismatch names its node."""
     if prior.d != g.d:
         raise ValueError(f"prior covers {prior.d} nodes, graph has {g.d}")
     cards = prior.cardinalities
     mechanisms = []
     for i, p in enumerate(prior.node_priors):
         pa, n_cfg = parent_configs(g, cards, i)
-        if isinstance(p, BetaColumnsPrior):
-            def draw(rng, a=p.a, b=p.b, n=n_cfg):
-                return rng.beta(a, b, size=n)
-            shape, dtype, cpts = (n_cfg,), float, _binary_cpts
-        elif isinstance(p, XorBetaPrior):
+        if isinstance(p, XorBetaPrior):
             for j in pa:
                 if cards[j] != 2:
                     raise ValueError(
@@ -209,7 +186,8 @@ def _node_drawers(g: Dag, prior: MixturePrior) -> List[_Mechanism]:
             def draw(rng, a=p.a, b=p.b):
                 return rng.beta(a, b)
             def cpts(psi, odd=odd):
-                return _binary_cpts(np.where(odd, 1.0 - psi[:, None], psi[:, None]))
+                p1 = np.where(odd, 1.0 - psi[:, None], psi[:, None])  # P(X=1 | config)
+                return np.stack((1.0 - p1, p1), axis=1)
             shape, dtype = (), float
         elif isinstance(p, DirichletColumnsPrior):
             def draw(rng, alpha=np.asarray(p.alpha), n=n_cfg):
@@ -418,12 +396,19 @@ def _pcg64_state(words: np.ndarray) -> dict:
     }
 
 
+# environments drawn and then sampled together: the draw stage's raw
+# variates, and the ancestral stage's temporaries, are held for one block
+_BLOCK_ENVS = 4096
+
+
 def _draw_stage(
     mechanisms: List[_Mechanism], d: int, n_envs: int, n: int, rng_seed: int
-) -> Tuple[List[np.ndarray], np.ndarray]:
-    """The draw stage of `sample_dataset`.  Returns each node's
-    (n_envs, *shape) raw variates and the (n_envs, d, n) uniforms, whose row
-    t feeds the t-th node in topological order.
+) -> Iterator[Tuple[int, List[np.ndarray], np.ndarray]]:
+    """The draw stage of `sample_dataset`, in blocks of `_BLOCK_ENVS`
+    environments.  Checks the seed and `n_envs` when called, then returns an
+    iterator that yields, block by block, the first environment's index,
+    each node's (block, *shape) raw variates and the (block, d, n) uniforms,
+    whose row t feeds the t-th node in topological order.
 
     Environment e draws from a generator in exactly the state of
     `np.random.default_rng((rng_seed, e))`.  That state is not built per
@@ -446,16 +431,22 @@ def _draw_stage(
             f"bulk seeding does not reproduce default_rng((seed, 0)) under numpy {np.__version__}"
         )
     rng = np.random.default_rng(bit_generator)  # wraps it, without reseeding
-    raws = [np.empty((n_envs,) + m.shape, dtype=m.dtype) for m in mechanisms]
-    uniforms = np.empty((n_envs, d, n))
-    for e, env_words in enumerate(words):
-        bit_generator.state = _pcg64_state(env_words)
-        for raw, m in zip(raws, mechanisms):
-            raw[e] = m.draw(rng)
-        # each double takes one 64-bit word, so row t equals the t-th of d
-        # consecutive rng.random(n) calls
-        uniforms[e] = rng.random((d, n))
-    return raws, uniforms
+
+    def blocks():
+        for start in range(0, n_envs, _BLOCK_ENVS):
+            block = words[start : start + _BLOCK_ENVS]
+            raws = [np.empty((len(block),) + m.shape, dtype=m.dtype) for m in mechanisms]
+            uniforms = np.empty((len(block), d, n))
+            for e, env_words in enumerate(block):
+                bit_generator.state = _pcg64_state(env_words)
+                for raw, m in zip(raws, mechanisms):
+                    raw[e] = m.draw(rng)
+                # each double takes one 64-bit word, so row t equals the t-th
+                # of d consecutive rng.random(n) calls
+                uniforms[e] = rng.random((d, n))
+            yield start, raws, uniforms
+
+    return blocks()
 
 
 def _ancestral_stage(
@@ -464,26 +455,24 @@ def _ancestral_stage(
     mechanisms: List[_Mechanism],
     raws: List[np.ndarray],
     uniforms: np.ndarray,
-) -> np.ndarray:
-    """The ancestral stage of `sample_dataset`: per node, its CPTs for every
-    environment, then one threshold comparison over the (n_envs, n) block,
-    the parents' values selecting the CPT column.  Returns the
-    (n_envs * n, d) `rows`, environment by environment."""
-    n_envs, d, n = uniforms.shape
-    rows = np.empty((n_envs * n, d), dtype=np.int64)
-    values = rows.reshape(n_envs, n, d)
-    env = np.arange(n_envs)[:, None]
+    values: np.ndarray,
+) -> None:
+    """The ancestral stage of `sample_dataset`, for one block of
+    environments: per node, its CPTs for every environment, then one
+    threshold comparison over the (block, n) samples, the parents' values
+    selecting the CPT column.  Writes the samples into `values`, shape
+    (block, n, d)."""
+    env = np.arange(uniforms.shape[0])[:, None]
     for t, i in enumerate(g.topological_order()):
         pa, _ = parent_configs(g, cards, i)
         cfg = 0  # parentless: the single column
         if pa:
             cfg = np.ravel_multi_index(tuple(values[..., p] for p in pa), [cards[p] for p in pa])
-        columns = mechanisms[i].cpts(raws[i])[env, :, cfg]  # (n_envs, n or 1, k)
+        columns = mechanisms[i].cpts(raws[i])[env, :, cfg]  # (block, n or 1, k)
         # the k-1 inner cumulative thresholds: a last cumulative entry below
         # 1.0 must not yield category k
         thresholds = np.cumsum(columns, axis=-1)[..., :-1]
         values[..., i] = (uniforms[:, t, :, None] >= thresholds).sum(axis=-1)
-    return rows
 
 
 def sample_dataset(
@@ -502,16 +491,18 @@ def sample_dataset(
     computed in bulk from numpy's SeedSequence and PCG64 seeding algorithms
     (`_draw_stage`); a test and a check of environment 0 on every call guard
     that they equal `default_rng`'s.  The ancestral stage then samples each
-    node for all environments at once.
-    Samples are written straight into the dataset's `rows`; the draw
-    stage's arrays are freed before the dataset is built."""
+    node for a block of `_BLOCK_ENVS` environments at once, straight into
+    the dataset's `rows`.  Blocks bound the stages' memory; every
+    environment's data is the same whatever the block size."""
     if n_envs < 1 or samples_per_env < 1:
         raise ValueError("n_envs and samples_per_env must be >= 1")
     mechanisms = _node_drawers(g, prior)
     cards = prior.cardinalities
-    rows = _ancestral_stage(
-        g, cards, mechanisms, *_draw_stage(mechanisms, g.d, n_envs, samples_per_env, rng_seed)
-    )
+    rows = np.empty((n_envs * samples_per_env, g.d), dtype=np.int64)
+    values = rows.reshape(n_envs, samples_per_env, g.d)
+    for start, raws, uniforms in _draw_stage(mechanisms, g.d, n_envs, samples_per_env, rng_seed):
+        block = values[start : start + len(uniforms)]
+        _ancestral_stage(g, cards, mechanisms, raws, uniforms, block)
     return EnvDataset._from_rows(
         g.d,
         cards,
@@ -525,7 +516,11 @@ def sample_dataset(
 
 def bivariate_xor_model() -> Tuple[Dag, MixturePrior]:
     """The bivariate benchmark: X -> Y with X ~ Ber(theta), Y = Ber(psi) xor X,
-    theta and psi drawn Beta(1, 3) independently per environment."""
+    theta and psi drawn Beta(1, 3) independently per environment.  Both
+    nodes take `XorBetaPrior(1, 3)`: on the parentless X it is Ber(theta)
+    with theta ~ Beta(1, 3).  Independent Beta(a, b) CPT columns on a
+    binary node with parents are `DirichletColumnsPrior((b, a))` in
+    distribution."""
     g = Dag(2, frozenset({(0, 1)}))
-    prior = MixturePrior((BetaColumnsPrior(1.0, 3.0), XorBetaPrior(1.0, 3.0)))
+    prior = MixturePrior((XorBetaPrior(1.0, 3.0), XorBetaPrior(1.0, 3.0)))
     return g, prior

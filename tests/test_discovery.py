@@ -168,9 +168,7 @@ class TestBivariateDirection:
     def test_anticausal_direction(self):
         # same mechanism with the roles of the variables swapped
         g = Dag(2, frozenset({(1, 0)}))
-        from exdag.sampling import BetaColumnsPrior
-
-        prior = MixturePrior((XorBetaPrior(1, 3), BetaColumnsPrior(1, 3)))
+        prior = MixturePrior((XorBetaPrior(1, 3), XorBetaPrior(1, 3)))
         ds = sample_dataset(g, prior, 4000, 2, 1)
         assert bivariate_direction(ds) == Y_TO_X
 

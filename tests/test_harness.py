@@ -6,7 +6,7 @@ import re
 import numpy as np
 import pytest
 
-from exdag import harness, oracle
+from exdag import cli, harness, oracle
 from exdag.cli import main
 from exdag.graphs import Dag, ci_set, icm_unroll
 from exdag.harness import (
@@ -296,6 +296,37 @@ class TestMultivariate:
         assert 0.0 <= row["graph_recovery"] <= 1.0
         assert (tmp_path / "multivariate.csv").exists()
 
+    TWO_GRAPHS = dict(kind="multivariate", env_grid=(300, 300), graphs=("fork3", "collider3"),
+                      repeats=2, seed=3)
+
+    def test_worker_pool_matches_serial_rows(self):
+        cfg = ExperimentConfig(**self.TWO_GRAPHS)
+        assert harness.run_multivariate(cfg, workers=2) == harness.run_multivariate(cfg)
+
+    def test_pool_never_exceeds_job_count(self, monkeypatch, capsys):
+        # a forking pool starts all max_workers processes at its first
+        # submit; this stand-in records the size and runs jobs in-process
+        sizes = []
+
+        class RecordingPool:
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, jobs):
+                return map(fn, jobs)
+
+        monkeypatch.setattr(harness, "ProcessPoolExecutor", RecordingPool)
+        assert main(["sweep-multivariate", "--graphs", "fork3,collider3", "--envs", "300,300",
+                     "--repeats", "1", "--workers", "1000"]) == 0
+        assert sizes == [2]
+        assert "collider3" in capsys.readouterr().out
+
     def test_default_env_counts(self):
         assert harness.default_env_count("fork3", paper_scale=False) == 10_000
         assert harness.default_env_count("chain4", paper_scale=False) == 20_000
@@ -399,10 +430,11 @@ class TestCli:
         [
             '{"kind": "beta"}',
             '[{"kind": "xor_beta", "a": 1, "b": 3}]',
-            '[{"kind": "xor_beta", "a": 1, "b": 3}, {"kind": "beta"}, 3]',
+            '[{"kind": "xor_beta", "a": 1, "b": 3}, {"kind": "xor_beta", "b": 3}, 3]',
             '[{"kind": "xor_beta", "a": 1, "b": 3}, {"kind": "gamma"}, 3]',
+            '[{"kind": "xor_beta", "a": 1, "b": 3}, {"kind": "beta", "a": 1, "b": 3}, 3]',
         ],
-        ids=["object", "too_few_nodes", "missing_field", "unknown_kind"],
+        ids=["object", "too_few_nodes", "missing_field", "unknown_kind", "removed_beta_kind"],
     )
     def test_wrong_shape_prior_spec_names_it(self, tmp_path, spec):
         with pytest.raises(SystemExit, match=re.escape(repr(spec))):
@@ -435,22 +467,26 @@ class TestCli:
         [
             (["simulate", "--graph", "fork3", "--envs", "0"], "argument --envs:"),
             (["--config", "bad.cfg", "simulate", "--graph", "fork3"], "bad.cfg: envs=abc"),
+            (["--config", "bad.cfg", "discover", "--in", "one.csv"], "bad.cfg: force=ture:"),
             (["discover", "--in", "one.csv"], "one.csv: discovery requires at least 2 samples"),
             (["bivariate", "--in", "one.csv"], "one.csv: discovery requires at least 2 samples"),
             (["sweep-bivariate", "--envs", "3x"], "argument --envs:"),
             (["sweep-multivariate", "--graphs", "fork3", "--samples-per-env", "1"],
              "argument --samples-per-env:"),
+            (["sweep-multivariate", "--workers", "0"], "argument --workers:"),
+            (["sweep-multivariate", "--workers", "-3"], "argument --workers:"),
             (["oracle-verify", "--d", "7"], "argument --d:"),
             (["identifiability", "--d", "0"], "argument --d:"),
         ],
-        ids=["simulate", "config", "discover", "bivariate", "sweep-bivariate",
-             "sweep-multivariate", "oracle-verify", "identifiability"],
+        ids=["simulate", "config", "config_switch", "discover", "bivariate", "sweep-bivariate",
+             "sweep-multivariate", "zero_workers", "negative_workers", "oracle-verify",
+             "identifiability"],
     )
     def test_bad_value_exits_naming_its_source(self, tmp_path, monkeypatch, capsys, argv, named):
         monkeypatch.chdir(tmp_path)
         g, prior = bivariate_xor_model()
         write_dataset_csv(sample_dataset(g, prior, 20, 1, 0), "one.csv")
-        (tmp_path / "bad.cfg").write_text("envs=abc\n")
+        (tmp_path / "bad.cfg").write_text("envs=abc\nforce=ture\n")
         with pytest.raises(SystemExit) as exc:
             main(argv)
         # argparse prints its message and exits 2; the others exit with the message
@@ -468,6 +504,13 @@ class TestCli:
         assert main(["identifiability", "--d", "2"]) == 0
         out = capsys.readouterr().out
         assert "singletons=True" in out
+
+    @pytest.mark.parametrize(
+        "raw, value",
+        [("1", True), ("TRUE", True), ("Yes", True), ("0", False), ("false", False), ("NO", False)],
+    )
+    def test_config_switch_spellings(self, raw, value):
+        assert cli._switch(raw) is value
 
     def test_config_file_with_flag_override(self, tmp_path, capsys):
         cfg = tmp_path / "run.cfg"

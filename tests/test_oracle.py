@@ -29,8 +29,8 @@ from exdag.oracle import (
 )
 from exdag.sampling import (
     AtomMixturePrior,
-    BetaColumnsPrior,
     MixturePrior,
+    XorBetaPrior,
     sample_dataset,
 )
 
@@ -117,7 +117,7 @@ class TestModelValidation:
         assert FiniteMixtureModel(XY, model.prior, 3) != model
 
     def test_exact_models_require_atoms_and_name_the_node(self):
-        prior = MixturePrior((AtomMixturePrior([(1.0, [[0.5], [0.5]])]), BetaColumnsPrior(1, 3)))
+        prior = MixturePrior((AtomMixturePrior([(1.0, [[0.5], [0.5]])]), XorBetaPrior(1, 3)))
         with pytest.raises(TypeError, match="node 1: .*AtomMixturePrior"):
             FiniteMixtureModel(XY, prior, 2)
 

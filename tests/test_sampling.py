@@ -1,4 +1,5 @@
 import hashlib
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -8,7 +9,6 @@ from exdag.ci_test import degenerate_check
 from exdag.graphs import Dag
 from exdag.sampling import (
     AtomMixturePrior,
-    BetaColumnsPrior,
     DirichletColumnsPrior,
     EnvDataset,
     EnvParams,
@@ -42,7 +42,7 @@ def _ancestral_sample(order, pa_info, cards, params: EnvParams, n: int, rng) -> 
 class TestPriors:
     def test_beta_params_validated(self):
         with pytest.raises(ValueError):
-            BetaColumnsPrior(0.0, 1.0)
+            XorBetaPrior(0.0, 1.0)
         with pytest.raises(ValueError):
             XorBetaPrior(1.0, -2.0)
 
@@ -64,7 +64,7 @@ class TestPriors:
         assert prior.cardinality == 2
 
     def test_mixture_prior_cardinalities(self):
-        prior = MixturePrior((BetaColumnsPrior(1, 3), DirichletColumnsPrior((1.0,) * 3)))
+        prior = MixturePrior((XorBetaPrior(1, 3), DirichletColumnsPrior((1.0,) * 3)))
         assert prior.d == 2
         assert prior.cardinalities == (2, 3)
         assert len(prior.describe()) == 2
@@ -86,7 +86,7 @@ class TestSampleEnvParams:
             assert np.allclose(cpt.sum(axis=0), 1.0)
 
     def test_deterministic(self):
-        prior = MixturePrior((BetaColumnsPrior(1, 3),) * 3)
+        prior = MixturePrior((XorBetaPrior(1, 3),) * 3)
         a = sample_env_params(prior, CHAIN, 42)
         b = sample_env_params(prior, CHAIN, 42)
         for x, y in zip(a.cpts, b.cpts):
@@ -111,7 +111,7 @@ class TestSampleEnvParams:
                 sample_env_params(prior, g, 0)
 
     def test_prior_graph_size_mismatch(self):
-        prior = MixturePrior((BetaColumnsPrior(1, 3),) * 2)
+        prior = MixturePrior((XorBetaPrior(1, 3),) * 2)
         with pytest.raises(ValueError, match="nodes"):
             sample_env_params(prior, CHAIN, 0)
 
@@ -207,7 +207,7 @@ class TestSampleDataset:
             ]
         )
         prior = MixturePrior(
-            (BetaColumnsPrior(1, 3), XorBetaPrior(1, 3), DirichletColumnsPrior((1.0, 2.0)), atom)
+            (XorBetaPrior(1, 3), XorBetaPrior(1, 3), DirichletColumnsPrior((1.0, 2.0)), atom)
         )
         ds = sample_dataset(g, prior, 20, 3, 13)
         cards = prior.cardinalities
@@ -248,6 +248,34 @@ class TestSampleDataset:
         ds = sample_dataset(Dag(1, frozenset()), prior, 3, 2, 0)
         assert ds.rows.tolist() == [[1]] * 6
 
+    def test_block_boundary_matches_default_rng(self):
+        # environments on either side of the first block boundary
+        g, prior = bivariate_xor_model()
+        n_envs = sampling._BLOCK_ENVS + 2
+        ds = sample_dataset(g, prior, n_envs, 3, 5)
+        order = g.topological_order()
+        pa_info = {i: parent_configs(g, prior.cardinalities, i) for i in range(g.d)}
+        for e in range(n_envs - 4, n_envs):
+            rng = np.random.default_rng((5, e))
+            params = sample_env_params(prior, g, rng)
+            ref = _ancestral_sample(order, pa_info, prior.cardinalities, params, 3, rng)
+            assert np.array_equal(ds.envs[e], ref)
+
+    def test_memory_bounded_by_blocks(self):
+        # one Dirichlet node with 64 parent configs draws 2 KB per
+        # environment; a draw stage holding every environment's draws at
+        # once peaks near 240 MB under tracemalloc, for 6.4 MB of rows
+        g = Dag(4, frozenset({(0, 3), (1, 3), (2, 3)}))
+        prior = MixturePrior((DirichletColumnsPrior((0.5,) * 4),) * 4)
+        tracemalloc.start()
+        try:
+            ds = sample_dataset(g, prior, 100_000, 2, 0)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert ds.rows.nbytes == 6_400_000
+        assert peak < 48e6
+
     def test_invalid_sizes(self):
         g, prior = bivariate_xor_model()
         with pytest.raises(ValueError):
@@ -264,9 +292,6 @@ class TestPinnedSamplerStream:
 
     GRAPH = Dag(3, frozenset({(1, 0), (2, 0)}))
     PRIORS = {
-        "beta": MixturePrior(
-            (BetaColumnsPrior(1, 3), BetaColumnsPrior(2, 1), BetaColumnsPrior(0.5, 0.5))
-        ),
         "xor": MixturePrior((XorBetaPrior(1, 3), XorBetaPrior(2, 2), XorBetaPrior(1, 3))),
         "dirichlet": MixturePrior((DirichletColumnsPrior((1.0, 2.0, 0.5)),) * 3),
         "atom": MixturePrior(
@@ -292,9 +317,6 @@ class TestPinnedSamplerStream:
     @pytest.mark.parametrize(
         "name, samples_per_env, digest",
         [
-            ("beta", 1, "c1dd801cb39df08dd16c09cfa2c3a28488f4ca0689ddecf243c99d19335e16f6"),
-            ("beta", 2, "d6049a656fa48679f12f6ad50fb6f0f12e7f25cc9220f0d5fe20928afb78108d"),
-            ("beta", 4, "fe22c892391f870a5b3ad9e632d84e00ee3470245a1e2656fde328384b300fd7"),
             ("xor", 1, "51b8976e8a26df81c69f1d78f64dee7477d11fe9753ccfdff0521b5c0f939c19"),
             ("xor", 2, "eb1423a6273e4afb863c51f451031012844120ab450700c8cf1eeee8ab0a2fcb"),
             ("xor", 4, "651ecd22699528d83904f716dac600d06b4a81bc02e406cdea687944d13ac1eb"),
@@ -338,11 +360,6 @@ class TestPinnedSamplerStream:
     @pytest.mark.parametrize(
         "name, from_seeds, from_generator",
         [
-            (
-                "beta",
-                "6ad02ac20b1adbe52bef2fd7661749f7ea9e3de26e702c4d38ef4527d50125f3",
-                "44906e8586d68775f2f98294fa05c074700c1d9848d2c50945e5e930eca2abc2",
-            ),
             (
                 "xor",
                 "da1d849aed8b814bdb14ed0d7493d5367c0563a04325572b599a7053c851d1f9",
@@ -428,9 +445,24 @@ class TestBivariateXorModel:
     def test_structure(self):
         g, prior = bivariate_xor_model()
         assert g == Dag(2, frozenset({(0, 1)}))
-        assert isinstance(prior.node_priors[0], BetaColumnsPrior)
+        assert isinstance(prior.node_priors[0], XorBetaPrior)
         assert isinstance(prior.node_priors[1], XorBetaPrior)
         assert prior.cardinalities == (2, 2)
+
+    @pytest.mark.parametrize(
+        "seed, digest",
+        [
+            (0, "a7cb85066c244574fdfb3222ecce763c49d78ad3f93edcdad5e8ba5bbdd748f3"),
+            (1, "487821c837bbcbda736486cc4756c80f0be4d5f4632115a660638fdb0adbb00b"),
+            (7, "d45b928841327e0c0d125e3b5b6c2f7f8ddb474036460a4559d9ef8a736b87df"),
+            (123, "3702fabe886a135f907f02fa77f31782516f8bde60784c301e4617535960e03d"),
+        ],
+    )
+    def test_pinned_rows(self, seed, digest):
+        # recorded when X's prior was per-column Beta(1, 3), whose single
+        # column on a root makes the same draw as XorBetaPrior(1, 3)
+        ds = sample_dataset(*bivariate_xor_model(), 500, 2, seed)
+        assert hashlib.sha256(ds.rows.astype(np.int64).tobytes()).hexdigest() == digest
 
 
 class TestDegenerateCheck:
