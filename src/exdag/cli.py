@@ -2,7 +2,9 @@
 
 Subcommands: simulate, discover, bivariate, sweep-bivariate,
 sweep-multivariate, oracle-verify, identifiability.  A flat key=value
-config file can supply any long option's value; explicit flags win.
+config file (`--config`) sets the chosen subcommand's option defaults:
+each value goes through the same converter as its flag, explicit flags
+win, and keys that name no option of the subcommand are ignored.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ from typing import Optional
 
 from . import harness
 from .ci_test import DEFAULT_ALPHA
-from .discovery import NoSinkFoundError, bivariate_direction, discover
+from .discovery import NoSinkFoundError, bivariate_direction
 from .graphs import ENUMERATE_DAGS_LIMIT, Dag
 from .sampling import (
     AtomMixturePrior,
@@ -29,34 +31,8 @@ from .sampling import (
 )
 
 
-def _load_config(path):
-    cfg = {}
-    for lineno, raw in enumerate(Path(path).read_text().splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        if "=" not in line:
-            raise SystemExit(f"{path}:{lineno}: expected key=value, got {raw!r}")
-        key, value = line.split("=", 1)
-        cfg[key.strip().replace("-", "_")] = value.strip()
-    return cfg
-
-
-def _pick(args, cfg, key, default, cast=str):
-    value = getattr(args, key, None)
-    if value is not None:
-        return value
-    if key in cfg:
-        raw = cfg[key]
-        try:
-            return cast(raw)
-        except (ValueError, argparse.ArgumentTypeError) as err:
-            raise SystemExit(f"{args.config}: {key}={raw}: {err}") from None
-    return default
-
-
-# Converters for option values.  Each one is both the flag's argparse `type`
-# and the `_pick` cast of its config value, so the two are checked alike.
+# Converters for option values.  Each one is an option's argparse `type`, and
+# `_config_defaults` passes the option's config value through it too.
 
 
 def _int_in(lo: int, hi: Optional[int] = None):
@@ -117,11 +93,11 @@ def _alpha(raw) -> float:
 
 @contextlib.contextmanager
 def _input_file(path):
-    """Exit with a message naming the dataset CSV at `path` when reading it,
-    or running the algorithm on it, rejects it."""
+    """Exit with a message naming the dataset CSV at `path` when its format,
+    or the algorithm run on it, rejects it."""
     try:
         yield
-    except (OSError, harness.CsvFormatError) as err:  # these messages name the file
+    except harness.CsvFormatError as err:  # its message names the file
         raise SystemExit(str(err)) from None
     except ValueError as err:
         raise SystemExit(f"{path}: {err}") from None
@@ -202,148 +178,149 @@ def build_parser() -> argparse.ArgumentParser:
         prog="exdag",
         description="Causal DAG discovery from exchangeable multi-environment data.",
     )
-    parser.add_argument("--config", help="flat key=value config file; flags override it")
+    parser.add_argument("--config", help="key=value file of option defaults; flags override it")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("simulate", help="generate a dataset CSV (+ JSON sidecar)")
     p.add_argument("--graph", help="preset name, JSON file, or inline JSON")
     p.add_argument("--prior", help="xor | JSON prior spec (file or inline)")
-    p.add_argument("--envs", type=_COUNT)
-    p.add_argument("--samples-per-env", type=_COUNT)
-    p.add_argument("--seed", type=_SEED)
-    p.add_argument("--out", help="output CSV path")
+    p.add_argument("--envs", type=_COUNT, default=1000)
+    p.add_argument("--samples-per-env", type=_COUNT, default=2)
+    p.add_argument("--seed", type=_SEED, default=0)
+    p.add_argument("--out", default="dataset.csv", help="output CSV path")
 
-    p = sub.add_parser("discover", help="run discovery on a dataset CSV")
-    p.add_argument("--in", dest="input")
-    p.add_argument("--alpha", type=_alpha)
-    p.add_argument("--force", action="store_true", default=None,
+    for name, about in (
+        ("discover", "run discovery on a dataset CSV"),
+        ("bivariate", "three-hypothesis direction call on a 2-variable CSV"),
+    ):
+        p = sub.add_parser(name, help=about)
+        p.add_argument("--in", dest="input")
+        p.add_argument("--alpha", type=_alpha, default=DEFAULT_ALPHA)
+    p = sub.choices["discover"]
+    p.add_argument("--force", action="store_true",
                    help="break sink deadlocks by max-min-p instead of failing")
     p.add_argument("--out", help="result JSON path (default: stdout)")
 
-    p = sub.add_parser("bivariate", help="three-hypothesis direction call on a 2-variable CSV")
-    p.add_argument("--in", dest="input")
-    p.add_argument("--alpha", type=_alpha)
-
-    p = sub.add_parser("sweep-bivariate", help="xor benchmark accuracy over environment counts")
-    p.add_argument("--envs", type=_env_grid, help="comma-separated grid, e.g. 500,2000,4000")
-    p.add_argument("--repeats", type=_COUNT)
-    p.add_argument("--alpha", type=_alpha)
-    p.add_argument("--seed", type=_SEED)
-    p.add_argument("--samples-per-env", type=_DISCOVERY_SAMPLES)
-    p.add_argument("--paper-scale", action="store_true", default=None)
-    p.add_argument("--out", help="output directory")
-
-    p = sub.add_parser("sweep-multivariate", help="graph recovery rates for preset graphs")
-    p.add_argument("--graphs", type=_preset_names, help="comma-separated preset names")
-    p.add_argument("--envs", type=_env_grid, help="comma-separated per-graph environment counts")
-    p.add_argument("--repeats", type=_COUNT)
-    p.add_argument("--alpha", type=_alpha)
-    p.add_argument("--seed", type=_SEED)
-    p.add_argument("--samples-per-env", type=_DISCOVERY_SAMPLES)
-    p.add_argument("--paper-scale", action="store_true", default=None)
-    p.add_argument("--workers", type=_COUNT)
-    p.add_argument("--out", help="output directory")
+    for name, about, envs_about in (
+        ("sweep-bivariate", "xor benchmark accuracy over environment counts",
+         "comma-separated grid, e.g. 500,2000,4000"),
+        ("sweep-multivariate", "graph recovery rates for preset graphs",
+         "comma-separated per-graph environment counts"),
+    ):
+        p = sub.add_parser(name, help=about)
+        p.add_argument("--envs", type=_env_grid, help=envs_about)
+        p.add_argument("--repeats", type=_COUNT, help="default 20, or 100 with --paper-scale")
+        p.add_argument("--alpha", type=_alpha, default=DEFAULT_ALPHA)
+        p.add_argument("--seed", type=_SEED, default=0)
+        p.add_argument("--samples-per-env", type=_DISCOVERY_SAMPLES, default=2)
+        p.add_argument("--paper-scale", action="store_true")
+        p.add_argument("--out", help="output directory")
+    p.add_argument("--graphs", type=_preset_names, default=(), help="comma-separated preset names")
+    p.add_argument("--workers", type=_COUNT, default=1)
+    p.set_defaults(envs=())  # the harness's per-graph environment counts
 
     p = sub.add_parser("oracle-verify", help="exact Markov/faithfulness sweep over all DAGs")
-    p.add_argument("--d", type=_DAG_SIZE)
-    p.add_argument("--models-per-graph", type=_COUNT)
-    p.add_argument("--seed", type=_SEED)
+    p.add_argument("--d", type=_DAG_SIZE, default=3)
+    p.add_argument("--models-per-graph", type=_COUNT, default=5)
+    p.add_argument("--seed", type=_SEED, default=0)
     p.add_argument("--out", help="output directory")
 
     p = sub.add_parser("identifiability", help="equivalence-class partition over all DAGs")
-    p.add_argument("--d", type=_DAG_SIZE)
+    p.add_argument("--d", type=_DAG_SIZE, default=3)
     p.add_argument("--out", help="output directory")
     return parser
+
+
+def _config_defaults(parser: argparse.ArgumentParser, args) -> None:
+    """Make the `--config` file's values the chosen subcommand's option
+    defaults, each converted by its option's own `type` (`_switch` for an
+    on/off flag).  Keys that name no option of the subcommand are ignored."""
+    cfg = {}
+    for lineno, raw in enumerate(Path(args.config).read_text().splitlines(), start=1):
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        if "=" not in line:
+            raise SystemExit(f"{args.config}:{lineno}: expected key=value, got {raw!r}")
+        key, value = line.split("=", 1)
+        cfg[key.strip().replace("-", "_")] = value.strip()
+    (sub,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    command = sub.choices[args.command]
+    defaults = {}
+    for action in command._actions:
+        if action.dest not in cfg or action.default is argparse.SUPPRESS:  # --help
+            continue
+        raw = cfg[action.dest]
+        convert = _switch if action.nargs == 0 else action.type or str
+        try:
+            defaults[action.dest] = convert(raw)
+        except (ValueError, argparse.ArgumentTypeError) as err:
+            raise SystemExit(f"{args.config}: {action.dest}={raw}: {err}") from None
+    command.set_defaults(**defaults)
 
 
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    cfg = _load_config(args.config) if args.config else {}
+    try:
+        if args.config:
+            _config_defaults(parser, args)
+            args = parser.parse_args(argv)
+        return _run(parser, args)
+    except OSError as err:  # a file that cannot be read or written; the message names it
+        raise SystemExit(str(err)) from None
 
+
+def _run(parser: argparse.ArgumentParser, args) -> int:
     if args.command == "simulate":
-        graph_spec = _pick(args, cfg, "graph", None)
-        if graph_spec is None:
+        if args.graph is None:
             parser.error("simulate requires --graph")
-        g = _parse_graph(graph_spec)
-        prior = _parse_prior(_pick(args, cfg, "prior", None), g)
-        ds = sample_dataset(
-            g,
-            prior,
-            _pick(args, cfg, "envs", 1000, _COUNT),
-            _pick(args, cfg, "samples_per_env", 2, _COUNT),
-            _pick(args, cfg, "seed", 0, _SEED),
-        )
-        out = _pick(args, cfg, "out", "dataset.csv")
-        harness.write_dataset_csv(ds, out)
-        print(f"wrote {ds.n_envs} environments to {out}")
+        g = _parse_graph(args.graph)
+        prior = _parse_prior(args.prior, g)
+        ds = sample_dataset(g, prior, args.envs, args.samples_per_env, args.seed)
+        harness.write_dataset_csv(ds, args.out)
+        print(f"wrote {ds.n_envs} environments to {args.out}")
         return 0
 
-    if args.command == "discover":
-        input_path = _pick(args, cfg, "input", None)
-        if input_path is None:
-            parser.error("discover requires --in")
-        alpha = _pick(args, cfg, "alpha", DEFAULT_ALPHA, _alpha)
-        force = _pick(args, cfg, "force", False, _switch)
+    if args.command in ("discover", "bivariate"):
+        if args.input is None:
+            parser.error(f"{args.command} requires --in")
         try:
-            with _input_file(input_path):
-                result = harness.discover_file(input_path, alpha=alpha, force=force)
+            with _input_file(args.input):
+                if args.command == "bivariate":
+                    print(bivariate_direction(harness.ingest_csv(args.input), args.alpha))
+                    return 0
+                result = harness.discover_file(args.input, alpha=args.alpha, force=args.force)
         except NoSinkFoundError as exc:
             print(f"discovery failed: {exc}", file=sys.stderr)
             return 2
         payload = json.dumps(result.to_dict(), indent=2) + "\n"
-        out = _pick(args, cfg, "out", None)
-        if out:
-            Path(out).write_text(payload)
+        if args.out:
+            Path(args.out).write_text(payload)
         else:
             sys.stdout.write(payload)
         return 0
 
-    if args.command == "bivariate":
-        input_path = _pick(args, cfg, "input", None)
-        if input_path is None:
-            parser.error("bivariate requires --in")
-        alpha = _pick(args, cfg, "alpha", DEFAULT_ALPHA, _alpha)
-        with _input_file(input_path):
-            direction = bivariate_direction(harness.ingest_csv(input_path), alpha)
-        print(direction)
-        return 0
-
-    if args.command == "sweep-bivariate":
-        paper = _pick(args, cfg, "paper_scale", False, _switch)
-        default_grid = tuple(range(100, 4001, 100)) if paper else (500, 2000, 4000)
-        grid = _pick(args, cfg, "envs", default_grid, _env_grid)
+    if args.command in ("sweep-bivariate", "sweep-multivariate"):
+        paper = args.paper_scale
+        if args.envs is None:  # sweep-bivariate's grid
+            args.envs = tuple(range(100, 4001, 100)) if paper else (500, 2000, 4000)
         exp = harness.ExperimentConfig(
-            kind="bivariate-sweep",
-            env_grid=grid,
-            repeats=_pick(args, cfg, "repeats", 100 if paper else 20, _COUNT),
-            alpha=_pick(args, cfg, "alpha", DEFAULT_ALPHA, _alpha),
-            seed=_pick(args, cfg, "seed", 0, _SEED),
-            samples_per_env=_pick(args, cfg, "samples_per_env", 2, _DISCOVERY_SAMPLES),
+            kind="bivariate-sweep" if args.command == "sweep-bivariate" else "multivariate",
+            env_grid=args.envs,
+            graphs=getattr(args, "graphs", ()),
+            repeats=args.repeats or (100 if paper else 20),
+            alpha=args.alpha,
+            seed=args.seed,
+            samples_per_env=args.samples_per_env,
             paper_scale=paper,
-            out_dir=_pick(args, cfg, "out", None),
+            out_dir=args.out,
         )
-        for row in harness.run_bivariate_sweep(exp):
-            print(f"envs={row['n_envs']:>6}  correct={row['correct_fraction']:.3f}")
-        return 0
-
-    if args.command == "sweep-multivariate":
-        paper = _pick(args, cfg, "paper_scale", False, _switch)
-        graphs = _pick(args, cfg, "graphs", (), _preset_names)
-        grid = _pick(args, cfg, "envs", (), _env_grid)
-        exp = harness.ExperimentConfig(
-            kind="multivariate",
-            env_grid=grid,
-            graphs=graphs,
-            repeats=_pick(args, cfg, "repeats", 100 if paper else 20, _COUNT),
-            alpha=_pick(args, cfg, "alpha", DEFAULT_ALPHA, _alpha),
-            seed=_pick(args, cfg, "seed", 0, _SEED),
-            samples_per_env=_pick(args, cfg, "samples_per_env", 2, _DISCOVERY_SAMPLES),
-            paper_scale=paper,
-            out_dir=_pick(args, cfg, "out", None),
-        )
-        rows = harness.run_multivariate(exp, workers=_pick(args, cfg, "workers", 1, _COUNT))
-        for row in rows:
+        if args.command == "sweep-bivariate":
+            for row in harness.run_bivariate_sweep(exp):
+                print(f"envs={row['n_envs']:>6}  correct={row['correct_fraction']:.3f}")
+            return 0
+        for row in harness.run_multivariate(exp, workers=args.workers):
             edges = ", ".join(f"{k}:{v:.2f}" for k, v in sorted(row["edge_recovery"].items()))
             print(
                 f"{row['graph']:<10} envs={row['n_envs']:>7} "
@@ -353,10 +330,7 @@ def main(argv=None) -> int:
 
     if args.command == "oracle-verify":
         result = harness.run_oracle_sweep(
-            d=_pick(args, cfg, "d", 3, _DAG_SIZE),
-            models_per_graph=_pick(args, cfg, "models_per_graph", 5, _COUNT),
-            seed=_pick(args, cfg, "seed", 0, _SEED),
-            out_dir=_pick(args, cfg, "out", None),
+            d=args.d, models_per_graph=args.models_per_graph, seed=args.seed, out_dir=args.out
         )
         print(
             f"d={result['d']}: {result['n_dags']} DAGs, "
@@ -365,19 +339,13 @@ def main(argv=None) -> int:
         )
         return 0 if result["all_markov_ok"] and result["icm_ci_sets_distinct"] else 1
 
-    if args.command == "identifiability":
-        result = harness.run_identifiability(
-            d=_pick(args, cfg, "d", 3, _DAG_SIZE),
-            out_dir=_pick(args, cfg, "out", None),
-        )
-        print(
-            f"d={result['d']}: {result['n_dags']} DAGs, "
-            f"unrolled classes all singletons={set(result['icm_class_sizes']) == {1}}, "
-            f"classical classes={result['iid_class_count']} sizes={result['iid_class_sizes']}"
-        )
-        return 0
-
-    parser.error(f"unknown command {args.command}")
+    result = harness.run_identifiability(d=args.d, out_dir=args.out)
+    print(
+        f"d={result['d']}: {result['n_dags']} DAGs, "
+        f"unrolled classes all singletons={set(result['icm_class_sizes']) == {1}}, "
+        f"classical classes={result['iid_class_count']} sizes={result['iid_class_sizes']}"
+    )
+    return 0
 
 
 if __name__ == "__main__":

@@ -158,7 +158,10 @@ def ingest_csv(path) -> EnvDataset:
     a repeated (env, sample) pair (the second occurrence), sample indices
     that do not run 0..N_e-1 within an environment, and a value that is
     negative or not below its variable's cardinality (from the sidecar, or
-    the column maximum plus one without one).
+    the column maximum plus one without one).  A sidecar that is not a JSON
+    object, whose `cardinalities` are not d integers >= 1, or whose
+    `true_graph` is malformed or not over d nodes is rejected with
+    `CsvFormatError` naming the sidecar.
     """
     path = Path(path)
     with path.open() as fh:
@@ -182,20 +185,25 @@ def ingest_csv(path) -> EnvDataset:
         raise _row_error(path, data, d, parse_error)
 
     sidecar_path = Path(str(path) + ".meta.json")
-    cardinalities = seed = true_graph = None
-    prior_description = None
+    meta, cardinalities, true_graph = {}, None, None
     if sidecar_path.exists():
-        meta = json.loads(sidecar_path.read_text())
-        if meta.get("cardinalities"):
-            cardinalities = tuple(meta["cardinalities"])
-            if len(cardinalities) != d:
-                raise CsvFormatError(
-                    f"{sidecar_path}: {len(cardinalities)} cardinalities for {d} variables"
-                )
-        seed = meta.get("seed")
-        prior_description = meta.get("prior")
-        if meta.get("true_graph"):
-            true_graph = Dag.from_dict(meta["true_graph"])
+        try:
+            meta = json.loads(sidecar_path.read_text())
+            if not isinstance(meta, dict):
+                raise ValueError(f"expected a JSON object, got {type(meta).__name__}")
+            if meta.get("cardinalities") is not None:
+                cardinalities = meta["cardinalities"]
+                if not isinstance(cardinalities, list) or len(cardinalities) != d or not all(
+                    type(k) is int and k >= 1 for k in cardinalities  # bools are not counts
+                ):
+                    raise ValueError(f"cardinalities {cardinalities!r}: expected {d} integers >= 1")
+                cardinalities = tuple(cardinalities)
+            if meta.get("true_graph"):
+                true_graph = Dag.from_dict(meta["true_graph"])
+                if true_graph.d != d:
+                    raise ValueError(f"true_graph has {true_graph.d} nodes for {d} variables")
+        except (KeyError, TypeError, ValueError) as err:  # JSONDecodeError is a ValueError
+            raise CsvFormatError(f"{sidecar_path}: {type(err).__name__}: {err}") from None
 
     # row r of `table` is line r + 2 of the file
     order = np.lexsort((table[:, 1], table[:, 0]))  # stable: repeats keep file order
@@ -232,8 +240,8 @@ def ingest_csv(path) -> EnvDataset:
         values[order],
         np.r_[starts, len(order)],
         true_graph=true_graph,
-        seed=seed,
-        prior_description=prior_description,
+        seed=meta.get("seed"),
+        prior_description=meta.get("prior"),
     )
 
 

@@ -239,10 +239,11 @@ class EnvDataset:
     every environment's samples back to back, shape (total, d), and
     environment e owns rows `offsets[e]:offsets[e + 1]`.  The constructor
     takes per-environment arrays, checks their shapes and copies them into
-    `rows` once; the producers in this package hand over `rows` and `offsets`
-    directly (`_from_rows`).  Either way the same checks then run on the
-    layout, and `envs` becomes a list of views into `rows`; `stacked()` is a
-    reshape view when the data is uniform.  Datasets compare by identity.
+    `rows` once, and rejects a value outside [0, k) for its variable's k.
+    The producers in this package, whose values are in range by
+    construction, hand over `rows` and `offsets` directly (`_from_rows`).
+    Either way `envs` becomes a list of views into `rows`.  Datasets
+    compare by identity.
     """
 
     d: int
@@ -276,18 +277,18 @@ class EnvDataset:
                     raise ValueError(f"environment {e}: rows must have shape (N_e, {self.d})")
             self.offsets = np.concatenate(([0], np.cumsum([rows.shape[0] for rows in arrays])))
             self.rows = np.concatenate(arrays)
+            bad = (self.rows < 0) | (self.rows >= np.array(self.cardinalities))
+            bad_vars = np.flatnonzero(bad.any(axis=0))
+            if bad_vars.size:
+                i = int(bad_vars[0])
+                e = int(np.searchsorted(self.offsets, np.argmax(bad[:, i]), side="right")) - 1
+                raise ValueError(
+                    f"environment {e}: variable {i} value out of range [0, {self.cardinalities[i]})"
+                )
         sizes = np.diff(self.offsets)
         self._min_samples = int(sizes.min())
         if self._min_samples < 1:
             raise ValueError(f"environment {int(np.argmin(sizes))} is empty")
-        bad = (self.rows < 0) | (self.rows >= np.array(self.cardinalities))
-        bad_vars = np.flatnonzero(bad.any(axis=0))
-        if bad_vars.size:
-            i = int(bad_vars[0])
-            e = int(np.searchsorted(self.offsets, np.argmax(bad[:, i]), side="right")) - 1
-            raise ValueError(
-                f"environment {e}: variable {i} value out of range [0, {self.cardinalities[i]})"
-            )
         bounds = self.offsets.tolist()
         self.envs = [self.rows[a:b] for a, b in zip(bounds[:-1], bounds[1:])]
 
@@ -298,14 +299,6 @@ class EnvDataset:
     @property
     def min_samples(self):
         return self._min_samples
-
-    def stacked(self) -> Optional[np.ndarray]:
-        """(n_envs, N, d) view of `rows` when all environments share a sample
-        count, else None."""
-        n = self.min_samples
-        if self.rows.shape[0] != self.n_envs * n:
-            return None
-        return self.rows.reshape(self.n_envs, n, self.d)
 
     def values_at(self, coords: Sequence[Tuple[int, int]]) -> np.ndarray:
         """Per-environment observation of the given (variable, sample) coordinates.

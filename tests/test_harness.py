@@ -153,6 +153,30 @@ class TestCsvRoundTrip:
         ):
             ingest_csv(path)
 
+    @pytest.mark.parametrize(
+        "sidecar, reason",
+        [
+            ("[2, 2, 2]", "expected a JSON object"),
+            ('{"cardinalities": [2, "x", 2]}', "expected 3 integers >= 1"),
+            ('{"cardinalities": 3}', "expected 3 integers >= 1"),
+            ('{"cardinalities": [2, 2.5, 2]}', "expected 3 integers >= 1"),
+            ('{"cardinalities": [2, true, 2]}', "expected 3 integers >= 1"),
+            ('{"cardinalities": [2, 0, 2]}', "expected 3 integers >= 1"),
+            ('{"cardinalities": [2, 2]}', "expected 3 integers >= 1"),
+            ('{"true_graph": {"d": 5, "edges": [[0, 4]]}}', "true_graph has 5 nodes for 3"),
+            ('{"true_graph": {"d": 3}}', "KeyError"),
+            ('{"cardinalities": [2, 2, 2]', "JSONDecodeError"),
+        ],
+        ids=["list", "string_cardinality", "scalar", "fraction", "bool", "zero", "too_few",
+             "graph_size", "graph_without_edges", "malformed_json"],
+    )
+    def test_bad_sidecar_names_it(self, tmp_path, sidecar, reason):
+        path = tmp_path / "data.csv"
+        path.write_text("env,sample,X1,X2,X3\n0,0,1,0,1\n0,1,0,1,1\n")
+        (tmp_path / "data.csv.meta.json").write_text(sidecar)
+        with pytest.raises(CsvFormatError, match=r"data\.csv\.meta\.json: .*" + reason):
+            ingest_csv(path)
+
     def test_writer_matches_csv_module(self, tmp_path):
         g, prior = bivariate_xor_model()
         ds = _ragged(sample_dataset(g, prior, 30, 4, 2), seed=3)
@@ -189,22 +213,12 @@ class TestProducerLayout:
             assert len(built.envs) == len(ref.envs)
             assert all(np.array_equal(a, b) for a, b in zip(built.envs, ref.envs))
             assert all(np.shares_memory(rows, built.rows) for rows in built.envs)
-            if ragged:
-                assert built.stacked() is None and ref.stacked() is None
-            else:
-                assert np.array_equal(built.stacked(), ref.stacked())
             assert built.min_samples == ref.min_samples
             assert np.array_equal(built.values_at(coords), ref.values_at(coords))
 
     @pytest.mark.parametrize(
         "envs, message",
-        [
-            ([np.array([[0, 1]]), np.zeros((0, 2), dtype=np.int64)], "environment 1 is empty"),
-            (
-                [np.array([[0, 1]]), np.array([[1, 2]])],
-                r"environment 1: variable 1 value out of range \[0, 2\)",
-            ),
-        ],
+        [([np.array([[0, 1]]), np.zeros((0, 2), dtype=np.int64)], "environment 1 is empty")],
     )
     def test_same_rejections_as_list_constructor(self, envs, message):
         rows = np.concatenate(envs)
@@ -213,6 +227,15 @@ class TestProducerLayout:
             EnvDataset(2, (2, 2), envs)
         with pytest.raises(ValueError, match=message):
             EnvDataset._from_rows(2, (2, 2), rows, offsets)
+
+    def test_range_checked_on_list_input_only(self):
+        # the producers' values are in range by construction (ingest_csv
+        # checks them with a file:line message), so only the list input is checked
+        envs = [np.array([[0, 1]]), np.array([[1, 2]])]
+        with pytest.raises(ValueError, match=r"environment 1: variable 1 value out of range"):
+            EnvDataset(2, (2, 2), envs)
+        ds = EnvDataset._from_rows(2, (2, 2), np.concatenate(envs), np.array([0, 1, 2]))
+        assert ds.n_envs == 2
 
 
 class TestPinnedRaggedDiscovery:
@@ -477,15 +500,25 @@ class TestCli:
             (["sweep-multivariate", "--workers", "-3"], "argument --workers:"),
             (["oracle-verify", "--d", "7"], "argument --d:"),
             (["identifiability", "--d", "0"], "argument --d:"),
+            (["--config", "bad.cfg", "simulate", "--graph", "fork3", "--envs", "5"],
+             "bad.cfg: envs=abc"),
+            (["simulate", "--graph", "fork3", "--out", "nodir/x.csv"], "nodir/x.csv"),
+            (["simulate", "--graph", "fork3", "--out", "outdir"], "outdir"),
+            (["discover", "--in", "two.csv", "--force", "--out", "nodir/r.json"], "nodir/r.json"),
+            (["sweep-bivariate", "--envs", "100", "--repeats", "1", "--out", "one.csv/sweep"],
+             "one.csv/sweep"),
         ],
         ids=["simulate", "config", "config_switch", "discover", "bivariate", "sweep-bivariate",
              "sweep-multivariate", "zero_workers", "negative_workers", "oracle-verify",
-             "identifiability"],
+             "identifiability", "config_under_flag", "simulate_out_dir_missing",
+             "simulate_out_is_dir", "discover_out_dir_missing", "sweep_out_under_file"],
     )
     def test_bad_value_exits_naming_its_source(self, tmp_path, monkeypatch, capsys, argv, named):
         monkeypatch.chdir(tmp_path)
         g, prior = bivariate_xor_model()
         write_dataset_csv(sample_dataset(g, prior, 20, 1, 0), "one.csv")
+        write_dataset_csv(sample_dataset(g, prior, 20, 2, 0), "two.csv")
+        (tmp_path / "outdir").mkdir()
         (tmp_path / "bad.cfg").write_text("envs=abc\nforce=ture\n")
         with pytest.raises(SystemExit) as exc:
             main(argv)
@@ -518,6 +551,53 @@ class TestCli:
         assert main(["--config", str(cfg), "simulate", "--envs", "150"]) == 0
         out = capsys.readouterr().out
         assert "150 environments" in out
+
+    XOR_PRIOR = json.dumps([{"kind": "xor_beta", "a": 1, "b": 3}] * 3)
+
+    @pytest.mark.parametrize(
+        "command, options",
+        [
+            ("simulate", {"graph": "fork3", "prior": XOR_PRIOR, "envs": "40",
+                          "samples-per-env": "3", "seed": "4", "out": "sim.csv"}),
+            ("discover", {"in": "data.csv", "alpha": "0.01", "force": None, "out": "res.json"}),
+            ("bivariate", {"in": "data.csv", "alpha": "0.02"}),
+            ("sweep-bivariate", {"envs": "100,200", "repeats": "2", "alpha": "0.02", "seed": "3",
+                                 "samples-per-env": "3", "paper-scale": None, "out": "sweep"}),
+            ("sweep-multivariate", {"graphs": "fork3,chain3", "envs": "200,300", "repeats": "1",
+                                    "alpha": "0.02", "seed": "3", "samples-per-env": "3",
+                                    "paper-scale": None, "workers": "1", "out": "sweep"}),
+            ("oracle-verify", {"d": "2", "models-per-graph": "2", "seed": "5", "out": "oracle"}),
+            ("identifiability", {"d": "2", "out": "ident"}),
+        ],
+        ids=["simulate", "discover", "bivariate", "sweep-bivariate", "sweep-multivariate",
+             "oracle-verify", "identifiability"],
+    )
+    def test_config_equals_flags(self, tmp_path, monkeypatch, capsys, command, options):
+        # every option the subcommand takes, once as flags and once from a
+        # config file (a switch as key=true, --in as input=...)
+        flags, lines = [], []
+        for name, value in options.items():
+            flags += [f"--{name}"] + ([] if value is None else [value])
+            key = "input" if name == "in" else name.replace("-", "_")
+            lines.append(f"{key}={'true' if value is None else value}")
+        g, prior = bivariate_xor_model()
+        runs = {}
+        ways = {"flags": [command, *flags], "config": ["--config", "run.cfg", command]}
+        for way, argv in ways.items():
+            run_dir = tmp_path / way
+            run_dir.mkdir()
+            monkeypatch.chdir(run_dir)
+            write_dataset_csv(sample_dataset(g, prior, 300, 2, 0), "data.csv")
+            (run_dir / "run.cfg").write_text("\n".join(lines) + "\n")
+            assert main(argv) == 0
+            files = {
+                str(f.relative_to(run_dir)): f.read_bytes()
+                for f in sorted(run_dir.rglob("*")) if f.is_file() and f.name != "run.cfg"
+            }
+            runs[way] = (capsys.readouterr().out, files)
+        assert runs["flags"] == runs["config"]
+        # all but bivariate write an output beside the input CSV and its sidecar
+        assert len(runs["flags"][1]) > 2 or command == "bivariate"
 
     def test_sweep_bivariate_command(self, capsys):
         assert main([

@@ -168,7 +168,7 @@ class TestExactJoint:
         joint = exact_joint(model)
         n = 40000
         ds = sample_dataset(XY, prior, n, 2, 0)
-        stack = ds.stacked()
+        stack = ds.rows.reshape(n, 2, 2)
         codes = ((stack[:, 0, 0] * 2 + stack[:, 0, 1]) * 2 + stack[:, 1, 0]) * 2 + stack[:, 1, 1]
         freq = np.bincount(codes, minlength=16) / n
         # 5-sigma binomial tolerance per cell

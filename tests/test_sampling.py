@@ -23,6 +23,11 @@ from exdag.sampling import (
 CHAIN = Dag(3, frozenset({(0, 1), (1, 2)}))
 
 
+def _stacked(ds: EnvDataset) -> np.ndarray:
+    """(n_envs, N, d) view of a uniform dataset's rows."""
+    return ds.rows.reshape(ds.n_envs, -1, ds.d)
+
+
 def _ancestral_sample(order, pa_info, cards, params: EnvParams, n: int, rng) -> np.ndarray:
     values = np.zeros((n, len(cards)), dtype=np.int64)
     for i in order:
@@ -135,14 +140,13 @@ class TestEnvDataset:
     def test_stacked_and_values_at(self):
         envs = [np.array([[0, 1], [1, 0]]), np.array([[1, 1], [0, 0]])]
         ds = EnvDataset(d=2, cardinalities=(2, 2), envs=envs)
-        assert ds.stacked().shape == (2, 2, 2)
+        assert _stacked(ds).shape == (2, 2, 2)
         vals = ds.values_at([(0, 0), (1, 1)])
         assert vals.tolist() == [[0, 0], [1, 0]]
 
     def test_ragged_environments(self):
         envs = [np.array([[0], [1], [0]]), np.array([[1], [0]])]
         ds = EnvDataset(d=1, cardinalities=(2,), envs=envs)
-        assert ds.stacked() is None
         assert ds.min_samples == 2
         assert ds.values_at([(0, 1)]).tolist() == [[1], [0]]
         with pytest.raises(ValueError, match="sample index 2"):
@@ -154,7 +158,6 @@ class TestEnvDataset:
         sizes = rng.integers(2, 6, size=40) if ragged else np.full(40, 3)
         envs = [rng.integers(0, (2, 3, 4), size=(n, 3)) for n in sizes]
         ds = EnvDataset(d=3, cardinalities=(2, 3, 4), envs=envs)
-        assert (ds.stacked() is None) == ragged
         coords = [(2, 1), (0, 0), (1, 1), (2, 0)]
         ref = np.array([[rows[s, v] for v, s in coords] for rows in envs])
         assert np.array_equal(ds.values_at(coords), ref)
@@ -176,7 +179,7 @@ class TestSampleDataset:
         ds = sample_dataset(CHAIN, prior, 50, 4, 0)
         assert ds.n_envs == 50
         assert all(rows.shape == (4, 3) for rows in ds.envs)
-        stack = ds.stacked()
+        stack = _stacked(ds)
         assert stack.min() >= 0 and stack.max() <= 1
         assert ds.true_graph == CHAIN
         assert ds.seed == 0
@@ -186,15 +189,15 @@ class TestSampleDataset:
         a = sample_dataset(g, prior, 30, 2, 5)
         b = sample_dataset(g, prior, 30, 2, 5)
         c = sample_dataset(g, prior, 30, 2, 6)
-        assert np.array_equal(a.stacked(), b.stacked())
-        assert not np.array_equal(a.stacked(), c.stacked())
+        assert np.array_equal(_stacked(a), _stacked(b))
+        assert not np.array_equal(_stacked(a), _stacked(c))
 
     def test_environment_prefix_stable(self):
         # counter-based seeding: environment e is the same regardless of n_envs
         g, prior = bivariate_xor_model()
         small = sample_dataset(g, prior, 10, 2, 9)
         big = sample_dataset(g, prior, 40, 2, 9)
-        assert np.array_equal(small.stacked(), big.stacked()[:10])
+        assert np.array_equal(_stacked(small), _stacked(big)[:10])
 
     def test_matches_reference_path(self):
         # the sampler must agree with the documented two-step semantics:
@@ -228,7 +231,7 @@ class TestSampleDataset:
             )
         )
         ds = sample_dataset(g, prior, 200, 2, 3)
-        stack = ds.stacked()
+        stack = _stacked(ds)
         # each environment's mechanism is copy or flip: X xor Y constant per env
         xors = stack[:, :, 0] ^ stack[:, :, 1]
         assert np.all(xors[:, 0] == xors[:, 1])
@@ -337,7 +340,7 @@ class TestPinnedSamplerStream:
     def test_environment_prefix_stable(self, name):
         small = sample_dataset(self.GRAPH, self.PRIORS[name], 10, 3, 5)
         big = sample_dataset(self.GRAPH, self.PRIORS[name], 40, 3, 5)
-        assert np.array_equal(small.stacked(), big.stacked()[:10])
+        assert np.array_equal(_stacked(small), _stacked(big)[:10])
 
     # mixed 3x2 parent radices: node 3 has parents 1 (3 categories) and 2
     # (2 categories), node 5 has parents 2 and 4 (2 and 2)
