@@ -268,9 +268,11 @@ def run_bivariate_sweep(cfg: ExperimentConfig) -> List[dict]:
     """Correct-direction fraction of the three-hypothesis decision on the
     xor benchmark, per environment count."""
     grid = cfg.env_grid or (500, 2000, 4000)
+    out = _make_out_dir(cfg.out_dir)
     rows = [_bivariate_point(n_envs, cfg) for n_envs in sorted(grid)]
-    if cfg.out_dir:
-        _write_sweep(cfg, rows, "bivariate_sweep.csv", ["n_envs", "repeats", "correct_fraction"])
+    if out:
+        fields = ["n_envs", "repeats", "correct_fraction"]
+        _write_sweep(out, cfg, rows, "bivariate_sweep.csv", fields)
     return rows
 
 
@@ -325,9 +327,10 @@ def run_multivariate(cfg: ExperimentConfig, workers: int = 1) -> List[dict]:
         jobs.append(
             (name, n_envs, cfg.repeats, cfg.alpha, cfg.seed, cfg.samples_per_env, cfg.force)
         )
+    out = _make_out_dir(cfg.out_dir)
     rows = list(_pool_map(_multivariate_graph, jobs, workers))
     rows.sort(key=lambda r: r["graph"])
-    if cfg.out_dir:
+    if out:
         flat = [
             {
                 "graph": r["graph"],
@@ -340,7 +343,7 @@ def run_multivariate(cfg: ExperimentConfig, workers: int = 1) -> List[dict]:
             for r in rows
         ]
         _write_sweep(
-            cfg, flat, "multivariate.csv",
+            out, cfg, flat, "multivariate.csv",
             ["graph", "n_envs", "repeats", "graph_recovery", "deadlocks", "edge_recovery"],
         )
     return rows
@@ -362,6 +365,7 @@ def run_oracle_sweep(
     Markov to the unrolled graph, generically faithful, their independence
     sets match the graph's, and the unrolled independence sets are pairwise
     distinct across DAGs."""
+    out = _make_out_dir(out_dir)
     dags = enumerate_dags(d)
     rng = np.random.default_rng(seed)
     graph_reports = []
@@ -399,9 +403,7 @@ def run_oracle_sweep(
         "icm_ci_sets_distinct": n_distinct == len(dags),
         "graphs": graph_reports,
     }
-    if out_dir:
-        out = Path(out_dir)
-        out.mkdir(parents=True, exist_ok=True)
+    if out:
         (out / "oracle_sweep.json").write_text(json.dumps(result, indent=2) + "\n")
     return result
 
@@ -410,6 +412,7 @@ def run_identifiability(d: int = 3, samples_per_env: int = 2, out_dir: Optional[
     """Partition all DAGs on d nodes into classes: by unrolled independence
     sets (expected all singletons) and by classical skeleton/v-structure
     equivalence (expected coarser)."""
+    out = _make_out_dir(out_dir)
     dags = enumerate_dags(d)
     icm_keys = [
         frozenset(s.sort_key() for s in ci_set(icm_unroll(g, samples_per_env), d))
@@ -429,9 +432,7 @@ def run_identifiability(d: int = 3, samples_per_env: int = 2, out_dir: Optional[
         "iid_class_count": len(iid_sizes),
         "iid_class_sizes": sorted(iid_sizes),
     }
-    if out_dir:
-        out = Path(out_dir)
-        out.mkdir(parents=True, exist_ok=True)
+    if out:
         (out / "identifiability.json").write_text(json.dumps(result, indent=2) + "\n")
     return result
 
@@ -448,9 +449,19 @@ def _pool_map(fn, jobs, workers: int):
         return list(pool.map(fn, jobs))
 
 
-def _write_sweep(cfg: ExperimentConfig, rows: List[dict], csv_name: str, fields: List[str]):
-    out = Path(cfg.out_dir)
+def _make_out_dir(out_dir: Optional[str]) -> Optional[Path]:
+    """The output directory, created before any repeat runs, so that a path
+    that cannot be a directory fails at once rather than after the sweep."""
+    if not out_dir:
+        return None
+    out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
+    return out
+
+
+def _write_sweep(
+    out: Path, cfg: ExperimentConfig, rows: List[dict], csv_name: str, fields: List[str]
+):
     with (out / csv_name).open("w", newline="") as fh:
         writer = csv.DictWriter(fh, fieldnames=fields)
         writer.writeheader()

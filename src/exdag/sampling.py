@@ -8,11 +8,15 @@ depend on how many environments are drawn: environment e's generator is
 exactly `np.random.default_rng((seed, e))`.  `sample_dataset` works in
 blocks of environments: it makes a block's rng calls in one loop (the draw
 stage), then samples each node for the whole block at once (the ancestral
-stage).  The draw stage does not construct a generator per environment: it
-computes every environment's PCG64 state in bulk, from numpy's SeedSequence
-hash and PCG64 seeding algorithms, and sets it on one reused generator.  A
-test pins those states against `default_rng((seed, e))`, and every call
-checks environment 0's.
+stage).  The draw stage makes one rng call per run of equal mechanism
+draws: consecutive nodes whose draws are the same call (equal xor-Beta
+parameters, equal Dirichlet parameters or equal atom weights) share one
+sized call, which makes the same draws in the same order as one call per
+node, so the stream is the same.  It does not construct a generator per
+environment: it computes every environment's PCG64 state in bulk, from
+numpy's SeedSequence hash and PCG64 seeding algorithms, and sets it on one
+reused generator.  A test pins those states against
+`default_rng((seed, e))`, and every call checks environment 0's.
 """
 
 from __future__ import annotations
@@ -151,23 +155,29 @@ def parent_configs(g: Dag, cardinalities: Sequence[int], i: int) -> Tuple[Tuple[
 
 
 class _Mechanism(NamedTuple):
-    """One node's mechanism prior in the sampler's two stages.  `draw(rng)`
-    makes the node's rng calls for one environment and returns its raw
-    variate, of shape `shape` and type `dtype`; `cpts(raws)` maps a stacked
-    (n_envs, *shape) block of raw variates to the environments' CPTs, shape
-    (n_envs, k, n_cfg)."""
+    """One node's mechanism prior in the sampler's two stages.  A unit is
+    one raw variate of shape `unit_shape` and type `dtype`: the xor flip
+    probability psi, one Dirichlet CPT column or one atom index.  A node
+    draws `units` of them per environment.  `draw(rng, size)` makes `size`
+    units in one rng call, the same draws in the same order as `size`
+    consecutive one-unit calls.  Mechanisms with equal `key` make the same
+    call, so the draw stage makes one rng call per run of equal mechanism
+    draws, with the same stream as one call per node.  `cpts(raws)` maps a
+    (n_envs, units, *unit_shape) block of raw variates to the environments'
+    CPTs, shape (n_envs, k, n_cfg)."""
 
-    draw: Callable[[np.random.Generator], object]
-    shape: Tuple[int, ...]
+    key: tuple
+    draw: Callable[[np.random.Generator, int], np.ndarray]
+    units: int
+    unit_shape: Tuple[int, ...]
     dtype: type
     cpts: Callable[[np.ndarray], np.ndarray]
 
 
 def _node_drawers(g: Dag, prior: MixturePrior) -> List[_Mechanism]:
-    """One `_Mechanism` per node.  The raw variate is the xor flip
-    probability psi, a Dirichlet draw (n_cfg, k) or an atom index.  Shapes
-    and parent cardinalities are checked here, once per (graph, prior), and
-    each mismatch names its node."""
+    """One `_Mechanism` per node.  Shapes and parent cardinalities are
+    checked here, once per (graph, prior), and each mismatch names its
+    node."""
     if prior.d != g.d:
         raise ValueError(f"prior covers {prior.d} nodes, graph has {g.d}")
     cards = prior.cardinalities
@@ -183,18 +193,18 @@ def _node_drawers(g: Dag, prior: MixturePrior) -> List[_Mechanism]:
                     )
             # with binary parents the bits of a config index are the parents' values
             odd = np.array([bin(c).count("1") & 1 for c in range(n_cfg)], dtype=bool)
-            def draw(rng, a=p.a, b=p.b):
-                return rng.beta(a, b)
+            def draw(rng, size, a=p.a, b=p.b):
+                return rng.beta(a, b, size=size)
             def cpts(psi, odd=odd):
-                p1 = np.where(odd, 1.0 - psi[:, None], psi[:, None])  # P(X=1 | config)
+                p1 = np.where(odd, 1.0 - psi, psi)  # P(X=1 | config), psi is (n_envs, 1)
                 return np.stack((1.0 - p1, p1), axis=1)
-            shape, dtype = (), float
+            key, units, unit_shape, dtype = ("xor", p.a, p.b), 1, (), float
         elif isinstance(p, DirichletColumnsPrior):
-            def draw(rng, alpha=np.asarray(p.alpha), n=n_cfg):
-                return rng.dirichlet(alpha, size=n)  # one CPT column per row
+            def draw(rng, size, alpha=np.asarray(p.alpha)):
+                return rng.dirichlet(alpha, size=size)  # one CPT column per row
             def cpts(columns):
                 return columns.swapaxes(1, 2)
-            shape, dtype = (n_cfg, p.cardinality), float
+            key, units, unit_shape, dtype = ("dirichlet", p.alpha), n_cfg, (p.cardinality,), float
         elif isinstance(p, AtomMixturePrior):
             for _, cpt in p.atoms:
                 if cpt.shape[1] != n_cfg:
@@ -202,15 +212,47 @@ def _node_drawers(g: Dag, prior: MixturePrior) -> List[_Mechanism]:
                         f"node {i}: atom CPT shape {cpt.shape} has {cpt.shape[1]} columns, "
                         f"graph implies {n_cfg} parent configs"
                     )
-            def draw(rng, w=np.array([w for w, _ in p.atoms])):
-                return rng.choice(len(w), p=w)
+            weights = tuple(w for w, _ in p.atoms)
+            cdf = np.cumsum(weights)
+            cdf /= cdf[-1]
+            # rng.choice(len(weights), p=weights, size=size) draws this same
+            # inverse cdf of rng.random(size), after checking p on every call
+            def draw(rng, size, cdf=cdf):
+                return cdf.searchsorted(rng.random(size), side="right")
             def cpts(idx, atoms=np.stack([c for _, c in p.atoms])):
-                return atoms[idx]
-            shape, dtype = (), np.intp
+                return atoms[idx[:, 0]]
+            key, units, unit_shape, dtype = ("atoms", weights), 1, (), np.intp
         else:
             raise TypeError(f"unknown prior type {type(p).__name__}")
-        mechanisms.append(_Mechanism(draw, shape, dtype, cpts))
+        mechanisms.append(_Mechanism(key, draw, units, unit_shape, dtype, cpts))
     return mechanisms
+
+
+def _run_buffers(
+    mechanisms: List[_Mechanism], n_envs: int
+) -> Tuple[list, List[np.ndarray]]:
+    """Merge consecutive mechanisms with equal draw keys into runs.  Returns
+    each run's (buffer, draw, units), whose buffer of shape (n_envs, units,
+    *unit_shape) holds the members' units back to back, and each node's
+    (n_envs, units, *unit_shape) raw variates as a view into its run's
+    buffer."""
+    runs, spans = [], []  # runs: [head mechanism, units]; spans: (run, first unit)
+    for m in mechanisms:
+        if not runs or runs[-1][0].key != m.key:
+            runs.append([m, 0])
+        spans.append((len(runs) - 1, runs[-1][1]))
+        runs[-1][1] += m.units
+    buffers = [np.empty((n_envs, units) + m.unit_shape, m.dtype) for m, units in runs]
+    draws = [(buffer, m.draw, units) for buffer, (m, units) in zip(buffers, runs)]
+    raws = [buffers[r][:, u : u + m.units] for m, (r, u) in zip(mechanisms, spans)]
+    return draws, raws
+
+
+def _draw_env(rng: np.random.Generator, draws, e: int) -> None:
+    """Environment e's mechanism draws: one rng call per run, in node-index
+    order, into row e of each run's buffer."""
+    for buffer, draw, units in draws:
+        buffer[e] = draw(rng, units)
 
 
 def sample_env_params(
@@ -220,9 +262,10 @@ def sample_env_params(
     mechanism draws of `sample_dataset`'s draw stage, for one environment.
     Deterministic given the seed."""
     rng = _as_rng(rng_seed)
-    return EnvParams(
-        [m.cpts(np.array([m.draw(rng)], dtype=m.dtype))[0] for m in _node_drawers(g, prior)]
-    )
+    mechanisms = _node_drawers(g, prior)
+    draws, raws = _run_buffers(mechanisms, 1)
+    _draw_env(rng, draws, 0)
+    return EnvParams([m.cpts(raw)[0] for m, raw in zip(mechanisms, raws)])
 
 
 def _as_rng(seed) -> np.random.Generator:
@@ -400,8 +443,11 @@ def _draw_stage(
     """The draw stage of `sample_dataset`, in blocks of `_BLOCK_ENVS`
     environments.  Checks the seed and `n_envs` when called, then returns an
     iterator that yields, block by block, the first environment's index,
-    each node's (block, *shape) raw variates and the (block, d, n) uniforms,
-    whose row t feeds the t-th node in topological order.
+    each node's (block, units, *unit_shape) raw variates and the (block, d,
+    n) uniforms, whose row t feeds the t-th node in topological order.
+    Each environment makes one rng call per run of equal mechanism draws
+    (`_run_buffers`), into one array per run of which each node's raw
+    variates are a view, then one call for all its uniforms.
 
     Environment e draws from a generator in exactly the state of
     `np.random.default_rng((rng_seed, e))`.  That state is not built per
@@ -428,15 +474,14 @@ def _draw_stage(
     def blocks():
         for start in range(0, n_envs, _BLOCK_ENVS):
             block = words[start : start + _BLOCK_ENVS]
-            raws = [np.empty((len(block),) + m.shape, dtype=m.dtype) for m in mechanisms]
+            draws, raws = _run_buffers(mechanisms, len(block))
             uniforms = np.empty((len(block), d, n))
             for e, env_words in enumerate(block):
                 bit_generator.state = _pcg64_state(env_words)
-                for raw, m in zip(raws, mechanisms):
-                    raw[e] = m.draw(rng)
+                _draw_env(rng, draws, e)
                 # each double takes one 64-bit word, so row t equals the t-th
                 # of d consecutive rng.random(n) calls
-                uniforms[e] = rng.random((d, n))
+                rng.random(out=uniforms[e])
             yield start, raws, uniforms
 
     return blocks()
@@ -480,12 +525,14 @@ def sample_dataset(
     calls: environment e, on a generator exactly in the state of
     `np.random.default_rng((rng_seed, e))`, draws each node's mechanism in
     node-index order, then the uniforms of each node in topological order.
-    The data stream depends on that order.  The generator states are
-    computed in bulk from numpy's SeedSequence and PCG64 seeding algorithms
-    (`_draw_stage`); a test and a check of environment 0 on every call guard
-    that they equal `default_rng`'s.  The ancestral stage then samples each
-    node for a block of `_BLOCK_ENVS` environments at once, straight into
-    the dataset's `rows`.  Blocks bound the stages' memory; every
+    The data stream depends on that order.  It makes one rng call per run
+    of equal mechanism draws, which gives the same stream as one call per
+    node.  The generator states are computed in bulk from numpy's
+    SeedSequence and PCG64 seeding algorithms (`_draw_stage`); a test and a
+    check of environment 0 on every call guard that they equal
+    `default_rng`'s.  The ancestral stage then samples each node for a
+    block of `_BLOCK_ENVS` environments at once, straight into the
+    dataset's `rows`.  Blocks bound the stages' memory; every
     environment's data is the same whatever the block size."""
     if n_envs < 1 or samples_per_env < 1:
         raise ValueError("n_envs and samples_per_env must be >= 1")

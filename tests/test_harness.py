@@ -527,6 +527,27 @@ class TestCli:
         message = capsys.readouterr().err if code == 2 else code
         assert named in message
 
+    @pytest.mark.parametrize(
+        "argv, first_work",
+        [
+            (["sweep-bivariate", "--envs", "100", "--repeats", "1"], "sample_dataset"),
+            (["sweep-multivariate", "--graphs", "fork3", "--envs", "100", "--repeats", "1"],
+             "sample_dataset"),
+            (["oracle-verify", "--d", "2"], "enumerate_dags"),
+            (["identifiability", "--d", "2"], "enumerate_dags"),
+        ],
+        ids=["sweep-bivariate", "sweep-multivariate", "oracle-verify", "identifiability"],
+    )
+    def test_sweep_out_under_file_fails_before_any_work(self, tmp_path, monkeypatch, argv,
+                                                        first_work):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "one.csv").write_text("")
+        calls = []
+        monkeypatch.setattr(harness, first_work, lambda *args: calls.append(args))
+        with pytest.raises(SystemExit, match="one.csv/sweep"):
+            main(argv + ["--out", "one.csv/sweep"])
+        assert calls == []
+
     def test_json_prior_list(self, tmp_path, capsys):
         spec = json.dumps([{"kind": "xor_beta", "a": 1, "b": 3}] * 3)
         assert main(["simulate", "--graph", "fork3", "--prior", spec, "--envs", "20",

@@ -222,6 +222,52 @@ class TestSampleDataset:
             ref = _ancestral_sample(order, pa_info, cards, params, 3, rng)
             assert np.array_equal(ds.envs[e], ref)
 
+    def test_runs_match_one_scalar_call_per_node(self):
+        # the draw stage merges consecutive nodes with equal draws into one
+        # sized rng call; the reference makes one scalar call per node.
+        # Nodes 0-1 are equal xor-Beta, node 2 a different one; nodes 3-4
+        # share a Dirichlet with max alpha < 0.1 (numpy's stick-breaking
+        # branch) over 1 and 6 parent configs; node 5 is a standard
+        # Dirichlet; nodes 6-7 are atoms with equal weights; node 8 repeats
+        # node 0's prior, apart from its run.  Edges from higher to lower
+        # indices make topological order differ from index order.
+        g = Dag(9, frozenset({(0, 4), (3, 4), (4, 5), (0, 1), (5, 1), (0, 2), (1, 2),
+                              (5, 6), (2, 7), (7, 8)}))
+        tiny = DirichletColumnsPrior((0.05, 0.08, 0.02))
+        weights = (0.3, 0.7)
+        copy_flip = [[[1.0, 0.0], [0.0, 1.0]], [[0.0, 1.0], [1.0, 0.0]]]
+        prior = MixturePrior(
+            (
+                XorBetaPrior(1, 3), XorBetaPrior(1, 3), XorBetaPrior(2, 2),
+                tiny, tiny, DirichletColumnsPrior((1.0, 2.0)),
+                AtomMixturePrior(list(zip(weights, copy_flip))),
+                AtomMixturePrior(list(zip(weights, copy_flip[::-1]))),
+                XorBetaPrior(1, 3),
+            )
+        )
+        n_envs = sampling._BLOCK_ENVS + 3
+        ds = sample_dataset(g, prior, n_envs, 2, 17)
+        cards = prior.cardinalities
+        order = g.topological_order()
+        pa_info = {i: parent_configs(g, cards, i) for i in range(g.d)}
+        for e in (0, 1, 2, n_envs - 5, n_envs - 4, n_envs - 3, n_envs - 2, n_envs - 1):
+            rng = np.random.default_rng((17, e))
+            cpts = []
+            for i, p in enumerate(prior.node_priors):
+                pa, n_cfg = pa_info[i]
+                if isinstance(p, XorBetaPrior):
+                    psi = rng.beta(p.a, p.b)
+                    odd = np.array([bin(c).count("1") & 1 for c in range(n_cfg)], dtype=bool)
+                    p1 = np.where(odd, 1.0 - psi, psi)
+                    cpts.append(np.stack((1.0 - p1, p1)))
+                elif isinstance(p, DirichletColumnsPrior):
+                    cpts.append(rng.dirichlet(p.alpha, size=n_cfg).T)
+                else:
+                    w = np.array([w for w, _ in p.atoms])
+                    cpts.append(p.atoms[rng.choice(len(w), p=w)][1])
+            ref = _ancestral_sample(order, pa_info, cards, EnvParams(cpts), 2, rng)
+            assert np.array_equal(ds.envs[e], ref)
+
     def test_atom_prior_sampling(self):
         g = Dag(2, frozenset({(0, 1)}))
         prior = MixturePrior(
@@ -240,11 +286,11 @@ class TestSampleDataset:
         # an accepted atom column summing to 1 - 5e-10 and a uniform draw
         # above that sum must still yield the last category, not k
         class TopDraw:
-            def random(self, n):
-                return np.full(n, np.nextafter(1.0, 0.0))
-
-            def choice(self, n, p):
-                return 0
+            def random(self, size=None, out=None):
+                if out is None:
+                    out = np.empty(size)
+                out[...] = np.nextafter(1.0, 0.0)
+                return out
 
         monkeypatch.setattr(np.random, "default_rng", lambda seed: TopDraw())
         prior = MixturePrior((AtomMixturePrior([(1.0, [[0.5], [0.5 - 5e-10]])]),))
