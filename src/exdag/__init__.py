@@ -27,9 +27,11 @@ from .sampling import (
 from .ci_test import (
     CiResult,
     ContingencyCube,
+    PatternTable,
     chi2_sf,
     degenerate_check,
     g_test,
+    pattern_table,
     tabulate,
     test_statement,
 )

@@ -4,13 +4,23 @@ Each multi-environment independence statement is evaluated with one
 observation per environment: the tuple of referenced (variable, sample)
 values.  Environments are the i.i.d. units; pooling within-environment
 samples would break independence of the test observations.
+
+Because only each environment's tuple enters a test, the multiset of those
+tuples is a sufficient statistic for every statement over the same
+coordinates.  A `PatternTable` holds it: one `values_at` gather codes each
+environment's row by one mixed-radix int64 index, and the distinct codes
+become the table's patterns, each weighted by how many environments share
+it.  A statement's cube is then one weighted `np.bincount` over the
+patterns, with integer counts equal to a direct count.  The codes must fit
+int64, so the product of the covered coordinates' cardinalities may not
+exceed 2**63 - 1; a table over more is rejected.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from dataclasses import dataclass, field
+from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -64,21 +74,77 @@ class CiResult:
         }
 
 
-def tabulate(ds: EnvDataset, stmt: CiStatement) -> ContingencyCube:
+@dataclass(eq=False)
+class PatternTable:
+    """The distinct per-environment observations of some (variable, sample)
+    coordinates: row p of `patterns` is one observation, its column c reads
+    `coords[c]`, and `weights[p]` environments made it."""
+
+    coords: Tuple[Tuple[int, int], ...]
+    cardinalities: Tuple[int, ...]  # the dataset's, one per variable
+    patterns: np.ndarray  # (n_patterns, len(coords)), column-major: columns are contiguous
+    weights: np.ndarray  # (n_patterns,) integers summing to the environments
+    _column: Dict[Tuple[int, int], int] = field(init=False, repr=False)
+
+    def __post_init__(self):
+        self._column = {c: i for i, c in enumerate(self.coords)}
+
+    def columns(self, coords: Sequence[Tuple[int, int]]) -> List[int]:
+        """The column of each coordinate.  Raises for a variable outside
+        [0, d) and for a coordinate the table does not cover."""
+        d = len(self.cardinalities)
+        for v, s in coords:
+            if not 0 <= v < d:
+                raise ValueError(f"variable {v} outside [0, {d}) in {list(coords)}")
+            if (v, s) not in self._column:
+                raise ValueError(f"coordinate {(v, s)} is not covered by the pattern table")
+        return [self._column[c] for c in coords]
+
+
+def pattern_table(ds: EnvDataset, coords: Sequence[Tuple[int, int]]) -> PatternTable:
+    """The pattern table of `coords`: one `values_at` gather, one C-order
+    mixed-radix code per environment, and the distinct codes counted and
+    decoded.  Raises if the codes would overflow int64."""
+    coords = tuple(coords)
+    values = ds.values_at(coords)
+    cards = [ds.cardinalities[v] for v, _ in coords]
+    if math.prod(cards) > np.iinfo(np.int64).max:
+        raise ValueError(
+            f"cannot code {len(coords)} coordinates as int64: the product of their "
+            f"cardinalities {cards} exceeds 2**63 - 1"
+        )
+    codes, weights = np.unique(np.ravel_multi_index(tuple(values.T), cards), return_counts=True)
+    patterns = np.stack(np.unravel_index(codes, cards)).T
+    return PatternTable(coords, ds.cardinalities, patterns, weights)
+
+
+def tabulate(source: Union[EnvDataset, PatternTable], stmt: CiStatement) -> ContingencyCube:
     """Accumulate one observation per environment into a stratified table.
 
-    The sorted given, left and right coordinates are gathered in one
-    `values_at` call and coded by one C-order mixed-radix index, so an
-    environment with given code z, left code x and right code y lands in
-    cell (z * kx + x) * ky + y.
+    From a `PatternTable`, the sorted given, left and right coordinates'
+    columns are coded by one C-order mixed-radix index per pattern, built
+    by Horner's rule over the table's contiguous columns, so a pattern with
+    given code z, left code x and right code y lands in cell
+    (z * kx + x) * ky + y.  The cube is the bincount of those codes
+    weighted by the patterns' environment counts, cast back to integers.
+    A dataset is first gathered into a table over the statement's own
+    coordinates, so there is one counting path.  The statement's
+    coordinates are distinct and covered by the table, so its codes fit
+    int64 whenever the table's do.
     """
     given, left = sorted(stmt.given), sorted(stmt.left)
     coords = given + left + sorted(stmt.right)
-    cards = [ds.cardinalities[v] for v, _ in coords]
-    codes = np.ravel_multi_index(tuple(ds.values_at(coords).T), cards)
+    table = source if isinstance(source, PatternTable) else pattern_table(source, coords)
+    columns = table.columns(coords)
+    cards = [table.cardinalities[v] for v, _ in coords]
+    codes = np.zeros(len(table.weights), dtype=np.int64)
+    for column, k in zip(columns, cards):
+        codes *= k
+        codes += table.patterns[:, column]
     kx = math.prod(cards[len(given) : len(given) + len(left)])
     ky = math.prod(cards[len(given) + len(left) :])
-    counts = np.bincount(codes, minlength=math.prod(cards)).reshape(-1, kx, ky)
+    counts = np.bincount(codes, weights=table.weights, minlength=math.prod(cards))
+    counts = counts.astype(np.int64).reshape(-1, kx, ky)
     return ContingencyCube(counts, kx, ky, strata_cards=tuple(cards[: len(given)]))
 
 
@@ -128,9 +194,11 @@ def g_test(
     )
 
 
-def test_statement(ds: EnvDataset, stmt: CiStatement, alpha: float = DEFAULT_ALPHA) -> CiResult:
+def test_statement(
+    source: Union[EnvDataset, PatternTable], stmt: CiStatement, alpha: float = DEFAULT_ALPHA
+) -> CiResult:
     """Tabulate then G-test; verdict independent iff p > alpha."""
-    return g_test(tabulate(ds, stmt), statement=stmt, alpha=alpha)
+    return g_test(tabulate(source, stmt), statement=stmt, alpha=alpha)
 
 
 def degenerate_check(ds: EnvDataset, alpha: float = DEFAULT_ALPHA) -> List[str]:
@@ -164,6 +232,13 @@ _GAMMA_MAX_ITER = 10_000
 _GAMMA_EPS = 1e-15
 
 
+def _not_converged(method: str, a: float, x: float) -> ArithmeticError:
+    return ArithmeticError(
+        f"regularized incomplete gamma {method} did not converge in {_GAMMA_MAX_ITER} "
+        f"iterations at a={a!r}, x={x!r}"
+    )
+
+
 def _gamma_p_series(a: float, x: float) -> float:
     """Lower regularized gamma P(a, x) by series, for x < a + 1."""
     term = 1.0 / a
@@ -175,6 +250,8 @@ def _gamma_p_series(a: float, x: float) -> float:
         total += term
         if abs(term) < abs(total) * _GAMMA_EPS:
             break
+    else:
+        raise _not_converged("series", a, x)
     return total * math.exp(-x + a * math.log(x) - math.lgamma(a))
 
 def _gamma_q_contfrac(a: float, x: float) -> float:
@@ -198,6 +275,8 @@ def _gamma_q_contfrac(a: float, x: float) -> float:
         h *= delta
         if abs(delta - 1.0) < _GAMMA_EPS:
             break
+    else:
+        raise _not_converged("continued fraction", a, x)
     return h * math.exp(-x + a * math.log(x) - math.lgamma(a))
 
 
@@ -205,7 +284,10 @@ def chi2_sf(x: float, dof: int) -> float:
     """Upper-tail probability of the chi-squared distribution.
 
     Q(dof/2, x/2) via series (x < dof + 2) or continued fraction otherwise.
-    By convention dof = 0 gives p = 1.
+    By convention dof = 0 gives p = 1.  Either sum needs more terms as dof
+    grows; one that has not converged in `_GAMMA_MAX_ITER` terms raises
+    `ArithmeticError` rather than return a truncated value (the series,
+    at x = dof, from dof of about 4 * 10**6).
     """
     if x < 0:
         raise ValueError("chi-squared statistic must be nonnegative")

@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable, List, Optional, Tuple
 
-from .ci_test import DEFAULT_ALPHA, CiResult, test_statement
+from .ci_test import DEFAULT_ALPHA, CiResult, pattern_table, test_statement
 from .graphs import CiStatement, Dag
 from .sampling import EnvDataset
 
@@ -83,13 +83,20 @@ class DiscoveryResult:
 
 
 def data_tester(ds: EnvDataset, alpha: float = DEFAULT_ALPHA) -> CiTester:
-    """Statistical backend: stratified G-test with one row per environment."""
+    """Statistical backend: stratified G-test with one row per environment.
+
+    Every statement discovery tests reads samples 0 and 1 only, so the
+    tester gathers one pattern table over every variable at both samples
+    (column s * d + v) when it is built, and tabulates each statement from
+    it.  The table belongs to the tester, not to the dataset: a second
+    tester on the same dataset gathers again."""
     if ds.min_samples < 2:
         raise ValueError(
             "discovery requires at least 2 samples in every environment "
             "(the cross-sample tests reference sample index 1)"
         )
-    return lambda stmt: test_statement(ds, stmt, alpha)
+    table = pattern_table(ds, [(v, s) for s in (0, 1) for v in range(ds.d)])
+    return lambda stmt: test_statement(table, stmt, alpha)
 
 
 def _sink_statement(i: int, j: int, conditioning) -> CiStatement:

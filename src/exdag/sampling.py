@@ -347,11 +347,14 @@ class EnvDataset:
         """Per-environment observation of the given (variable, sample) coordinates.
 
         Returns an array of shape (n_envs, len(coords)), gathered by one
-        fancy index into `rows`.  Raises if any environment has fewer samples
-        than a referenced sample index, or if a sample index is negative.
+        fancy index into `rows`.  Raises if a variable is outside [0, d), if
+        any environment has fewer samples than a referenced sample index, or
+        if a sample index is negative.
         """
         variables = [v for v, _ in coords]
         samples = [s for _, s in coords]
+        if not all(0 <= v < self.d for v in variables):
+            raise ValueError(f"variable index outside [0, {self.d}) in {list(coords)}")
         max_sample = max(samples, default=0)
         if self.min_samples <= max_sample:
             raise ValueError(

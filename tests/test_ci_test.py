@@ -11,9 +11,11 @@ from exdag.ci_test import (
     ContingencyCube,
     chi2_sf,
     g_test,
+    pattern_table,
     tabulate,
 )
 from exdag.ci_test import test_statement as run_ci_test
+from exdag.discovery import data_tester
 from exdag.graphs import Dag, statement
 from exdag.sampling import EnvDataset, MixturePrior, XorBetaPrior, sample_dataset
 
@@ -85,6 +87,90 @@ class TestTabulate:
         cube = tabulate(ds, statement([(0, 0), (1, 0)], [(2, 1)]))
         assert cube.x_card == 4
         assert cube.counts.sum() == 3
+
+
+def _reference_counts(ds, stmt):
+    """Reference: one `values_at` gather of the statement's sorted given,
+    left and right coordinates and a plain bincount of their C-order codes,
+    shape (n_strata, kx, ky)."""
+    given, left = sorted(stmt.given), sorted(stmt.left)
+    coords = given + left + sorted(stmt.right)
+    cards = [ds.cardinalities[v] for v, _ in coords]
+    codes = np.ravel_multi_index(tuple(ds.values_at(coords).T), cards)
+    kx = math.prod(cards[len(given) : len(given) + len(left)])
+    ky = math.prod(cards[len(given) + len(left) :])
+    return np.bincount(codes, minlength=math.prod(cards)).reshape(-1, kx, ky)
+
+
+class TestPatternTable:
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data())
+    def test_counts_match_reference(self, data):
+        """Counts from a dataset and from a table over every coordinate, in
+        shuffled column order, equal the reference; on samples 0 and 1 the
+        data tester's result is the G-test of the reference counts."""
+        d = data.draw(st.integers(2, 4))
+        cards = data.draw(st.lists(st.integers(2, 4), min_size=d, max_size=d))
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+        sizes = rng.integers(2, 5, size=data.draw(st.integers(1, 80)))
+        envs = [rng.integers(0, cards, size=(n, d)) for n in sizes]
+        ds = EnvDataset(d=d, cardinalities=tuple(cards), envs=envs)
+        nodes = [(v, s) for v in range(d) for s in range(ds.min_samples)]
+        nodes = data.draw(st.permutations(nodes))
+        table = pattern_table(ds, nodes)  # columns in shuffled order
+        assert table.weights.sum() == ds.n_envs
+        picks = data.draw(st.permutations(nodes))
+        nl, nr = data.draw(st.integers(1, 2)), data.draw(st.integers(1, 2))
+        ng = data.draw(st.integers(0, min(3, len(picks) - nl - nr)))
+        stmt = statement(picks[:nl], picks[nl : nl + nr], picks[nl + nr : nl + nr + ng])
+        ref = _reference_counts(ds, stmt)
+        for source in (ds, table):
+            cube = tabulate(source, stmt)
+            assert cube.counts.dtype == np.int64
+            assert np.array_equal(cube.counts, ref)
+            assert (cube.x_card, cube.y_card) == ref.shape[1:]
+            assert math.prod(cube.strata_cards) == ref.shape[0]
+        if all(s <= 1 for _, s in picks[: nl + nr + ng]):
+            res = data_tester(ds)(stmt)
+            ref_res = g_test(ContingencyCube(ref, *ref.shape[1:], cube.strata_cards))
+            assert (res.statistic, res.dof, res.p_value) == (
+                ref_res.statistic, ref_res.dof, ref_res.p_value
+            )
+
+    def test_rejects_variable_outside_range(self):
+        ds = _dataset([[[0, 1], [1, 0]], [[1, 1], [0, 0]]])
+        table = pattern_table(ds, [(v, s) for s in (0, 1) for v in range(2)])
+        for v in (-1, 2):
+            stmt = statement([(v, 0)], [(0, 1)])
+            with pytest.raises(ValueError, match=f"variable {v} outside"):
+                tabulate(table, stmt)
+            with pytest.raises(ValueError, match="variable index outside"):
+                tabulate(ds, stmt)
+
+    def test_rejects_uncovered_or_negative_sample(self):
+        ds = _dataset([[[0, 1], [1, 0], [1, 1]], [[1, 1], [0, 0], [0, 1]]])
+        table = pattern_table(ds, [(v, s) for s in (0, 1) for v in range(2)])
+        with pytest.raises(ValueError, match=r"\(0, 2\) is not covered"):
+            tabulate(table, statement([(0, 2)], [(1, 0)]))
+        with pytest.raises(ValueError, match=r"\(0, -1\) is not covered"):
+            tabulate(table, statement([(0, -1)], [(1, 0)]))
+        with pytest.raises(ValueError, match="negative"):
+            tabulate(ds, statement([(0, -1)], [(1, 0)]))
+        with pytest.raises(ValueError, match="sample index 3"):
+            tabulate(ds, statement([(0, 3)], [(1, 0)]))
+
+    def test_int64_limit(self):
+        # two environments of huge declared cardinality: nothing large is built
+        huge = 2**40
+        envs = [np.array([[0, 1, 0], [5, 0, 1]])] * 2
+        ds = EnvDataset(d=3, cardinalities=(huge, 2, 2), envs=envs)
+        with pytest.raises(ValueError, match=rf"int64.*\[{huge}, 2, 2, {huge}, 2, 2\]"):
+            data_tester(ds)
+        with pytest.raises(ValueError, match="int64"):
+            tabulate(ds, statement([(0, 0)], [(0, 1)], [(1, 0), (2, 0)]))
+        # a statement over the small variables codes within the limit
+        cube = tabulate(ds, statement([(1, 0)], [(2, 1)]))
+        assert cube.counts[0].tolist() == [[0, 0], [0, 2]]
 
 
 class TestPinnedTabulation:
@@ -243,6 +329,12 @@ class TestChi2Sf:
         for dof in (1, 4, 10):
             ps = [chi2_sf(x, dof) for x in xs]
             assert all(a >= b for a, b in zip(ps, ps[1:]))
+
+    def test_non_convergence_raises(self):
+        # dof = 10**8 at x = dof needs far more than 10,000 series terms; a
+        # truncated sum read 0.5786 where the tail is about 0.49998
+        with pytest.raises(ArithmeticError, match=r"series.*a=50000000\.0, x=50000000\.0"):
+            chi2_sf(1e8, 10**8)
 
     def test_bounds(self):
         for dof in (1, 3, 9):

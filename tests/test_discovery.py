@@ -159,6 +159,38 @@ class TestStatisticalDiscovery:
             data_tester(ds)
 
 
+class TestOneGatherPerTester:
+    """Each data tester gathers its pattern table with one `values_at` call
+    when it is built, and nothing is cached on the dataset."""
+
+    @pytest.fixture
+    def gathers(self, monkeypatch):
+        calls = []
+        values_at = EnvDataset.values_at
+
+        def counted(ds, coords):
+            calls.append(list(coords))
+            return values_at(ds, coords)
+
+        monkeypatch.setattr(EnvDataset, "values_at", counted)
+        return calls
+
+    def test_discover_gathers_once_per_call(self, gathers):
+        g = Dag(3, frozenset({(0, 1), (1, 2)}))
+        ds = sample_dataset(g, MixturePrior((XorBetaPrior(1, 3),) * 3), 2000, 2, 0)
+        first = discover(ds, force=True)
+        assert len(first.test_log) > 1
+        assert len(gathers) == 1
+        second = discover(ds, force=True)
+        assert len(gathers) == 2
+        assert second.to_dict() == first.to_dict()
+
+    def test_bivariate_direction_gathers_once(self, gathers):
+        g, prior = bivariate_xor_model()
+        bivariate_direction(sample_dataset(g, prior, 500, 2, 0))
+        assert len(gathers) == 1
+
+
 class TestBivariateDirection:
     def test_causal_direction(self):
         g, prior = bivariate_xor_model()

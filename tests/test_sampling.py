@@ -165,6 +165,13 @@ class TestEnvDataset:
         with pytest.raises(ValueError, match="negative"):
             ds.values_at([(0, -1)])
 
+    def test_values_at_rejects_variable_outside_range(self):
+        envs = [np.array([[0, 1], [1, 0]]), np.array([[1, 1], [0, 0]])]
+        ds = EnvDataset(d=2, cardinalities=(2, 2), envs=envs)
+        for v in (-1, 2):
+            with pytest.raises(ValueError, match=r"variable index outside \[0, 2\)"):
+                ds.values_at([(0, 0), (v, 0)])
+
     def test_identity_equality_and_short_repr(self):
         envs = [np.array([[e % 2]]) for e in range(10_000)]
         a = EnvDataset(d=1, cardinalities=(2,), envs=envs)
