@@ -5,31 +5,25 @@ from .graphs import (
     Dag,
     Dmag,
     ci_set,
-    d_separated,
     enumerate_dags,
     icm_unroll,
     m_separated,
-    markov_equivalent_dags,
-    markov_equivalent_icm,
     statement,
 )
 from .sampling import (
     AtomMixturePrior,
     DirichletColumnsPrior,
     EnvDataset,
-    EnvParams,
     MixturePrior,
     XorBetaPrior,
     bivariate_xor_model,
     sample_dataset,
-    sample_env_params,
 )
 from .ci_test import (
     CiResult,
     ContingencyCube,
     PatternTable,
     chi2_sf,
-    degenerate_check,
     g_test,
     pattern_table,
     tabulate,

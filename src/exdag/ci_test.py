@@ -40,10 +40,6 @@ class ContingencyCube:
     strata_cards: Tuple[int, ...]
 
     @property
-    def n_strata(self):
-        return self.counts.shape[0]
-
-    @property
     def total(self):
         return int(self.counts.sum())
 
@@ -199,30 +195,6 @@ def test_statement(
 ) -> CiResult:
     """Tabulate then G-test; verdict independent iff p > alpha."""
     return g_test(tabulate(source, stmt), statement=stmt, alpha=alpha)
-
-
-def degenerate_check(ds: EnvDataset, alpha: float = DEFAULT_ALPHA) -> List[str]:
-    """Flag variables whose marginal looks identical across environments
-    (which would break faithfulness of the exchangeable process) and
-    variables that are outright constant.  Homogeneity is `g_test` on the
-    one-stratum table of counts indexed (environment, value)."""
-    warnings = []
-    env_ids = np.repeat(np.arange(ds.n_envs), np.diff(ds.offsets))
-    for i in range(ds.d):
-        values = ds.rows[:, i]
-        if (values == values[0]).all():
-            warnings.append(f"variable {i} is constant across the whole dataset")
-            continue
-        k = ds.cardinalities[i]
-        counts = np.bincount(env_ids * k + values, minlength=ds.n_envs * k)
-        cube = ContingencyCube(counts.reshape(1, ds.n_envs, k), ds.n_envs, k, ())
-        p = g_test(cube).p_value
-        if p > alpha:
-            warnings.append(
-                f"variable {i}: no detectable heterogeneity across environments "
-                f"(homogeneity p={p:.3g}); marginal may collapse to i.i.d."
-            )
-    return warnings
 
 
 # ---------------------------------------------------------------------------

@@ -120,7 +120,7 @@ def _parse_graph(spec: str) -> Dag:
     if spec in harness.PRESET_GRAPHS:
         return harness.preset_graph(spec)
     try:
-        return Dag.from_json(_json_text(spec))
+        return Dag.from_dict(json.loads(_json_text(spec)))
     except (OSError, KeyError, TypeError, ValueError) as err:  # JSONDecodeError is a ValueError
         raise SystemExit(
             f"--graph {spec!r}: expected a preset ({', '.join(harness.PRESET_GRAPHS)}), "

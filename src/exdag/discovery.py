@@ -4,7 +4,7 @@ Two stages: first bucket the variables into a reverse topological order by
 repeatedly finding the current sinks (variables whose first-sample value is
 independent of every other remaining variable's second-sample value given
 the other remaining first-sample values), then identify edges between
-buckets with increasing gap, reusing parent/child sets discovered at lower
+buckets with increasing gap, reusing the parent sets discovered at lower
 gaps to build the conditioning sets.
 
 Tests are pluggable: the statistical G-test backend is the default, and an
@@ -58,12 +58,6 @@ class SinkOrder:
     @property
     def d(self):
         return sum(len(b) for b in self.buckets)
-
-    def bucket_of(self, i: int) -> int:
-        for k, b in enumerate(self.buckets):
-            if i in b:
-                return k
-        raise KeyError(i)
 
 
 @dataclass
@@ -156,16 +150,33 @@ def find_edges_with_tester(
 ) -> Dag:
     """Edge identification between buckets, ascending in bucket gap.
 
-    For gap 1 the conditioning set is everything in buckets above the source;
-    for larger gaps it additionally includes the target's parents discovered
-    so far and the parents (within the source bucket) of the source's
-    discovered children.
+    Each target i in bucket k is tested at sample 0 against each source j
+    in bucket k + t at sample 1, given a set S of variables at sample 0;
+    a dependence adds the edge j -> i.  In a correct sink order every
+    parent of a variable lies in a higher bucket and no descendant does.
+
+    - At gap 1, S is every variable in the buckets above the source's.  A
+      parent of i outside S shares j's bucket, so its own parents are all
+      in S, and j is not its descendant: a path from i through it is
+      blocked at S or reaches only its descendants at sample 1.
+    - At gaps above 1, S is every variable in the source's bucket and
+      above, other than j, plus the parents of i found at lower gaps.  If
+      those earlier verdicts are right, S holds every parent of i but j
+      and no descendant of i.  By the local Markov property of the
+      unrolled graph, (i, 0) is then m-separated from (j, 1) unless j is a
+      parent of i: a path out of (i, 0) is blocked at a parent in S, or
+      runs down to descendants of i, which S does not hold and j is not.
+
+    A set holding only the parents of i found so far misses a parent in
+    the source's bucket that the loop has not reached yet, and
+    conditioning on another parent that is a collider can then open a
+    path to j.  The paper's pseudo-code for this stage is not in the
+    repository, so whether this set matches the paper's is unchecked.
     """
     buckets = order.buckets
     n_buckets = len(buckets)
     d = order.d
     parents = {i: set() for i in range(d)}
-    children = {i: set() for i in range(d)}
     edges = set()
     for t in range(1, n_buckets):
         for k in range(n_buckets - t):
@@ -174,11 +185,7 @@ def find_edges_with_tester(
                 for j in buckets[k + t]:
                     cond = set(upper)
                     if t > 1:
-                        cond |= parents[i]
-                        co_parents = set()
-                        for c in children[j]:
-                            co_parents |= parents[c]
-                        cond |= co_parents & set(buckets[k + t])
+                        cond |= parents[i] | set(buckets[k + t])
                     cond -= {i, j}
                     res = tester(_sink_statement(i, j, cond))
                     if log is not None:
@@ -186,7 +193,6 @@ def find_edges_with_tester(
                     if not res.independent:
                         edges.add((j, i))
                         parents[i].add(j)
-                        children[j].add(i)
     return Dag(d, frozenset(edges))
 
 

@@ -11,7 +11,6 @@ reachability traversal over (node, entered-through-arrowhead) states.
 from __future__ import annotations
 
 import itertools
-import json
 from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
@@ -82,9 +81,6 @@ class CiStatement:
     def sort_key(self):
         return (tuple(sorted(self.left)), tuple(sorted(self.right)), tuple(sorted(self.given)))
 
-    def swapped(self) -> "CiStatement":
-        return CiStatement(self.right, self.left, self.given)
-
     def __str__(self):
         fmt = lambda s: "{" + ",".join(map(str, sorted(s))) + "}"
         return f"{fmt(self.left)} _||_ {fmt(self.right)} | {fmt(self.given)}"
@@ -114,9 +110,6 @@ class Dag:
     def parents(self, i: int) -> FrozenSet[int]:
         return frozenset(u for u, v in self.edges if v == i)
 
-    def children(self, i: int) -> FrozenSet[int]:
-        return frozenset(v for u, v in self.edges if u == i)
-
     def topological_order(self) -> List[int]:
         return _toposort(range(self.d), self.edges)
 
@@ -140,19 +133,8 @@ class Dag:
     def from_dict(cls, data: dict) -> "Dag":
         return cls(int(data["d"]), frozenset((int(u), int(v)) for u, v in data["edges"]))
 
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict())
-
-    @classmethod
-    def from_json(cls, text: str) -> "Dag":
-        return cls.from_dict(json.loads(text))
-
     def __str__(self):
         return f"Dag(d={self.d}, edges={sorted(self.edges)})"
-
-    @cached_property
-    def _incidence(self):
-        return _incidence_lists(range(self.d), self.edges, ())
 
 
 @dataclass(frozen=True)
@@ -194,13 +176,6 @@ class Dmag:
             frozenset((tup(u), tup(v)) for u, v in data["directed"]),
             frozenset(frozenset((tup(u), tup(v))) for u, v in data["bidirected"]),
         )
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict())
-
-    @classmethod
-    def from_json(cls, text: str) -> "Dmag":
-        return cls.from_dict(json.loads(text))
 
     @cached_property
     def _incidence(self):
@@ -278,11 +253,6 @@ def _separated(inc, s: CiStatement) -> bool:
     return True
 
 
-def d_separated(g: Dag, s: CiStatement) -> bool:
-    """True iff every path between left and right is blocked given `given`."""
-    return _separated(g._incidence, s)
-
-
 def m_separated(m: Dmag, s: CiStatement) -> bool:
     """m-separation over a mixed graph: as d-separation, but a node entered
     and exited through bidirected arrowheads also counts as a collider."""
@@ -313,23 +283,6 @@ def ci_set(m: Dmag, max_condition_size: int) -> List[CiStatement]:
     out = [s for s in ci_statements(m.nodes, max_condition_size) if m_separated(m, s)]
     out.sort(key=CiStatement.sort_key)
     return out
-
-
-def markov_equivalent_dags(g1: Dag, g2: Dag) -> bool:
-    """Classical (i.i.d.) Markov equivalence: same skeleton and v-structures."""
-    if g1.d != g2.d:
-        raise ValueError("graphs must share the same node count")
-    return g1.skeleton() == g2.skeleton() and g1.v_structures() == g2.v_structures()
-
-
-def markov_equivalent_icm(g1: Dag, g2: Dag, n_samples: int, max_condition_size: int) -> bool:
-    """Equivalence of the unrolled graphs, decided by comparing their full
-    (restricted) independence sets."""
-    if g1.d != g2.d:
-        raise ValueError("graphs must share the same node count")
-    s1 = ci_set(icm_unroll(g1, n_samples), max_condition_size)
-    s2 = ci_set(icm_unroll(g2, n_samples), max_condition_size)
-    return s1 == s2
 
 
 def enumerate_dags(d: int) -> List[Dag]:

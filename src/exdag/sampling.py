@@ -134,17 +134,6 @@ def _check_cpt(cpt: np.ndarray):
         raise ValueError("every CPT column must sum to 1")
 
 
-@dataclass
-class EnvParams:
-    """One environment's realized CPTs, cpts[i] has shape (k_i, prod_{j in PA_i} k_j)."""
-
-    cpts: List[np.ndarray]
-
-    def __post_init__(self):
-        for cpt in self.cpts:
-            _check_cpt(np.asarray(cpt))
-
-
 def parent_configs(g: Dag, cardinalities: Sequence[int], i: int) -> Tuple[Tuple[int, ...], int]:
     """Sorted parent list of node i and the number of joint parent configurations."""
     pa = tuple(sorted(g.parents(i)))
@@ -253,25 +242,6 @@ def _draw_env(rng: np.random.Generator, draws, e: int) -> None:
     order, into row e of each run's buffer."""
     for buffer, draw, units in draws:
         buffer[e] = draw(rng, units)
-
-
-def sample_env_params(
-    prior: MixturePrior, g: Dag, rng_seed: Union[int, np.random.Generator]
-) -> EnvParams:
-    """Draw one independent CPT per node, in node-index order: the
-    mechanism draws of `sample_dataset`'s draw stage, for one environment.
-    Deterministic given the seed."""
-    rng = _as_rng(rng_seed)
-    mechanisms = _node_drawers(g, prior)
-    draws, raws = _run_buffers(mechanisms, 1)
-    _draw_env(rng, draws, 0)
-    return EnvParams([m.cpts(raw)[0] for m, raw in zip(mechanisms, raws)])
-
-
-def _as_rng(seed) -> np.random.Generator:
-    if isinstance(seed, np.random.Generator):
-        return seed
-    return np.random.default_rng(seed)
 
 
 @dataclass(eq=False)

@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -50,14 +52,6 @@ class TestSinkOrder:
             SinkOrder(((0, 1), (1,)))
         with pytest.raises(ValueError, match="nonempty"):
             SinkOrder(((0,), ()))
-
-    def test_bucket_of(self):
-        order = SinkOrder(((2,), (0, 1)))
-        assert order.bucket_of(2) == 0
-        assert order.bucket_of(0) == 1
-        assert order.d == 3
-        with pytest.raises(KeyError):
-            order.bucket_of(5)
 
 
 class TestFindSinkOrder:
@@ -121,6 +115,17 @@ class TestFindEdges:
         gap2 = [s for s in logged if s.statement.left == {(2, 0)} and s.statement.right == {(0, 1)}]
         assert gap2 and gap2[0].statement.given == {(1, 0)}
 
+    def test_gap_three_conditions_on_whole_source_bucket(self):
+        # at gap 3, target 4 meets source 0 before source 2, its parent in
+        # the same bucket; conditioning on the collider 5 without 2 leaves
+        # 4 <- 2 -> 3 -> 5 <- 1 <- 0 <-> 0' open and adds a false 0 -> 4
+        g = Dag(7, frozenset({(0, 1), (1, 5), (2, 3), (2, 4), (3, 5), (3, 6), (5, 4)}))
+        res = discover_with_tester(graph_tester(g), 7)
+        assert res.sink_order.buckets == ((4, 6), (5,), (1, 3), (0, 2))
+        assert res.graph == g
+        gap3 = [s for s in res.test_log if s.statement.left == {(4, 0)} and s.statement.right == {(0, 1)}]
+        assert gap3 and {(2, 0), (5, 0)} <= gap3[0].statement.given
+
 
 class TestOracleDiscovery:
     @pytest.mark.parametrize("d", [1, 2, 3])
@@ -128,6 +133,22 @@ class TestOracleDiscovery:
         for g in enumerate_dags(d):
             res = discover_with_tester(graph_tester(g), d)
             assert res.graph == g
+
+    def test_msep_tester_recovers_random_larger_dags(self):
+        # edge identification's conditioning sets first go wrong at d = 7,
+        # where a source bucket more than one gap above a target can hold
+        # two or more variables
+        for d in range(7, 11):
+            rng = np.random.default_rng(d)
+            for _ in range(300):
+                order = rng.permutation(d)
+                mask = rng.random((d, d)) < 0.5
+                g = Dag(d, frozenset(
+                    (int(order[a]), int(order[b]))
+                    for a, b in itertools.combinations(range(d), 2)
+                    if mask[a, b]
+                ))
+                assert discover_with_tester(graph_tester(g), d).graph == g, str(g)
 
     def test_exact_model_tester_recovers_random_models(self):
         rng = np.random.default_rng(0)

@@ -440,7 +440,7 @@ class TestCli:
     def test_inline_specs_longer_than_a_file_name(self, tmp_path):
         # a spec past NAME_MAX (255 bytes) cannot name a file, so it is inline JSON
         g = Dag(12, frozenset((i, j) for i in range(12) for j in range(i + 1, 12) if j - i < 4))
-        graph_spec = g.to_json()
+        graph_spec = json.dumps(g.to_dict())
         prior_spec = json.dumps([{"kind": "xor_beta", "a": 1, "b": 3}] * g.d)
         assert len(graph_spec) > 255 and len(prior_spec) > 255
         csv_path = tmp_path / "long.csv"

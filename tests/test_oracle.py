@@ -355,7 +355,7 @@ def _ci_set_lines():
     lines = []
     for d in (1, 2, 3):
         for g in enumerate_dags(d):
-            lines.append(g.to_json())
+            lines.append(json.dumps(g.to_dict()))
             lines.extend(str(s) for s in ci_set(icm_unroll(g, 2), 2 * g.d))
     return lines
 

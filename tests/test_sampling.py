@@ -5,19 +5,16 @@ import numpy as np
 import pytest
 
 from exdag import sampling
-from exdag.ci_test import degenerate_check
 from exdag.graphs import Dag
 from exdag.sampling import (
     AtomMixturePrior,
     DirichletColumnsPrior,
     EnvDataset,
-    EnvParams,
     MixturePrior,
     XorBetaPrior,
     bivariate_xor_model,
     parent_configs,
     sample_dataset,
-    sample_env_params,
 )
 
 CHAIN = Dag(3, frozenset({(0, 1), (1, 2)}))
@@ -28,7 +25,27 @@ def _stacked(ds: EnvDataset) -> np.ndarray:
     return ds.rows.reshape(ds.n_envs, -1, ds.d)
 
 
-def _ancestral_sample(order, pa_info, cards, params: EnvParams, n: int, rng) -> np.ndarray:
+def _reference_cpts(prior: MixturePrior, g: Dag, rng) -> list:
+    """One environment's CPTs, drawn as documented: one scalar rng call per
+    node in node-index order (a Dirichlet node draws its columns in one
+    call), independent of the sampler's merged runs."""
+    cpts = []
+    for i, p in enumerate(prior.node_priors):
+        _, n_cfg = parent_configs(g, prior.cardinalities, i)
+        if isinstance(p, XorBetaPrior):
+            psi = rng.beta(p.a, p.b)
+            odd = np.array([bin(c).count("1") & 1 for c in range(n_cfg)], dtype=bool)
+            p1 = np.where(odd, 1.0 - psi, psi)
+            cpts.append(np.stack((1.0 - p1, p1)))
+        elif isinstance(p, DirichletColumnsPrior):
+            cpts.append(rng.dirichlet(p.alpha, size=n_cfg).T)
+        else:
+            w = np.array([w for w, _ in p.atoms])
+            cpts.append(p.atoms[rng.choice(len(w), p=w)][1])
+    return cpts
+
+
+def _ancestral_sample(order, pa_info, cards, cpts, n: int, rng) -> np.ndarray:
     values = np.zeros((n, len(cards)), dtype=np.int64)
     for i in order:
         pa, _ = pa_info[i]
@@ -38,7 +55,7 @@ def _ancestral_sample(order, pa_info, cards, params: EnvParams, n: int, rng) -> 
             )
         else:
             cfg = np.zeros(n, dtype=np.intp)
-        probs = params.cpts[i][:, cfg]  # (k_i, n)
+        probs = cpts[i][:, cfg]  # (k_i, n)
         u = rng.random(n)
         values[:, i] = (u[None, :] >= np.cumsum(probs, axis=0)).sum(axis=0)
     return values
@@ -80,45 +97,6 @@ class TestParentConfigs:
         g = Dag(3, frozenset({(0, 2), (1, 2)}))
         assert parent_configs(g, (2, 3, 2), 2) == ((0, 1), 6)
         assert parent_configs(g, (2, 3, 2), 0) == ((), 1)
-
-
-class TestSampleEnvParams:
-    def test_shapes_and_normalization(self):
-        prior = MixturePrior((XorBetaPrior(1, 3),) * 3)
-        params = sample_env_params(prior, CHAIN, 0)
-        assert [c.shape for c in params.cpts] == [(2, 1), (2, 2), (2, 2)]
-        for cpt in params.cpts:
-            assert np.allclose(cpt.sum(axis=0), 1.0)
-
-    def test_deterministic(self):
-        prior = MixturePrior((XorBetaPrior(1, 3),) * 3)
-        a = sample_env_params(prior, CHAIN, 42)
-        b = sample_env_params(prior, CHAIN, 42)
-        for x, y in zip(a.cpts, b.cpts):
-            assert np.array_equal(x, y)
-
-    def test_xor_ties_columns_by_parity(self):
-        g = Dag(3, frozenset({(0, 2), (1, 2)}))
-        prior = MixturePrior((XorBetaPrior(1, 3),) * 3)
-        params = sample_env_params(prior, g, 7)
-        p1 = params.cpts[2][1]  # P(X2=1 | parent config), configs 00,01,10,11
-        assert p1[0] == pytest.approx(p1[3])
-        assert p1[1] == pytest.approx(p1[2])
-        assert p1[0] == pytest.approx(1.0 - p1[1])
-
-    def test_xor_requires_binary_parents(self):
-        g = Dag(2, frozenset({(0, 1)}))
-        for k in (3, 4):  # 4 configs would pass a power-of-two check
-            prior = MixturePrior((DirichletColumnsPrior((1.0,) * k), XorBetaPrior(1, 3)))
-            with pytest.raises(ValueError, match="binary"):
-                sample_dataset(g, prior, 2, 2, 0)
-            with pytest.raises(ValueError, match=f"node 1 has parent 0 with {k} categories"):
-                sample_env_params(prior, g, 0)
-
-    def test_prior_graph_size_mismatch(self):
-        prior = MixturePrior((XorBetaPrior(1, 3),) * 2)
-        with pytest.raises(ValueError, match="nodes"):
-            sample_env_params(prior, CHAIN, 0)
 
 
 class TestEnvDataset:
@@ -225,8 +203,7 @@ class TestSampleDataset:
         pa_info = {i: parent_configs(g, cards, i) for i in range(g.d)}
         for e in range(20):
             rng = np.random.default_rng((13, e))
-            params = sample_env_params(prior, g, rng)
-            ref = _ancestral_sample(order, pa_info, cards, params, 3, rng)
+            ref = _ancestral_sample(order, pa_info, cards, _reference_cpts(prior, g, rng), 3, rng)
             assert np.array_equal(ds.envs[e], ref)
 
     def test_runs_match_one_scalar_call_per_node(self):
@@ -259,20 +236,7 @@ class TestSampleDataset:
         pa_info = {i: parent_configs(g, cards, i) for i in range(g.d)}
         for e in (0, 1, 2, n_envs - 5, n_envs - 4, n_envs - 3, n_envs - 2, n_envs - 1):
             rng = np.random.default_rng((17, e))
-            cpts = []
-            for i, p in enumerate(prior.node_priors):
-                pa, n_cfg = pa_info[i]
-                if isinstance(p, XorBetaPrior):
-                    psi = rng.beta(p.a, p.b)
-                    odd = np.array([bin(c).count("1") & 1 for c in range(n_cfg)], dtype=bool)
-                    p1 = np.where(odd, 1.0 - psi, psi)
-                    cpts.append(np.stack((1.0 - p1, p1)))
-                elif isinstance(p, DirichletColumnsPrior):
-                    cpts.append(rng.dirichlet(p.alpha, size=n_cfg).T)
-                else:
-                    w = np.array([w for w, _ in p.atoms])
-                    cpts.append(p.atoms[rng.choice(len(w), p=w)][1])
-            ref = _ancestral_sample(order, pa_info, cards, EnvParams(cpts), 2, rng)
+            ref = _ancestral_sample(order, pa_info, cards, _reference_cpts(prior, g, rng), 2, rng)
             assert np.array_equal(ds.envs[e], ref)
 
     def test_atom_prior_sampling(self):
@@ -313,8 +277,8 @@ class TestSampleDataset:
         pa_info = {i: parent_configs(g, prior.cardinalities, i) for i in range(g.d)}
         for e in range(n_envs - 4, n_envs):
             rng = np.random.default_rng((5, e))
-            params = sample_env_params(prior, g, rng)
-            ref = _ancestral_sample(order, pa_info, prior.cardinalities, params, 3, rng)
+            cpts = _reference_cpts(prior, g, rng)
+            ref = _ancestral_sample(order, pa_info, prior.cardinalities, cpts, 3, rng)
             assert np.array_equal(ds.envs[e], ref)
 
     def test_memory_bounded_by_blocks(self):
@@ -338,6 +302,18 @@ class TestSampleDataset:
             sample_dataset(g, prior, 0, 2, 0)
         with pytest.raises(ValueError):
             sample_dataset(g, prior, 2, 0, 0)
+
+    def test_xor_requires_binary_parents(self):
+        g = Dag(2, frozenset({(0, 1)}))
+        for k in (3, 4):  # 4 configs would pass a power-of-two check
+            prior = MixturePrior((DirichletColumnsPrior((1.0,) * k), XorBetaPrior(1, 3)))
+            with pytest.raises(ValueError, match=f"node 1 has parent 0 with {k} categories"):
+                sample_dataset(g, prior, 2, 2, 0)
+
+    def test_prior_graph_size_mismatch(self):
+        prior = MixturePrior((XorBetaPrior(1, 3),) * 2)
+        with pytest.raises(ValueError, match="nodes"):
+            sample_dataset(CHAIN, prior, 2, 2, 0)
 
 
 class TestPinnedSamplerStream:
@@ -413,36 +389,6 @@ class TestPinnedSamplerStream:
         ds = sample_dataset(self.MIXED_GRAPH, self.MIXED_PRIOR, 64, samples_per_env, 11)
         assert hashlib.sha256(ds.rows.astype(np.int64).tobytes()).hexdigest() == digest
 
-    @pytest.mark.parametrize(
-        "name, from_seeds, from_generator",
-        [
-            (
-                "xor",
-                "da1d849aed8b814bdb14ed0d7493d5367c0563a04325572b599a7053c851d1f9",
-                "0893248166a6facaff54eafd581ecb5511b3aa852e1e910fd3a8bff8ac84dbfc",
-            ),
-            (
-                "dirichlet",
-                "897e5343be636bc55680417e8e18e4b958c88d631d270940f0245905083e3076",
-                "7d12d1c974ce335893eb11daae6f4cd519797bbe5c92f3a53dd56b57ca45bdc6",
-            ),
-            (
-                "atom",
-                "34297f618b5e63211859fca91b085da714bc0aca9fd5a7c23072644bfa0a0c82",
-                "6e4f6a0ec19d582a13178637684162672613995b797e9ce1db09f0417799a1fd",
-            ),
-        ],
-    )
-    def test_env_params(self, name, from_seeds, from_generator):
-        prior = self.PRIORS[name]
-        rng = np.random.default_rng(23)
-        for seeds, digest in (([0, 1, 2], from_seeds), ([rng] * 3, from_generator)):
-            h = hashlib.sha256()
-            for seed in seeds:
-                for cpt in sample_env_params(prior, self.GRAPH, seed).cpts:
-                    h.update(np.ascontiguousarray(cpt, dtype=np.float64).tobytes())
-            assert h.hexdigest() == digest
-
 
 class TestBulkSeeding:
     """The draw stage's bulk seeding must put environment e's generator in
@@ -469,10 +415,10 @@ class TestBulkSeeding:
         ds = sample_dataset(g, prior, 5, 3, 2**64)
         for e in range(5):
             rng = np.random.default_rng((2**64, e))
-            params = sample_env_params(prior, g, rng)
+            cpts = _reference_cpts(prior, g, rng)
             order = g.topological_order()
             pa_info = {i: parent_configs(g, prior.cardinalities, i) for i in range(g.d)}
-            ref = _ancestral_sample(order, pa_info, prior.cardinalities, params, 3, rng)
+            ref = _ancestral_sample(order, pa_info, prior.cardinalities, cpts, 3, rng)
             assert np.array_equal(ds.envs[e], ref)
 
     def test_seed_validation_unchanged(self):
@@ -519,51 +465,3 @@ class TestBivariateXorModel:
         # column on a root makes the same draw as XorBetaPrior(1, 3)
         ds = sample_dataset(*bivariate_xor_model(), 500, 2, seed)
         assert hashlib.sha256(ds.rows.astype(np.int64).tobytes()).hexdigest() == digest
-
-
-class TestDegenerateCheck:
-    def test_constant_variable_flagged(self):
-        envs = [np.zeros((2, 1), dtype=int) for _ in range(20)]
-        ds = EnvDataset(d=1, cardinalities=(2,), envs=envs)
-        warnings = degenerate_check(ds)
-        assert any("constant" in w for w in warnings)
-
-    def test_iid_variable_flagged(self):
-        # perfectly homogeneous environments: no cross-environment signal
-        envs = [np.array([[0], [1]]) for _ in range(200)]
-        ds = EnvDataset(d=1, cardinalities=(2,), envs=envs)
-        warnings = degenerate_check(ds)
-        assert any("heterogeneity" in w for w in warnings)
-
-    def test_exchangeable_variable_clean(self):
-        g, prior = bivariate_xor_model()
-        ds = sample_dataset(g, prior, 500, 4, 0)
-        assert degenerate_check(ds) == []
-
-    def test_pinned_warnings(self):
-        """Warnings over seeded ragged datasets whose variables range from
-        homogeneous (Dirichlet concentration 1e4) to strongly heterogeneous,
-        with a constant variable in every fifth dataset."""
-        cards = (2, 3, 4)
-        lines = []
-        for seed in range(30):
-            rng = np.random.default_rng(seed)
-            n_envs = int(rng.integers(20, 200))
-            sizes = rng.integers(1, 5, size=n_envs)
-            env = np.repeat(np.arange(n_envs), sizes)
-            cols = []
-            for i, k in enumerate(cards):
-                conc = [0.3, 3.0, 30.0, 300.0][seed % 4] if i else 1e4
-                p = rng.dirichlet(np.full(k, conc), size=n_envs)
-                u = rng.random(env.size)
-                col = (u[:, None] >= np.cumsum(p[env], axis=1)[:, :-1]).sum(axis=1)
-                if seed % 5 == 0 and i == 2:
-                    col[:] = 1
-                cols.append(col)
-            envs = np.split(np.column_stack(cols), np.cumsum(sizes)[:-1])
-            ds = EnvDataset(d=3, cardinalities=cards, envs=envs)
-            lines += [f"{seed}: {w}" for w in degenerate_check(ds)]
-        assert len(lines) == 26
-        assert sum("constant" in w for w in lines) == 6
-        digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
-        assert digest == "f652b756e25e3d71b937e7b91a136b4b1e67ce56f92b32168c6c0814a142420e"
