@@ -208,7 +208,7 @@ def build_parser() -> argparse.ArgumentParser:
          "comma-separated per-graph environment counts"),
     ):
         p = sub.add_parser(name, help=about)
-        p.add_argument("--envs", type=_env_grid, help=envs_about)
+        p.add_argument("--envs", type=_env_grid, default=(), help=envs_about)
         p.add_argument("--repeats", type=_COUNT, help="default 20, or 100 with --paper-scale")
         p.add_argument("--alpha", type=_alpha, default=DEFAULT_ALPHA)
         p.add_argument("--seed", type=_SEED, default=0)
@@ -217,7 +217,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--out", help="output directory")
     p.add_argument("--graphs", type=_preset_names, default=(), help="comma-separated preset names")
     p.add_argument("--workers", type=_COUNT, default=1)
-    p.set_defaults(envs=())  # the harness's per-graph environment counts
 
     p = sub.add_parser("oracle-verify", help="exact Markov/faithfulness sweep over all DAGs")
     p.add_argument("--d", type=_DAG_SIZE, default=3)
@@ -302,29 +301,30 @@ def _run(parser: argparse.ArgumentParser, args) -> int:
         return 0
 
     if args.command in ("sweep-bivariate", "sweep-multivariate"):
-        paper = args.paper_scale
-        if args.envs is None:  # sweep-bivariate's grid
-            args.envs = tuple(range(100, 4001, 100)) if paper else (500, 2000, 4000)
+        # what the user typed; the harness fills in the rest
         exp = harness.ExperimentConfig(
-            kind="bivariate-sweep" if args.command == "sweep-bivariate" else "multivariate",
             env_grid=args.envs,
             graphs=getattr(args, "graphs", ()),
-            repeats=args.repeats or (100 if paper else 20),
+            repeats=args.repeats,
             alpha=args.alpha,
             seed=args.seed,
             samples_per_env=args.samples_per_env,
-            paper_scale=paper,
+            paper_scale=args.paper_scale,
             out_dir=args.out,
         )
         if args.command == "sweep-bivariate":
             for row in harness.run_bivariate_sweep(exp):
                 print(f"envs={row['n_envs']:>6}  correct={row['correct_fraction']:.3f}")
             return 0
-        for row in harness.run_multivariate(exp, workers=args.workers):
+        try:
+            rows = harness.run_multivariate(exp, workers=args.workers)
+        except ValueError as err:
+            raise SystemExit(f"sweep-multivariate: {err}") from None
+        for row in rows:
             edges = ", ".join(f"{k}:{v:.2f}" for k, v in sorted(row["edge_recovery"].items()))
             print(
                 f"{row['graph']:<10} envs={row['n_envs']:>7} "
-                f"graph={row['graph_recovery']:.2f}  edges[{edges}]"
+                f"graph={row['graph_recovery']:.2f}  deadlocks={row['deadlocks']}  edges[{edges}]"
             )
         return 0
 

@@ -15,7 +15,7 @@ checking the algorithm's correctness independently of finite-sample noise.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, List, Optional, Tuple
+from typing import Callable, List, Tuple
 
 from .ci_test import DEFAULT_ALPHA, CiResult, pattern_table, test_statement
 from .graphs import CiStatement, Dag
@@ -102,12 +102,7 @@ def _sink_statement(i: int, j: int, conditioning) -> CiStatement:
     )
 
 
-def find_sink_order_with_tester(
-    tester: CiTester,
-    d: int,
-    log: Optional[List[CiResult]] = None,
-    force: bool = False,
-) -> SinkOrder:
+def find_sink_order_with_tester(tester: CiTester, d: int, force: bool = False) -> SinkOrder:
     """Iteratively peel off sink buckets.
 
     Within a sweep the remaining-variable set is frozen, so results do not
@@ -126,8 +121,6 @@ def find_sink_order_with_tester(
             all_independent = True
             for j in others:
                 res = tester(_sink_statement(i, j, [l for l in others]))
-                if log is not None:
-                    log.append(res)
                 p_values.append(res.p_value)
                 if not res.independent:
                     all_independent = False
@@ -143,11 +136,7 @@ def find_sink_order_with_tester(
     return SinkOrder(tuple(buckets))
 
 
-def find_edges_with_tester(
-    tester: CiTester,
-    order: SinkOrder,
-    log: Optional[List[CiResult]] = None,
-) -> Dag:
+def find_edges_with_tester(tester: CiTester, order: SinkOrder) -> Dag:
     """Edge identification between buckets, ascending in bucket gap.
 
     Each target i in bucket k is tested at sample 0 against each source j
@@ -188,8 +177,6 @@ def find_edges_with_tester(
                         cond |= parents[i] | set(buckets[k + t])
                     cond -= {i, j}
                     res = tester(_sink_statement(i, j, cond))
-                    if log is not None:
-                        log.append(res)
                     if not res.independent:
                         edges.add((j, i))
                         parents[i].add(j)
@@ -199,9 +186,15 @@ def find_edges_with_tester(
 def discover_with_tester(
     tester: CiTester, d: int, alpha: float = DEFAULT_ALPHA, force: bool = False
 ) -> DiscoveryResult:
+    """Sink order, then edges, with every test result logged in call order."""
     log: List[CiResult] = []
-    order = find_sink_order_with_tester(tester, d, log=log, force=force)
-    graph = find_edges_with_tester(tester, order, log=log)
+
+    def logged(stmt: CiStatement) -> CiResult:
+        log.append(tester(stmt))
+        return log[-1]
+
+    order = find_sink_order_with_tester(logged, d, force=force)
+    graph = find_edges_with_tester(logged, order)
     return DiscoveryResult(graph=graph, sink_order=order, test_log=log, alpha=alpha)
 
 

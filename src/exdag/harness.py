@@ -10,7 +10,7 @@ import json
 import re
 from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 from typing import Dict, List, Optional, Tuple
 
@@ -31,9 +31,9 @@ from .graphs import (
     icm_unroll,
 )
 from .sampling import (
+    EXPERIMENT_PRIOR,
     EnvDataset,
     MixturePrior,
-    XorBetaPrior,
     bivariate_xor_model,
     sample_dataset,
 )
@@ -57,16 +57,16 @@ def preset_graph(name: str) -> Dag:
         raise ValueError(f"unknown preset graph {name!r}; options: {sorted(PRESET_GRAPHS)}")
 
 
-def default_binary_prior(g: Dag, a: float = 1.0, b: float = 3.0) -> MixturePrior:
+def default_binary_prior(g: Dag) -> MixturePrior:
     """Multivariate experiment prior: every node is a Ber(psi) flip xor the
-    parity of its parents with psi ~ Beta(a, b), extending the bivariate
+    parity of its parents with psi ~ Beta(1, 3), extending the bivariate
     benchmark's mechanism to arbitrary binary graphs.  Independent Beta
     draws per CPT column give every column the same mean, so no edge can be
     found: with each column's Beta(1, 3) replaced by the 2-point atoms that
     match its moments up to order 3, oracle discovery at two samples per
     environment returns the empty graph on fork3, collider3 and chain4,
     where these xor atoms recover all three."""
-    return MixturePrior(tuple(XorBetaPrior(a, b) for _ in range(g.d)))
+    return MixturePrior((EXPERIMENT_PRIOR,) * g.d)
 
 
 def derive_seed(*parts: int) -> int:
@@ -78,28 +78,33 @@ def _stable_tag(name: str) -> int:
     return int.from_bytes(name.encode()[:6], "big")
 
 
+# the oracle and identifiability sweeps' unrolled graphs and exact models
+VERIFY_SAMPLES_PER_ENV = 2
+VERIFY_MAX_CONDITION_SIZE = 3
+
+
 @dataclass
 class ExperimentConfig:
-    kind: str
+    """A sweep's settings.  Unset `repeats` and `env_grid` take the desk or
+    `paper_scale` defaults, which are decided here and in the runners."""
+
     env_grid: Tuple[int, ...] = ()
     graphs: Tuple[str, ...] = ()
     samples_per_env: int = 2
-    repeats: int = 20
+    repeats: Optional[int] = None
     alpha: float = DEFAULT_ALPHA
     seed: int = 0
     paper_scale: bool = False
-    force: bool = True
     out_dir: Optional[str] = None
 
     def __post_init__(self):
         self.env_grid = tuple(int(e) for e in self.env_grid)
+        if self.repeats is None:
+            self.repeats = 100 if self.paper_scale else 20
         if self.repeats < 1:
             raise ValueError("repeats must be >= 1")
         if not (0.0 < self.alpha < 1.0):
             raise ValueError("alpha must lie in (0, 1)")
-
-    def to_dict(self) -> dict:
-        return asdict(self)
 
 
 # ---------------------------------------------------------------------------
@@ -267,9 +272,10 @@ def _bivariate_point(n_envs: int, cfg: ExperimentConfig) -> dict:
 def run_bivariate_sweep(cfg: ExperimentConfig) -> List[dict]:
     """Correct-direction fraction of the three-hypothesis decision on the
     xor benchmark, per environment count."""
-    grid = cfg.env_grid or (500, 2000, 4000)
+    default = tuple(range(100, 4001, 100)) if cfg.paper_scale else (500, 2000, 4000)
+    cfg = replace(cfg, env_grid=cfg.env_grid or default)
     out = _make_out_dir(cfg.out_dir)
-    rows = [_bivariate_point(n_envs, cfg) for n_envs in sorted(grid)]
+    rows = [_bivariate_point(n_envs, cfg) for n_envs in sorted(cfg.env_grid)]
     if out:
         fields = ["n_envs", "repeats", "correct_fraction"]
         _write_sweep(out, cfg, rows, "bivariate_sweep.csv", fields)
@@ -280,20 +286,23 @@ def run_bivariate_sweep(cfg: ExperimentConfig) -> List[dict]:
 # multivariate recovery
 
 
-def _multivariate_graph(args):
-    name, n_envs, repeats, alpha, seed, samples_per_env, force = args
+def _multivariate_graph(job: Tuple[ExperimentConfig, str, int]) -> dict:
+    """One graph's repeats.  A repeat whose sink search deadlocks counts
+    in `deadlocks`, and its graph is the one `force` repairs it to."""
+    cfg, name, n_envs = job
     g = preset_graph(name)
     prior = default_binary_prior(g)
     exact = 0
     edge_hits = {e: 0 for e in sorted(g.edges)}
     deadlocks = 0
-    for r in range(repeats):
-        ds = sample_dataset(g, prior, n_envs, samples_per_env, derive_seed(seed, _stable_tag(name), r))
+    for r in range(cfg.repeats):
+        seed = derive_seed(cfg.seed, _stable_tag(name), r)
+        ds = sample_dataset(g, prior, n_envs, cfg.samples_per_env, seed)
         try:
-            result = discover(ds, alpha=alpha, force=force)
+            result = discover(ds, alpha=cfg.alpha)
         except NoSinkFoundError:
             deadlocks += 1
-            continue
+            result = discover(ds, alpha=cfg.alpha, force=True)
         if result.graph == g:
             exact += 1
         for e in edge_hits:
@@ -302,9 +311,9 @@ def _multivariate_graph(args):
     return {
         "graph": name,
         "n_envs": n_envs,
-        "repeats": repeats,
-        "graph_recovery": exact / repeats,
-        "edge_recovery": {f"{u}->{v}": hits / repeats for (u, v), hits in edge_hits.items()},
+        "repeats": cfg.repeats,
+        "graph_recovery": exact / cfg.repeats,
+        "edge_recovery": {f"{u}->{v}": hits / cfg.repeats for (u, v), hits in edge_hits.items()},
         "deadlocks": deadlocks,
     }
 
@@ -317,31 +326,21 @@ def default_env_count(name: str, paper_scale: bool) -> int:
 
 
 def run_multivariate(cfg: ExperimentConfig, workers: int = 1) -> List[dict]:
-    """Full-graph and per-edge recovery rates for the preset graphs."""
+    """Full-graph and per-edge recovery rates for the preset graphs, at
+    `env_grid`'s environment counts and then `default_env_count`'s."""
     names = cfg.graphs or ("fork3", "collider3", "chain4", "diamond4")
-    jobs = []
-    for idx, name in enumerate(names):
-        n_envs = cfg.env_grid[idx] if idx < len(cfg.env_grid) else default_env_count(
-            name, cfg.paper_scale
-        )
-        jobs.append(
-            (name, n_envs, cfg.repeats, cfg.alpha, cfg.seed, cfg.samples_per_env, cfg.force)
-        )
+    if len(cfg.env_grid) > len(names):
+        raise ValueError(f"{len(cfg.env_grid)} environment counts for {len(names)} graphs")
+    grid = cfg.env_grid + tuple(
+        default_env_count(name, cfg.paper_scale) for name in names[len(cfg.env_grid):]
+    )
+    cfg = replace(cfg, graphs=names, env_grid=grid)
     out = _make_out_dir(cfg.out_dir)
+    jobs = [(cfg, name, n_envs) for name, n_envs in zip(names, grid)]
     rows = list(_pool_map(_multivariate_graph, jobs, workers))
     rows.sort(key=lambda r: r["graph"])
     if out:
-        flat = [
-            {
-                "graph": r["graph"],
-                "n_envs": r["n_envs"],
-                "repeats": r["repeats"],
-                "graph_recovery": r["graph_recovery"],
-                "deadlocks": r["deadlocks"],
-                "edge_recovery": json.dumps(r["edge_recovery"], sort_keys=True),
-            }
-            for r in rows
-        ]
+        flat = [dict(r, edge_recovery=json.dumps(r["edge_recovery"], sort_keys=True)) for r in rows]
         _write_sweep(
             out, cfg, flat, "multivariate.csv",
             ["graph", "n_envs", "repeats", "graph_recovery", "deadlocks", "edge_recovery"],
@@ -354,12 +353,7 @@ def run_multivariate(cfg: ExperimentConfig, workers: int = 1) -> List[dict]:
 
 
 def run_oracle_sweep(
-    d: int,
-    models_per_graph: int = 5,
-    samples_per_env: int = 2,
-    max_condition_size: int = 3,
-    seed: int = 0,
-    out_dir: Optional[str] = None,
+    d: int, models_per_graph: int = 5, seed: int = 0, out_dir: Optional[str] = None
 ) -> dict:
     """Exhaustive check over all DAGs on d nodes: exact distributions are
     Markov to the unrolled graph, generically faithful, their independence
@@ -371,14 +365,14 @@ def run_oracle_sweep(
     graph_reports = []
     graph_ci_sets = []
     for g in dags:
-        dmag_cis = ci_set(icm_unroll(g, samples_per_env), max_condition_size)
+        dmag_cis = ci_set(icm_unroll(g, VERIFY_SAMPLES_PER_ENV), VERIFY_MAX_CONDITION_SIZE)
         graph_ci_sets.append(frozenset(s.sort_key() for s in dmag_cis))
         markov_ok = True
         faithful_count = 0
         bridge_count = 0
         for _ in range(models_per_graph):
-            model = oracle_mod.random_generic_model(g, samples_per_env, rng)
-            report = oracle_mod.verify_markov_faithful(model, max_condition_size)
+            model = oracle_mod.random_generic_model(g, VERIFY_SAMPLES_PER_ENV, rng)
+            report = oracle_mod.verify_markov_faithful(model, VERIFY_MAX_CONDITION_SIZE)
             if not report.markov_ok:
                 markov_ok = False
             if report.faithful:
@@ -408,14 +402,14 @@ def run_oracle_sweep(
     return result
 
 
-def run_identifiability(d: int = 3, samples_per_env: int = 2, out_dir: Optional[str] = None) -> dict:
+def run_identifiability(d: int = 3, out_dir: Optional[str] = None) -> dict:
     """Partition all DAGs on d nodes into classes: by unrolled independence
     sets (expected all singletons) and by classical skeleton/v-structure
     equivalence (expected coarser)."""
     out = _make_out_dir(out_dir)
     dags = enumerate_dags(d)
     icm_keys = [
-        frozenset(s.sort_key() for s in ci_set(icm_unroll(g, samples_per_env), d))
+        frozenset(s.sort_key() for s in ci_set(icm_unroll(g, VERIFY_SAMPLES_PER_ENV), d))
         for g in dags
     ]
     icm_classes: Dict[frozenset, List[int]] = {}
@@ -467,7 +461,7 @@ def _write_sweep(
         writer.writeheader()
         for row in rows:
             writer.writerow({k: row[k] for k in fields})
-    manifest = {"config": cfg.to_dict(), "output": csv_name}
+    manifest = {"config": asdict(cfg), "output": csv_name}
     (out / (csv_name.rsplit(".", 1)[0] + "_manifest.json")).write_text(
         json.dumps(manifest, indent=2, sort_keys=True) + "\n"
     )

@@ -49,6 +49,11 @@ class XorBetaPrior:
     cardinality = 2
 
 
+# psi ~ Beta(1, 3): every node's prior in the bivariate benchmark and the
+# multivariate experiments
+EXPERIMENT_PRIOR = XorBetaPrior(1.0, 3.0)
+
+
 @dataclass(frozen=True)
 class DirichletColumnsPrior:
     """Categorical node whose CPT columns are independent Dirichlet draws."""
@@ -530,10 +535,8 @@ def sample_dataset(
 def bivariate_xor_model() -> Tuple[Dag, MixturePrior]:
     """The bivariate benchmark: X -> Y with X ~ Ber(theta), Y = Ber(psi) xor X,
     theta and psi drawn Beta(1, 3) independently per environment.  Both
-    nodes take `XorBetaPrior(1, 3)`: on the parentless X it is Ber(theta)
-    with theta ~ Beta(1, 3).  Independent Beta(a, b) CPT columns on a
-    binary node with parents are `DirichletColumnsPrior((b, a))` in
-    distribution."""
-    g = Dag(2, frozenset({(0, 1)}))
-    prior = MixturePrior((XorBetaPrior(1.0, 3.0), XorBetaPrior(1.0, 3.0)))
-    return g, prior
+    nodes take `EXPERIMENT_PRIOR`, `XorBetaPrior(1, 3)`: on the parentless X
+    it is Ber(theta) with theta ~ Beta(1, 3).  Independent Beta(a, b) CPT
+    columns on a binary node with parents are `DirichletColumnsPrior((b, a))`
+    in distribution."""
+    return Dag(2, frozenset({(0, 1)})), MixturePrior((EXPERIMENT_PRIOR,) * 2)

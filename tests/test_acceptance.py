@@ -34,9 +34,7 @@ def test_criterion_1_bivariate_convergence():
     """Desk scale: 20 repeats at E in {500, 2000, 4000}; fraction at 4000
     >= 0.95 and monotone within -0.05 across the grid; < 2 min."""
     t0 = time.time()
-    cfg = harness.ExperimentConfig(
-        kind="bivariate-sweep", env_grid=(500, 2000, 4000), repeats=20, seed=0
-    )
+    cfg = harness.ExperimentConfig(env_grid=(500, 2000, 4000), repeats=20, seed=0)
     rows = harness.run_bivariate_sweep(cfg)
     elapsed = time.time() - t0
     fractions = [r["correct_fraction"] for r in rows]
@@ -59,13 +57,9 @@ def test_criterion_2_multivariate_recovery():
     """fork3 at 10k envs in 0.91 +/- 0.10 over >= 50 repeats; collider3 at
     10k envs in 0.71 +/- 0.12; chain4 at 20k envs >= 0.40; < 15 min total."""
     t0 = time.time()
-    cfg3 = harness.ExperimentConfig(
-        kind="multivariate", graphs=("fork3", "collider3"), repeats=50, seed=0
-    )
+    cfg3 = harness.ExperimentConfig(graphs=("fork3", "collider3"), repeats=50, seed=0)
     rows = {r["graph"]: r for r in harness.run_multivariate(cfg3)}
-    cfg4 = harness.ExperimentConfig(
-        kind="multivariate", graphs=("chain4",), repeats=100, seed=0
-    )
+    cfg4 = harness.ExperimentConfig(graphs=("chain4",), repeats=100, seed=0)
     rows.update({r["graph"]: r for r in harness.run_multivariate(cfg4)})
     elapsed = time.time() - t0
 
@@ -77,11 +71,16 @@ def test_criterion_2_multivariate_recovery():
     chain_ok = chain >= 0.40
     time_ok = elapsed < 900
     ok = fork_ok and collider_ok and chain_ok and time_ok
+    deadlocks = {
+        name: f"deadlocks {row['deadlocks']}/{row['repeats']}" for name, row in rows.items()
+    }
     record(
         "criterion 2 multivariate recovery",
         ok,
-        f"fork3={fork:.2f} (0.91+/-0.10), collider3={collider:.2f} (0.71+/-0.12), "
-        f"chain4={chain:.2f} (>= 0.40 at 20k envs), {elapsed:.0f}s < 900s",
+        f"fork3={fork:.2f} (0.91+/-0.10), {deadlocks['fork3']}; "
+        f"collider3={collider:.2f} (0.71+/-0.12), {deadlocks['collider3']}; "
+        f"chain4={chain:.2f} (>= 0.40 at 20k envs), {deadlocks['chain4']}; "
+        f"{elapsed:.0f}s < 900s",
     )
     assert fork_ok, f"fork3 recovery {fork} outside 0.91 +/- 0.10"
     assert collider_ok, f"collider3 recovery {collider} outside 0.71 +/- 0.12"

@@ -107,13 +107,14 @@ class TestFindEdges:
 
     def test_gap_two_conditions_on_middle_bucket(self):
         g = Dag(3, frozenset({(0, 1), (1, 2)}))
-        logged = []
+        seen = []
+        tester = graph_tester(g)
         order = SinkOrder(((2,), (1,), (0,)))
-        graph = find_edges_with_tester(graph_tester(g), order, log=logged)
+        graph = find_edges_with_tester(lambda stmt: seen.append(stmt) or tester(stmt), order)
         assert graph == g
         # the 2->0 gap-2 test conditions on the middle bucket variable
-        gap2 = [s for s in logged if s.statement.left == {(2, 0)} and s.statement.right == {(0, 1)}]
-        assert gap2 and gap2[0].statement.given == {(1, 0)}
+        gap2 = [s for s in seen if s.left == {(2, 0)} and s.right == {(0, 1)}]
+        assert gap2 and gap2[0].given == {(1, 0)}
 
     def test_gap_three_conditions_on_whole_source_bucket(self):
         # at gap 3, target 4 meets source 0 before source 2, its parent in

@@ -18,7 +18,7 @@ from exdag.harness import (
     preset_graph,
     write_dataset_csv,
 )
-from exdag.discovery import discover
+from exdag.discovery import NoSinkFoundError, discover
 from exdag.sampling import (
     AtomMixturePrior,
     DirichletColumnsPrior,
@@ -51,6 +51,12 @@ class TestPresets:
     def test_unknown_graph(self):
         with pytest.raises(ValueError, match="unknown preset"):
             preset_graph("pentagon")
+
+    def test_seed_tags_distinct(self):
+        # a sweep seeds each graph's repeats by its name's tag, so two names
+        # with one tag would share their data
+        tags = {harness._stable_tag(name) for name in harness.PRESET_GRAPHS}
+        assert len(tags) == len(harness.PRESET_GRAPHS)
 
     def test_default_prior_covers_graph(self):
         g = preset_graph("chain4")
@@ -286,17 +292,19 @@ class TestDiscoverFile:
 class TestExperimentConfig:
     def test_validation(self):
         with pytest.raises(ValueError, match="repeats"):
-            ExperimentConfig(kind="bivariate-sweep", repeats=0)
+            ExperimentConfig(repeats=0)
         with pytest.raises(ValueError, match="alpha"):
-            ExperimentConfig(kind="bivariate-sweep", alpha=1.5)
+            ExperimentConfig(alpha=1.5)
+
+    def test_repeats_default_by_scale(self):
+        assert ExperimentConfig().repeats == 20
+        assert ExperimentConfig(paper_scale=True).repeats == 100
+        assert ExperimentConfig(paper_scale=True, repeats=3).repeats == 3
 
 
 class TestBivariateSweep:
     def test_deterministic_and_written(self, tmp_path):
-        cfg = ExperimentConfig(
-            kind="bivariate-sweep", env_grid=(200,), repeats=3, seed=0,
-            out_dir=str(tmp_path),
-        )
+        cfg = ExperimentConfig(env_grid=(200,), repeats=3, seed=0, out_dir=str(tmp_path))
         rows1 = harness.run_bivariate_sweep(cfg)
         rows2 = harness.run_bivariate_sweep(cfg)
         assert rows1 == rows2
@@ -304,12 +312,23 @@ class TestBivariateSweep:
         manifest = json.loads((tmp_path / "bivariate_sweep_manifest.json").read_text())
         assert manifest["config"]["seed"] == 0
 
+    @pytest.mark.parametrize(
+        "paper_scale, grid", [(False, [500, 2000, 4000]), (True, list(range(100, 4001, 100)))]
+    )
+    def test_default_grid_recorded(self, tmp_path, monkeypatch, paper_scale, grid):
+        monkeypatch.setattr(harness, "_bivariate_point", lambda n_envs, cfg: {
+            "n_envs": n_envs, "repeats": cfg.repeats, "correct_fraction": 1.0})
+        cfg = ExperimentConfig(paper_scale=paper_scale, out_dir=str(tmp_path))
+        assert [row["n_envs"] for row in harness.run_bivariate_sweep(cfg)] == grid
+        manifest = json.loads((tmp_path / "bivariate_sweep_manifest.json").read_text())
+        assert manifest["config"]["env_grid"] == grid
+        assert manifest["config"]["repeats"] == (100 if paper_scale else 20)
+
 
 class TestMultivariate:
     def test_small_run_structure(self, tmp_path):
         cfg = ExperimentConfig(
-            kind="multivariate", env_grid=(400,), graphs=("fork3",), repeats=2,
-            seed=0, out_dir=str(tmp_path),
+            env_grid=(400,), graphs=("fork3",), repeats=2, seed=0, out_dir=str(tmp_path)
         )
         rows = harness.run_multivariate(cfg)
         assert len(rows) == 1
@@ -319,8 +338,7 @@ class TestMultivariate:
         assert 0.0 <= row["graph_recovery"] <= 1.0
         assert (tmp_path / "multivariate.csv").exists()
 
-    TWO_GRAPHS = dict(kind="multivariate", env_grid=(300, 300), graphs=("fork3", "collider3"),
-                      repeats=2, seed=3)
+    TWO_GRAPHS = dict(env_grid=(300, 300), graphs=("fork3", "collider3"), repeats=2, seed=3)
 
     def test_worker_pool_matches_serial_rows(self):
         cfg = ExperimentConfig(**self.TWO_GRAPHS)
@@ -349,6 +367,42 @@ class TestMultivariate:
                      "--repeats", "1", "--workers", "1000"]) == 0
         assert sizes == [2]
         assert "collider3" in capsys.readouterr().out
+
+    def test_more_env_counts_than_graphs_rejected(self):
+        cfg = ExperimentConfig(env_grid=(100, 200), graphs=("fork3",))
+        with pytest.raises(ValueError, match="2 environment counts for 1 graphs"):
+            harness.run_multivariate(cfg)
+
+    def test_manifest_records_env_counts_run(self, tmp_path):
+        cfg = ExperimentConfig(env_grid=(300,), graphs=("fork3", "collider3"), repeats=1,
+                               out_dir=str(tmp_path))
+        harness.run_multivariate(cfg)
+        config = json.loads((tmp_path / "multivariate_manifest.json").read_text())["config"]
+        assert config["graphs"] == ["fork3", "collider3"]
+        assert config["env_grid"] == [300, 10_000]
+        assert config["repeats"] == 1
+
+    def test_deadlocks_count_repeats_whose_sink_search_deadlocks(self):
+        cfg = ExperimentConfig(env_grid=(2000,), graphs=("chain4",), repeats=5, seed=0)
+        (row,) = harness.run_multivariate(cfg)
+        g = preset_graph("chain4")
+        deadlocked = recovered = 0
+        for r in range(5):
+            seed = derive_seed(0, harness._stable_tag("chain4"), r)
+            ds = sample_dataset(g, harness.default_binary_prior(g), 2000, 2, seed)
+            try:
+                discover(ds)
+            except NoSinkFoundError:
+                deadlocked += 1
+            recovered += discover(ds, force=True).graph == g
+        assert row["deadlocks"] == deadlocked >= 1
+        # a deadlocked repeat's graph is the one force repairs it to
+        assert row["graph_recovery"] == recovered / 5
+
+    def test_cli_line_reports_deadlocks(self, capsys):
+        assert main(["sweep-multivariate", "--graphs", "fork3", "--envs", "200",
+                     "--repeats", "1"]) == 0
+        assert re.search(r"fork3 .* deadlocks=\d+ ", capsys.readouterr().out)
 
     def test_default_env_counts(self):
         assert harness.default_env_count("fork3", paper_scale=False) == 10_000
@@ -496,6 +550,8 @@ class TestCli:
             (["sweep-bivariate", "--envs", "3x"], "argument --envs:"),
             (["sweep-multivariate", "--graphs", "fork3", "--samples-per-env", "1"],
              "argument --samples-per-env:"),
+            (["sweep-multivariate", "--graphs", "fork3", "--envs", "100,200"],
+             "sweep-multivariate: 2 environment counts for 1 graphs"),
             (["sweep-multivariate", "--workers", "0"], "argument --workers:"),
             (["sweep-multivariate", "--workers", "-3"], "argument --workers:"),
             (["oracle-verify", "--d", "7"], "argument --d:"),
@@ -509,7 +565,8 @@ class TestCli:
              "one.csv/sweep"),
         ],
         ids=["simulate", "config", "config_switch", "discover", "bivariate", "sweep-bivariate",
-             "sweep-multivariate", "zero_workers", "negative_workers", "oracle-verify",
+             "sweep-multivariate", "sweep-multivariate_extra_envs", "zero_workers",
+             "negative_workers", "oracle-verify",
              "identifiability", "config_under_flag", "simulate_out_dir_missing",
              "simulate_out_is_dir", "discover_out_dir_missing", "sweep_out_under_file"],
     )
