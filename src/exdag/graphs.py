@@ -161,22 +161,6 @@ class Dmag:
                 raise ValueError(f"bidirected edge {set(pair)} references unknown node")
         _toposort(self.nodes, self.directed)  # raises on directed cycles
 
-    def to_dict(self) -> dict:
-        return {
-            "nodes": sorted(map(list, self.nodes)),
-            "directed": sorted([list(u), list(v)] for u, v in self.directed),
-            "bidirected": sorted(sorted(map(list, p)) for p in self.bidirected),
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "Dmag":
-        tup = lambda x: (int(x[0]), int(x[1]))
-        return cls(
-            frozenset(tup(n) for n in data["nodes"]),
-            frozenset((tup(u), tup(v)) for u, v in data["directed"]),
-            frozenset(frozenset((tup(u), tup(v))) for u, v in data["bidirected"]),
-        )
-
     @cached_property
     def _incidence(self):
         return _incidence_lists(self.nodes, self.directed, self.bidirected)

@@ -73,30 +73,6 @@ class FiniteMixtureModel:
     def shape(self) -> Tuple[int, ...]:
         return self.cardinalities * self.samples_per_env
 
-    def to_dict(self) -> dict:
-        return {
-            "graph": self.graph.to_dict(),
-            "samples_per_env": self.samples_per_env,
-            "atoms": [
-                [{"weight": w, "cpt": c.tolist()} for w, c in node_prior.atoms]
-                for node_prior in self.prior.node_priors
-            ],
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "FiniteMixtureModel":
-        node_priors = []
-        for i, node_atoms in enumerate(data["atoms"]):
-            try:
-                node_priors.append(AtomMixturePrior([(a["weight"], a["cpt"]) for a in node_atoms]))
-            except ValueError as err:
-                raise ValueError(f"node {i}: {err}") from None
-        return cls(
-            graph=Dag.from_dict(data["graph"]),
-            prior=MixturePrior(node_priors),
-            samples_per_env=int(data["samples_per_env"]),
-        )
-
 
 def exact_joint(model: FiniteMixtureModel) -> np.ndarray:
     """Exact joint over all (variable, sample) configurations.

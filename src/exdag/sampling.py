@@ -2,28 +2,20 @@
 
 Each environment draws one conditional-probability table (CPT) per variable
 from its prior, then produces conditionally i.i.d. ancestral samples through
-the causal graph using those fixed CPTs.  Environments use counter-based
-seeding (root seed, environment index), so environment e's data does not
-depend on how many environments are drawn: environment e's generator is
-exactly `np.random.default_rng((seed, e))`.  `sample_dataset` works in
-blocks of environments: it makes a block's rng calls in one loop (the draw
-stage), then samples each node for the whole block at once (the ancestral
-stage).  The draw stage makes one rng call per run of equal mechanism
-draws: consecutive nodes whose draws are the same call (equal xor-Beta
-parameters, equal Dirichlet parameters or equal atom weights) share one
-sized call, which makes the same draws in the same order as one call per
-node, so the stream is the same.  It does not construct a generator per
-environment: it computes every environment's PCG64 state in bulk, from
-numpy's SeedSequence hash and PCG64 seeding algorithms, and sets it on one
-reused generator.  A test pins those states against
-`default_rng((seed, e))`, and every call checks environment 0's.
+the causal graph using those fixed CPTs.  Environment e's generator is
+exactly `np.random.default_rng((seed, e))`, so its data does not depend on
+how many environments are drawn.  `sample_dataset` works in blocks of
+environments: it makes a block's rng calls in one loop, one rng call per run
+of equal mechanism draws (consecutive nodes whose draws are the same call
+share one sized call, with the same stream as one call per node), then
+samples each node for the whole block at once.
 """
 
 from __future__ import annotations
 
 import operator
 from dataclasses import dataclass, field
-from typing import Callable, Iterator, List, NamedTuple, Optional, Sequence, Tuple, Union
+from typing import Callable, List, NamedTuple, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -149,13 +141,13 @@ def parent_configs(g: Dag, cardinalities: Sequence[int], i: int) -> Tuple[Tuple[
 
 
 class _Mechanism(NamedTuple):
-    """One node's mechanism prior in the sampler's two stages.  A unit is
+    """One node's mechanism prior, as `sample_dataset` draws it.  A unit is
     one raw variate of shape `unit_shape` and type `dtype`: the xor flip
     probability psi, one Dirichlet CPT column or one atom index.  A node
     draws `units` of them per environment.  `draw(rng, size)` makes `size`
     units in one rng call, the same draws in the same order as `size`
     consecutive one-unit calls.  Mechanisms with equal `key` make the same
-    call, so the draw stage makes one rng call per run of equal mechanism
+    call, so the sampler makes one rng call per run of equal mechanism
     draws, with the same stream as one call per node.  `cpts(raws)` maps a
     (n_envs, units, *unit_shape) block of raw variates to the environments'
     CPTs, shape (n_envs, k, n_cfg)."""
@@ -240,13 +232,6 @@ def _run_buffers(
     draws = [(buffer, m.draw, units) for buffer, (m, units) in zip(buffers, runs)]
     raws = [buffers[r][:, u : u + m.units] for m, (r, u) in zip(mechanisms, spans)]
     return draws, raws
-
-
-def _draw_env(rng: np.random.Generator, draws, e: int) -> None:
-    """Environment e's mechanism draws: one rng call per run, in node-index
-    order, into row e of each run's buffer."""
-    for buffer, draw, units in draws:
-        buffer[e] = draw(rng, units)
 
 
 @dataclass(eq=False)
@@ -341,13 +326,11 @@ class EnvDataset:
         return self.rows[self.offsets[:-1, None] + samples, variables]
 
 
-# numpy's SeedSequence hash constants (numpy/random/bit_generator.pyx) and
-# PCG64's 128-bit LCG multiplier (numpy/random/src/pcg64/pcg64.h)
+# numpy's SeedSequence hash constants (numpy/random/bit_generator.pyx)
 _INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
 _INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
 _MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
-_PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
-_MASK32, _MASK128 = 2**32 - 1, 2**128 - 1
+_MASK32 = 2**32 - 1
 
 
 def _seed_words(seed: int, n_envs: int) -> np.ndarray:
@@ -357,6 +340,8 @@ def _seed_words(seed: int, n_envs: int) -> np.ndarray:
     little-endian uint32 words followed by e as one word; it is mixed into a
     4-word pool, and the output hash reads the pool cyclically."""
     n = operator.index(seed)
+    if n < 0:
+        raise ValueError(f"seed must be nonnegative, got {n}")
     words = [n & _MASK32]
     while n := n >> 32:
         words.append(n & _MASK32)
@@ -395,74 +380,21 @@ def _seed_words(seed: int, n_envs: int) -> np.ndarray:
     return state.astype("<u4").view("<u8").astype(np.uint64)
 
 
-def _pcg64_state(words: np.ndarray) -> dict:
-    """The `bit_generator.state` PCG64 takes from four seed words: the
-    first two are the 128-bit initial state, the last two the stream
-    selector, each high word first; two LCG steps then mix them."""
-    s_hi, s_lo, i_hi, i_lo = words.tolist()
-    inc = ((i_hi << 64 | i_lo) << 1 | 1) & _MASK128
-    state = ((inc + (s_hi << 64 | s_lo)) * _PCG64_MULT + inc) & _MASK128
-    return {
-        "bit_generator": "PCG64",
-        "state": {"state": state, "inc": inc},
-        "has_uint32": 0,
-        "uinteger": 0,
-    }
+class _SeedWords(np.random.bit_generator.ISeedSequence):
+    """A seed sequence whose output is one environment's row of
+    `_seed_words`.  PCG64 asks for four uint64 words and reads them straight
+    from the array's buffer, so the row must be contiguous."""
+
+    def __init__(self, words: np.ndarray):
+        self.words = words
+
+    def generate_state(self, n_words, dtype=np.uint32):
+        return self.words
 
 
-# environments drawn and then sampled together: the draw stage's raw
-# variates, and the ancestral stage's temporaries, are held for one block
+# environments drawn and then sampled together: the raw mechanism variates,
+# the uniforms and the ancestral temporaries are held for one block
 _BLOCK_ENVS = 4096
-
-
-def _draw_stage(
-    mechanisms: List[_Mechanism], d: int, n_envs: int, n: int, rng_seed: int
-) -> Iterator[Tuple[int, List[np.ndarray], np.ndarray]]:
-    """The draw stage of `sample_dataset`, in blocks of `_BLOCK_ENVS`
-    environments.  Checks the seed and `n_envs` when called, then returns an
-    iterator that yields, block by block, the first environment's index,
-    each node's (block, units, *unit_shape) raw variates and the (block, d,
-    n) uniforms, whose row t feeds the t-th node in topological order.
-    Each environment makes one rng call per run of equal mechanism draws
-    (`_run_buffers`), into one array per run of which each node's raw
-    variates are a view, then one call for all its uniforms.
-
-    Environment e draws from a generator in exactly the state of
-    `np.random.default_rng((rng_seed, e))`.  That state is not built per
-    environment: `_seed_words` computes every environment's SeedSequence
-    output at once, and `_pcg64_state` turns one environment's words into
-    the PCG64 state, which is set on one reused generator.  Environment 0's
-    generator is also built the documented way, which validates the seed as
-    `default_rng` does; if its state differs from the bulk one, numpy's
-    seeding has changed and a RuntimeError says so."""
-    if n_envs > 2**32:
-        raise ValueError(
-            f"n_envs = {n_envs} exceeds 2**32: each environment index is seeded as one uint32 word"
-        )
-    # default_rng(seed) is Generator(PCG64(seed)); ValueError on a negative
-    # seed, TypeError on a non-integer one
-    bit_generator = np.random.PCG64((rng_seed, 0))
-    words = _seed_words(rng_seed, n_envs)
-    if bit_generator.state != _pcg64_state(words[0]):
-        raise RuntimeError(
-            f"bulk seeding does not reproduce default_rng((seed, 0)) under numpy {np.__version__}"
-        )
-    rng = np.random.default_rng(bit_generator)  # wraps it, without reseeding
-
-    def blocks():
-        for start in range(0, n_envs, _BLOCK_ENVS):
-            block = words[start : start + _BLOCK_ENVS]
-            draws, raws = _run_buffers(mechanisms, len(block))
-            uniforms = np.empty((len(block), d, n))
-            for e, env_words in enumerate(block):
-                bit_generator.state = _pcg64_state(env_words)
-                _draw_env(rng, draws, e)
-                # each double takes one 64-bit word, so row t equals the t-th
-                # of d consecutive rng.random(n) calls
-                rng.random(out=uniforms[e])
-            yield start, raws, uniforms
-
-    return blocks()
 
 
 def _ancestral_stage(
@@ -498,29 +430,55 @@ def sample_dataset(
     samples_per_env: int,
     rng_seed: int,
 ) -> EnvDataset:
-    """Sample `n_envs` environments of `samples_per_env` rows each, in two
-    stages.  The draw stage loops over environments and makes only the rng
-    calls: environment e, on a generator exactly in the state of
-    `np.random.default_rng((rng_seed, e))`, draws each node's mechanism in
-    node-index order, then the uniforms of each node in topological order.
-    The data stream depends on that order.  It makes one rng call per run
-    of equal mechanism draws, which gives the same stream as one call per
-    node.  The generator states are computed in bulk from numpy's
-    SeedSequence and PCG64 seeding algorithms (`_draw_stage`); a test and a
-    check of environment 0 on every call guard that they equal
-    `default_rng`'s.  The ancestral stage then samples each node for a
-    block of `_BLOCK_ENVS` environments at once, straight into the
-    dataset's `rows`.  Blocks bound the stages' memory; every
-    environment's data is the same whatever the block size."""
+    """Sample `n_envs` environments of `samples_per_env` rows each, in
+    blocks of `_BLOCK_ENVS` environments, straight into the dataset's
+    `rows`.  Blocks bound the memory; every environment's data is the same
+    whatever the block size.
+
+    Per block, a loop over environments makes only the rng calls:
+    environment e draws each node's mechanism in node-index order, then the
+    uniforms of each node in topological order.  The data stream depends on
+    that order.  It makes one rng call per run of equal mechanism draws
+    (`_run_buffers`), which gives the same stream as one call per node.
+    `_ancestral_stage` then samples each node for the whole block at once.
+
+    Environment e's generator is exactly `np.random.default_rng((rng_seed,
+    e))`.  `_seed_words` computes every environment's SeedSequence output
+    at once, and numpy's PCG64 seeds itself from environment e's words
+    through `_SeedWords`.  Environment 0's generator is also built the
+    documented way, which validates the seed as `default_rng` does; if its
+    state differs from the bulk one, numpy's seeding has changed and a
+    RuntimeError says so."""
     if n_envs < 1 or samples_per_env < 1:
         raise ValueError("n_envs and samples_per_env must be >= 1")
+    if n_envs > 2**32:
+        raise ValueError(
+            f"n_envs = {n_envs} exceeds 2**32: each environment index is seeded as one uint32 word"
+        )
     mechanisms = _node_drawers(g, prior)
+    # default_rng(seed) is Generator(PCG64(seed)); ValueError on a negative
+    # seed, TypeError on a non-integer one
+    reference = np.random.PCG64((rng_seed, 0))
+    words = _seed_words(rng_seed, n_envs)
+    if reference.state != np.random.PCG64(_SeedWords(words[0])).state:
+        raise RuntimeError(
+            f"bulk seeding does not reproduce default_rng((seed, 0)) under numpy {np.__version__}"
+        )
     cards = prior.cardinalities
     rows = np.empty((n_envs * samples_per_env, g.d), dtype=np.int64)
     values = rows.reshape(n_envs, samples_per_env, g.d)
-    for start, raws, uniforms in _draw_stage(mechanisms, g.d, n_envs, samples_per_env, rng_seed):
-        block = values[start : start + len(uniforms)]
-        _ancestral_stage(g, cards, mechanisms, raws, uniforms, block)
+    for start in range(0, n_envs, _BLOCK_ENVS):
+        block = words[start : start + _BLOCK_ENVS]
+        draws, raws = _run_buffers(mechanisms, len(block))
+        uniforms = np.empty((len(block), g.d, samples_per_env))
+        for e, env_words in enumerate(block):
+            rng = np.random.default_rng(np.random.PCG64(_SeedWords(env_words)))
+            for buffer, draw, units in draws:
+                buffer[e] = draw(rng, units)
+            # each double takes one 64-bit word, so row t equals the t-th
+            # of d consecutive rng.random(n) calls
+            rng.random(out=uniforms[e])
+        _ancestral_stage(g, cards, mechanisms, raws, uniforms, values[start : start + len(block)])
     return EnvDataset._from_rows(
         g.d,
         cards,

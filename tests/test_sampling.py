@@ -391,7 +391,7 @@ class TestPinnedSamplerStream:
 
 
 class TestBulkSeeding:
-    """The draw stage's bulk seeding must put environment e's generator in
+    """The sampler's bulk seeding must put environment e's generator in
     exactly the state of `np.random.default_rng((seed, e))`.  The seeds
     cross the entropy's uint32 word-count boundaries: 1, 2, 3 and 4 words
     of seed before the environment's word, the last past the 4-word pool."""
@@ -407,10 +407,14 @@ class TestBulkSeeding:
             expected = np.random.SeedSequence((seed, e)).generate_state(4, np.uint64)
             assert np.array_equal(words[e], expected)
             state = np.random.default_rng((seed, e)).bit_generator.state
-            assert sampling._pcg64_state(words[e]) == state
+            assert np.random.PCG64(sampling._SeedWords(words[e])).state == state
+
+    def test_negative_seed_rejected(self):
+        with pytest.raises(ValueError, match="nonnegative"):
+            sampling._seed_words(-1, 1)
 
     def test_draws_match_default_rng(self):
-        # the reused generator, after a state set, continues each stream
+        # each generator seeded from the bulk words continues its stream
         g, prior = bivariate_xor_model()
         ds = sample_dataset(g, prior, 5, 3, 2**64)
         for e in range(5):
@@ -430,7 +434,7 @@ class TestBulkSeeding:
                 sample_dataset(g, prior, 4, 2, bad)
 
     def test_drifted_seeding_fails_explicitly(self, monkeypatch):
-        monkeypatch.setattr(sampling, "_PCG64_MULT", sampling._PCG64_MULT + 2)
+        monkeypatch.setattr(sampling, "_MULT_B", sampling._MULT_B + 2)
         g, prior = bivariate_xor_model()
         with pytest.raises(RuntimeError, match=np.__version__):
             sample_dataset(g, prior, 4, 2, 0)
@@ -438,9 +442,8 @@ class TestBulkSeeding:
     def test_environment_index_limit(self):
         # rejected before anything is allocated
         g, prior = bivariate_xor_model()
-        mechanisms = sampling._node_drawers(g, prior)
         with pytest.raises(ValueError, match="2\\*\\*32"):
-            sampling._draw_stage(mechanisms, g.d, 2**32 + 1, 2, 0)
+            sample_dataset(g, prior, 2**32 + 1, 2, 0)
 
 
 class TestBivariateXorModel:
