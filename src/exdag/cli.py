@@ -195,10 +195,11 @@ def build_parser() -> argparse.ArgumentParser:
     ):
         p = sub.add_parser(name, help=about)
         p.add_argument("--in", dest="input")
-        p.add_argument("--alpha", type=_alpha, default=DEFAULT_ALPHA)
     p = sub.choices["discover"]
+    p.add_argument("--alpha", type=_alpha, default=DEFAULT_ALPHA)
     p.add_argument("--force", action="store_true",
-                   help="break sink deadlocks by max-min-p instead of failing")
+                   help="break sink deadlocks by max-min-p, naming each on stderr, "
+                   "instead of failing")
     p.add_argument("--out", help="result JSON path (default: stdout)")
 
     for name, about, envs_about in (
@@ -210,11 +211,11 @@ def build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name, help=about)
         p.add_argument("--envs", type=_env_grid, default=(), help=envs_about)
         p.add_argument("--repeats", type=_COUNT, help="default 20, or 100 with --paper-scale")
-        p.add_argument("--alpha", type=_alpha, default=DEFAULT_ALPHA)
         p.add_argument("--seed", type=_SEED, default=0)
         p.add_argument("--samples-per-env", type=_DISCOVERY_SAMPLES, default=2)
         p.add_argument("--paper-scale", action="store_true")
         p.add_argument("--out", help="output directory")
+    p.add_argument("--alpha", type=_alpha, default=DEFAULT_ALPHA)
     p.add_argument("--graphs", type=_preset_names, default=(), help="comma-separated preset names")
     p.add_argument("--workers", type=_COUNT, default=1)
 
@@ -287,12 +288,18 @@ def _run(parser: argparse.ArgumentParser, args) -> int:
         try:
             with _input_file(args.input):
                 if args.command == "bivariate":
-                    print(bivariate_direction(harness.ingest_csv(args.input), args.alpha))
+                    print(bivariate_direction(harness.ingest_csv(args.input)))
                     return 0
                 result = harness.discover_file(args.input, alpha=args.alpha, force=args.force)
         except NoSinkFoundError as exc:
             print(f"discovery failed: {exc}", file=sys.stderr)
             return 2
+        for sweep, variable, p_value in result.sink_order.forced:
+            print(
+                f"discovery forced: sweep {sweep} found no sink; placed variable {variable}, "
+                f"minimum p-value {p_value:.4g}",
+                file=sys.stderr,
+            )
         payload = json.dumps(result.to_dict(), indent=2) + "\n"
         if args.out:
             Path(args.out).write_text(payload)
@@ -306,7 +313,7 @@ def _run(parser: argparse.ArgumentParser, args) -> int:
             env_grid=args.envs,
             graphs=getattr(args, "graphs", ()),
             repeats=args.repeats,
-            alpha=args.alpha,
+            alpha=getattr(args, "alpha", DEFAULT_ALPHA),
             seed=args.seed,
             samples_per_env=args.samples_per_env,
             paper_scale=args.paper_scale,

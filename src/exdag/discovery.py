@@ -43,9 +43,12 @@ class NoSinkFoundError(RuntimeError):
 
 @dataclass
 class SinkOrder:
-    """Disjoint buckets covering all variables; bucket 0 holds the sinks."""
+    """Disjoint buckets covering the variables 0..d-1; bucket 0 holds the
+    sinks.  `forced` holds a (sweep, variable, minimum p-value) entry for
+    each deadlocked sweep that `force` broke by placing that variable."""
 
     buckets: Tuple[Tuple[int, ...], ...]
+    forced: Tuple[Tuple[int, int, float], ...] = ()
 
     def __post_init__(self):
         self.buckets = tuple(tuple(b) for b in self.buckets)
@@ -54,6 +57,12 @@ class SinkOrder:
             raise ValueError("buckets must be disjoint")
         if any(len(b) == 0 for b in self.buckets):
             raise ValueError("buckets must be nonempty")
+        expected, got = set(range(len(flat))), set(flat)
+        if got != expected:
+            raise ValueError(
+                f"buckets must cover the variables 0..{len(flat) - 1}: "
+                f"missing {sorted(expected - got)}, extra {sorted(got - expected)}"
+            )
 
     @property
     def d(self):
@@ -108,10 +117,12 @@ def find_sink_order_with_tester(tester: CiTester, d: int, force: bool = False) -
     Within a sweep the remaining-variable set is frozen, so results do not
     depend on iteration order; all variables passing the sweep enter the
     same bucket.  With `force`, a deadlocked sweep admits the variable whose
-    worst pairwise p-value is largest instead of raising.
+    worst pairwise p-value is largest instead of raising, and records it in
+    the order's `forced`.
     """
     remaining = list(range(d))
     buckets = []
+    forced = []
     while remaining:
         placed = []
         p_matrix = {}
@@ -131,9 +142,10 @@ def find_sink_order_with_tester(tester: CiTester, d: int, force: bool = False) -
             if not force:
                 raise NoSinkFoundError(remaining, p_matrix)
             placed = [max(remaining, key=lambda i: min(p_matrix[i]))]
+            forced.append((len(buckets), placed[0], min(p_matrix[placed[0]])))
         buckets.append(tuple(placed))
         remaining = [i for i in remaining if i not in placed]
-    return SinkOrder(tuple(buckets))
+    return SinkOrder(tuple(buckets), tuple(forced))
 
 
 def find_edges_with_tester(tester: CiTester, order: SinkOrder) -> Dag:
@@ -203,13 +215,13 @@ def discover(ds: EnvDataset, alpha: float = DEFAULT_ALPHA, force: bool = False) 
     return discover_with_tester(data_tester(ds, alpha), ds.d, alpha=alpha, force=force)
 
 
-def bivariate_direction(ds: EnvDataset, alpha: float = DEFAULT_ALPHA) -> str:
+def bivariate_direction(ds: EnvDataset) -> str:
     """Three-hypothesis decision for d = 2: pick the statement with the
     highest p-value among (X->Y), (Y->X), (X indep Y); ties break in that
-    listed order."""
+    listed order.  No verdict is read, so no level is taken."""
     if ds.d != 2:
         raise ValueError("bivariate_direction requires exactly 2 variables")
-    tester = data_tester(ds, alpha)
+    tester = data_tester(ds)
     statements = [
         (X_TO_Y, CiStatement(frozenset([(0, 0)]), frozenset([(1, 1)]), frozenset([(0, 1)]))),
         (Y_TO_X, CiStatement(frozenset([(0, 0)]), frozenset([(1, 1)]), frozenset([(1, 0)]))),

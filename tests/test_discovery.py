@@ -52,6 +52,10 @@ class TestSinkOrder:
             SinkOrder(((0, 1), (1,)))
         with pytest.raises(ValueError, match="nonempty"):
             SinkOrder(((0,), ()))
+        with pytest.raises(ValueError, match=r"missing \[0\], extra \[2\]"):
+            SinkOrder(((1,), (2,)))
+        with pytest.raises(ValueError, match=r"missing \[1\], extra \[-1\]"):
+            SinkOrder(((-1,), (0,)))
 
 
 class TestFindSinkOrder:
@@ -87,7 +91,8 @@ class TestFindSinkOrder:
             return CiResult(stmt, 10.0, 1, p_for[i], 0.05, 10)
 
         order = find_sink_order_with_tester(tester, 2, force=True)
-        assert order.buckets[0] == (1,)
+        assert order.buckets == ((1,), (0,))
+        assert order.forced == ((0, 1, 0.04),)
 
 
 class TestFindEdges:
@@ -173,6 +178,28 @@ class TestStatisticalDiscovery:
         ds = sample_dataset(g, prior, 4000, 2, 0)
         res = discover(ds)
         assert res.graph == g
+
+    CHAIN4 = Dag(4, frozenset({(0, 1), (1, 2), (2, 3)}))
+
+    def test_force_records_each_deadlocked_sweep(self):
+        ds = sample_dataset(self.CHAIN4, MixturePrior((XorBetaPrior(1, 3),) * 4), 2000, 2, 8)
+        with pytest.raises(NoSinkFoundError) as err:
+            discover(ds)
+        min_p = {i: min(ps) for i, ps in err.value.p_matrix.items()}
+        v = max(min_p, key=min_p.get)
+        forced = discover(ds, force=True).sink_order.forced
+        # the strict run raises at the first deadlock; this dataset has a
+        # second one at sweep 2, which only the forced run reaches
+        assert forced[0] == (0, v, min_p[v])
+        assert [sweep for sweep, _, _ in forced] == [0, 2]
+
+    def test_forced_empty_without_deadlock(self):
+        g, prior = bivariate_xor_model()
+        ds = sample_dataset(g, prior, 4000, 2, 0)
+        strict = discover(ds)
+        forced = discover(ds, force=True)
+        assert forced.sink_order.forced == strict.sink_order.forced == ()
+        assert forced.to_dict() == strict.to_dict()
 
     def test_requires_two_samples(self):
         g, prior = bivariate_xor_model()

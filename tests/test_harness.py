@@ -399,6 +399,21 @@ class TestMultivariate:
         # a deadlocked repeat's graph is the one force repairs it to
         assert row["graph_recovery"] == recovered / 5
 
+    def test_one_gather_per_repeat(self, monkeypatch):
+        # a deadlocked repeat is counted from its forced run, not rerun
+        calls = []
+        values_at = EnvDataset.values_at
+
+        def counted(ds, coords):
+            calls.append(list(coords))
+            return values_at(ds, coords)
+
+        monkeypatch.setattr(EnvDataset, "values_at", counted)
+        cfg = ExperimentConfig(env_grid=(2000,), graphs=("chain4",), repeats=5, seed=0)
+        (row,) = harness.run_multivariate(cfg)
+        assert row["deadlocks"] >= 1
+        assert len(calls) == 5
+
     def test_cli_line_reports_deadlocks(self, capsys):
         assert main(["sweep-multivariate", "--graphs", "fork3", "--envs", "200",
                      "--repeats", "1"]) == 0
@@ -465,6 +480,33 @@ class TestCli:
         ]) == 0
         result = json.loads(out_json.read_text())
         assert Dag.from_dict(result["graph"]).d == 3
+
+    def test_force_names_each_repair_on_stderr(self, tmp_path, capsys):
+        csv_path, out_json = tmp_path / "dl.csv", tmp_path / "res.json"
+        assert main(["simulate", "--graph", "chain4", "--envs", "2000", "--seed", "8",
+                     "--out", str(csv_path)]) == 0
+        capsys.readouterr()
+        assert main(["discover", "--in", str(csv_path)]) == 2
+        assert "discovery failed: no sink found" in capsys.readouterr().err
+        assert main(["discover", "--in", str(csv_path), "--force"]) == 0
+        out, err = capsys.readouterr()
+        result = discover_file(csv_path, force=True)
+        assert json.loads(out) == result.to_dict()
+        assert err.splitlines() == [
+            f"discovery forced: sweep {sweep} found no sink; placed variable {variable}, "
+            f"minimum p-value {p:.4g}"
+            for sweep, variable, p in result.sink_order.forced
+        ]
+        assert len(result.sink_order.forced) == 2
+        assert main(["discover", "--in", str(csv_path), "--force", "--out", str(out_json)]) == 0
+        assert out_json.read_text() == out
+
+    @pytest.mark.parametrize("command", ["bivariate", "sweep-bivariate"])
+    def test_alpha_only_where_a_verdict_reads_it(self, capsys, command):
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--alpha", "0.05"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --alpha 0.05" in capsys.readouterr().err
 
     def test_bivariate_command(self, tmp_path, capsys):
         csv_path = tmp_path / "biv.csv"
@@ -638,8 +680,8 @@ class TestCli:
             ("simulate", {"graph": "fork3", "prior": XOR_PRIOR, "envs": "40",
                           "samples-per-env": "3", "seed": "4", "out": "sim.csv"}),
             ("discover", {"in": "data.csv", "alpha": "0.01", "force": None, "out": "res.json"}),
-            ("bivariate", {"in": "data.csv", "alpha": "0.02"}),
-            ("sweep-bivariate", {"envs": "100,200", "repeats": "2", "alpha": "0.02", "seed": "3",
+            ("bivariate", {"in": "data.csv"}),
+            ("sweep-bivariate", {"envs": "100,200", "repeats": "2", "seed": "3",
                                  "samples-per-env": "3", "paper-scale": None, "out": "sweep"}),
             ("sweep-multivariate", {"graphs": "fork3,chain3", "envs": "200,300", "repeats": "1",
                                     "alpha": "0.02", "seed": "3", "samples-per-env": "3",
