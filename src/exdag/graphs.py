@@ -247,13 +247,15 @@ def ci_statements(nodes: Iterable[Node], max_condition_size: int) -> Iterator[Ci
     """All singleton-left/singleton-right statements over `nodes` with
     conditioning sets up to `max_condition_size`, in canonical order: pairs
     a < b, then conditioning sets by size, then lexicographically.  The sides
-    are disjoint by construction, so they skip the constructor's checks."""
+    are disjoint by construction, so they skip the constructor's checks, and
+    each pair's two sides are built once and shared by its statements."""
     nodes = sorted(nodes)
     for a, b in itertools.combinations(nodes, 2):
+        left, right = frozenset([a]), frozenset([b])
         rest = [v for v in nodes if v not in (a, b)]
         for size in range(min(max_condition_size, len(rest)) + 1):
             for given in itertools.combinations(rest, size):
-                yield CiStatement._from_disjoint(frozenset([a]), frozenset([b]), frozenset(given))
+                yield CiStatement._from_disjoint(left, right, frozenset(given))
 
 
 def ci_set(m: Dmag, max_condition_size: int) -> List[CiStatement]:

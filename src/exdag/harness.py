@@ -272,8 +272,10 @@ def run_bivariate_sweep(cfg: ExperimentConfig) -> List[dict]:
     out = _make_out_dir(cfg.out_dir)
     rows = [_bivariate_point(n_envs, cfg) for n_envs in sorted(cfg.env_grid)]
     if out:
+        config = asdict(cfg)
+        del config["alpha"]  # bivariate_direction takes the largest p-value, at no level
         fields = ["n_envs", "repeats", "correct_fraction"]
-        _write_sweep(out, cfg, rows, "bivariate_sweep.csv", fields)
+        _write_sweep(out, config, rows, "bivariate_sweep.csv", fields)
     return rows
 
 
@@ -337,7 +339,7 @@ def run_multivariate(cfg: ExperimentConfig, workers: int = 1) -> List[dict]:
     if out:
         flat = [dict(r, edge_recovery=json.dumps(r["edge_recovery"], sort_keys=True)) for r in rows]
         _write_sweep(
-            out, cfg, flat, "multivariate.csv",
+            out, asdict(cfg), flat, "multivariate.csv",
             ["graph", "n_envs", "repeats", "graph_recovery", "deadlocks", "edge_recovery"],
         )
     return rows
@@ -448,15 +450,14 @@ def _make_out_dir(out_dir: Optional[str]) -> Optional[Path]:
     return out
 
 
-def _write_sweep(
-    out: Path, cfg: ExperimentConfig, rows: List[dict], csv_name: str, fields: List[str]
-):
+def _write_sweep(out: Path, config: dict, rows: List[dict], csv_name: str, fields: List[str]):
+    """The sweep's CSV and its manifest, which records `config` as run."""
     with (out / csv_name).open("w", newline="") as fh:
         writer = csv.DictWriter(fh, fieldnames=fields)
         writer.writeheader()
         for row in rows:
             writer.writerow({k: row[k] for k in fields})
-    manifest = {"config": asdict(cfg), "output": csv_name}
+    manifest = {"config": config, "output": csv_name}
     (out / (csv_name.rsplit(".", 1)[0] + "_manifest.json")).write_text(
         json.dumps(manifest, indent=2, sort_keys=True) + "\n"
     )

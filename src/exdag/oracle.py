@@ -39,9 +39,11 @@ class FiniteMixtureModel:
     graph: Dag
     prior: MixturePrior
     samples_per_env: int
-    # out of __init__, so dataclasses.replace starts both caches empty
+    # out of __init__, so dataclasses.replace starts the caches empty
     _joint: Optional[np.ndarray] = field(init=False, default=None, repr=False, compare=False)
     _marginals: dict = field(init=False, default_factory=dict, repr=False, compare=False)
+    # (variable, sample) -> joint axis, for every node of the unrolled graph
+    _axes: dict = field(init=False, default_factory=dict, repr=False, compare=False)
 
     def __post_init__(self):
         if self.samples_per_env < 1:
@@ -56,6 +58,9 @@ class FiniteMixtureModel:
             raise EnumerationSizeError(
                 f"unrolled state space of {size} configurations exceeds {STATE_SPACE_LIMIT}"
             )
+        self._axes = {
+            (v, s): self.axis_of(v, s) for s in range(self.samples_per_env) for v in range(self.d)
+        }
 
     @property
     def d(self):
@@ -103,35 +108,73 @@ def exact_joint(model: FiniteMixtureModel) -> np.ndarray:
     return joint
 
 
+def _marginal(model: FiniteMixtureModel, axes: frozenset) -> np.ndarray:
+    """The joint summed over every axis outside `axes`, with keepdims,
+    memoized per model."""
+    marginal = model._marginals.get(axes)
+    if marginal is None:
+        joint = exact_joint(model)
+        dropped = tuple(a for a in range(joint.ndim) if a not in axes)
+        marginal = model._marginals[axes] = joint.sum(axis=dropped, keepdims=True)
+    return marginal
+
+
+def _ci_verdicts(model: FiniteMixtureModel, stmts: Sequence[CiStatement]) -> List[bool]:
+    """The exact verdict of each statement, in input order: the one verdict
+    path behind `exact_ci`, `true_ci_set` and `verify_markov_faithful`.
+
+    Statements are grouped by their full axis set, left | right | given.
+    A group's p(l,g), p(r,g) and p(g) are stacked along a leading statement
+    axis against its one p(l,r,g), so the rule runs once per group.  Every
+    cell meets the same floats as a one-statement check, so verdicts do not
+    depend on which statements share a call."""
+    axis_of = model._axes.__getitem__
+    groups = {}
+    for k, stmt in enumerate(stmts):
+        try:
+            left = frozenset(map(axis_of, stmt.left))
+            right = frozenset(map(axis_of, stmt.right))
+            given = frozenset(map(axis_of, stmt.given))
+        except KeyError as err:
+            raise ValueError(f"statement references unknown node {err.args[0]}") from None
+        groups.setdefault(left | right | given, []).append((k, left | given, right | given, given))
+    verdicts = [False] * len(stmts)
+    for full, members in groups.items():
+        p_lrg = _marginal(model, full)
+        stacked = np.empty((3, len(members)) + p_lrg.shape)
+        for j, (_, lg, rg, g) in enumerate(members):
+            stacked[0, j] = _marginal(model, lg)
+            stacked[1, j] = _marginal(model, rg)
+            stacked[2, j] = _marginal(model, g)
+        # indexing is cheaper than iterating over `stacked`, which shows on
+        # exact_ci's one-statement calls
+        p_lg, p_rg, p_g = stacked[0], stacked[1], stacked[2]
+        cells = np.abs(p_lrg * p_g - p_lg * p_rg) <= DEFAULT_CI_TOL * p_g**2
+        holds = np.logical_and.reduce(cells.reshape(len(members), -1), axis=1)
+        for member, independent in zip(members, holds.tolist()):
+            verdicts[member[0]] = independent
+    return verdicts
+
+
 def exact_ci(model: FiniteMixtureModel, stmt: CiStatement) -> bool:
     """True iff left and right are conditionally independent given `given` in
     the exact joint.  |p(l,r|g) - p(l|g) p(r|g)| <= `DEFAULT_CI_TOL` is tested
     multiplied through by p(g)^2, as |p(l,r,g) p(g) - p(l,g) p(r,g)| <= tol p(g)^2
     per cell, so a cell with p(g) = 0 reads 0 <= 0 (p(g)^2 must not underflow,
-    which holds for p(g) >~ 1e-154).  Marginals come from a memo per model."""
-    d, n = model.d, model.samples_per_env
-    for v, s in itertools.chain(stmt.left, stmt.right, stmt.given):
-        if not (0 <= v < d and 0 <= s < n):
-            raise ValueError(f"statement references unknown node ({v}, {s})")
-    left, right, given = (
-        frozenset(model.axis_of(v, s) for v, s in side)
-        for side in (stmt.left, stmt.right, stmt.given)
-    )
-    keys = (left | right | given, left | given, right | given, given)
-    for axes in keys:
-        if axes not in model._marginals:
-            joint = exact_joint(model)
-            dropped = tuple(a for a in range(joint.ndim) if a not in axes)
-            model._marginals[axes] = joint.sum(axis=dropped, keepdims=True)
-    p_lrg, p_lg, p_rg, p_g = (model._marginals[axes] for axes in keys)
-    return bool((np.abs(p_lrg * p_g - p_lg * p_rg) <= DEFAULT_CI_TOL * p_g**2).all())
+    which holds for p(g) >~ 1e-154).  Marginals come from a memo per model,
+    keyed by axis set.  This is `true_ci_set`'s batched path on a
+    one-statement list, so every caller gets the same verdict."""
+    return _ci_verdicts(model, [stmt])[0]
 
 
 def true_ci_set(model: FiniteMixtureModel, max_condition_size: int) -> List[CiStatement]:
     """All `ci_statements` over the model's (variable, sample) nodes that
-    hold in the exact joint, sorted."""
+    hold in the exact joint, sorted.  The verdicts come from one batched
+    pass, which checks all statements that share a full axis set
+    (left | right | given) at once, with `exact_ci`'s rule."""
     nodes = [(i, s) for i in range(model.d) for s in range(model.samples_per_env)]
-    out = [s for s in ci_statements(nodes, max_condition_size) if exact_ci(model, s)]
+    stmts = list(ci_statements(nodes, max_condition_size))
+    out = [s for s, independent in zip(stmts, _ci_verdicts(model, stmts)) if independent]
     out.sort(key=CiStatement.sort_key)
     return out
 
@@ -163,12 +206,13 @@ def verify_markov_faithful(
     separations that fail in the distribution (Markov violations: must never
     occur) and distributional independences the graph does not imply
     (faithfulness violations: occur only for degenerate mixtures), each list
-    in enumeration order."""
+    in enumeration order.  The exact verdicts come from one batched pass,
+    grouped by full axis set with `exact_ci`'s rule, as in `true_ci_set`."""
     dmag = icm_unroll(model.graph, model.samples_per_env)
+    stmts = list(ci_statements(dmag.nodes, max_condition_size))
     markov, faithless = [], []
-    for stmt in ci_statements(dmag.nodes, max_condition_size):
+    for stmt, independent in zip(stmts, _ci_verdicts(model, stmts)):
         separated = m_separated(dmag, stmt)
-        independent = exact_ci(model, stmt)
         if separated and not independent:
             markov.append(stmt)
         elif independent and not separated:

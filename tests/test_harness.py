@@ -325,6 +325,31 @@ class TestBivariateSweep:
         assert manifest["config"]["repeats"] == (100 if paper_scale else 20)
 
 
+class TestManifestAlpha:
+    """Multivariate verdicts read `alpha`; `bivariate_direction` takes the
+    largest p-value, so the bivariate manifest records no level."""
+
+    @pytest.mark.parametrize(
+        "run, point, name, has_alpha",
+        [
+            ("run_bivariate_sweep", "_bivariate_point", "bivariate_sweep", False),
+            ("run_multivariate", "_multivariate_graph", "multivariate", True),
+        ],
+    )
+    def test_alpha_recorded_only_where_read(self, tmp_path, monkeypatch, run, point, name,
+                                            has_alpha):
+        row = {"n_envs": 300, "repeats": 1, "correct_fraction": 1.0, "graph": "fork3",
+               "graph_recovery": 1.0, "deadlocks": 0, "edge_recovery": {}}
+        monkeypatch.setattr(harness, point, lambda *args: row)
+        cfg = ExperimentConfig(env_grid=(300,), graphs=("fork3",), repeats=1, alpha=0.01,
+                               out_dir=str(tmp_path))
+        getattr(harness, run)(cfg)
+        config = json.loads((tmp_path / f"{name}_manifest.json").read_text())["config"]
+        assert ("alpha" in config) == has_alpha
+        assert config.get("alpha", 0.01) == 0.01
+        assert (config["repeats"], config["env_grid"]) == (1, [300])
+
+
 class TestMultivariate:
     def test_small_run_structure(self, tmp_path):
         cfg = ExperimentConfig(

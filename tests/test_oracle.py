@@ -17,8 +17,10 @@ from exdag.graphs import (
     statement,
 )
 from exdag.oracle import (
+    DEFAULT_CI_TOL,
     STATE_SPACE_LIMIT,
     FiniteMixtureModel,
+    _ci_verdicts,
     exact_ci,
     exact_joint,
     oracle_tester,
@@ -277,6 +279,90 @@ class TestExactCi:
             assert true_ci_set(replaced, 6) == true_ci_set(other, 6)
         # one atom per node is iid across samples: more independences hold
         assert true_ci_set(replaced, 6) != old_set
+
+
+def one_statement_verdict(model, stmt):
+    """Reference: the product-form rule on one statement, with its four
+    marginals summed afresh from the joint."""
+    joint = exact_joint(model)
+    left, right, given = (
+        frozenset(model.axis_of(v, s) for v, s in side)
+        for side in (stmt.left, stmt.right, stmt.given)
+    )
+
+    def marginal(axes):
+        dropped = tuple(a for a in range(joint.ndim) if a not in axes)
+        return joint.sum(axis=dropped, keepdims=True)
+
+    p_lrg, p_lg, p_rg, p_g = (
+        marginal(axes) for axes in (left | right | given, left | given, right | given, given)
+    )
+    return bool((np.abs(p_lrg * p_g - p_lg * p_rg) <= DEFAULT_CI_TOL * p_g**2).all())
+
+
+def _random_statements(nodes, count, rng):
+    """`count` statements with one or two nodes per side and a random
+    conditioning set, in random node order."""
+    out = []
+    while len(out) < count:
+        picked = [nodes[j] for j in rng.permutation(len(nodes))]
+        n_left, n_right = (int(k) for k in rng.integers(1, 3, size=2))
+        n_given = int(rng.integers(0, len(nodes) - n_left - n_right + 1))
+        out.append(statement(
+            picked[:n_left],
+            picked[n_left:n_left + n_right],
+            picked[n_left + n_right:n_left + n_right + n_given],
+        ))
+    return out
+
+
+class TestBatchedVerdicts:
+    """The grouped verdicts of one call equal the one-statement rule, in
+    input order, whatever else shares the call."""
+
+    @staticmethod
+    def _models():
+        rng = np.random.default_rng(23)
+        chain = Dag(3, frozenset({(0, 1), (1, 2)}))
+        collider = Dag(3, frozenset({(0, 2), (1, 2)}))
+        for n in (2, 3):
+            yield random_generic_model(chain, n, rng)
+            yield random_generic_model(collider, n, rng, cardinalities=(3, 3, 3))
+        # one atom per node, and X0 = 2 has no mass: conditioning cells of zero mass
+        single_atom = [[(1.0, [[0.5], [0.5], [0.0]])], [(1.0, [[1.0, 0.3, 0.5], [0.0, 0.7, 0.5]])]]
+        yield FiniteMixtureModel(Dag(2, frozenset({(0, 1)})), atom_prior(single_atom), 2)
+
+    def test_match_one_statement_rule_in_input_order(self):
+        rng = np.random.default_rng(29)
+        zero_mass_cells = 0
+        for model in self._models():
+            nodes = sorted(model._axes)
+            stmts = list(ci_statements(nodes, 2)) + _random_statements(nodes, 60, rng)
+            stmts = [stmts[j] for j in rng.permutation(len(stmts))]
+            verdicts = _ci_verdicts(model, stmts)
+            assert verdicts == [one_statement_verdict(model, s) for s in stmts]
+            assert all(type(v) is bool for v in verdicts)
+            assert 0 < sum(verdicts) < len(verdicts)
+            zero_mass_cells += sum(
+                int((model._marginals[frozenset(model._axes[v] for v in s.given)] == 0).sum())
+                for s in stmts
+            )
+        assert zero_mass_cells > 0
+
+    def test_one_statement_call_returns_a_python_bool(self):
+        model = two_atom_xy_model()
+        holds = exact_ci(model, statement([(0, 0)], [(1, 1)], [(0, 1)]))
+        fails = exact_ci(model, statement([(0, 0)], [(1, 1)], [(1, 0)]))
+        assert (holds, fails) == (True, False)
+        assert type(holds) is bool and type(fails) is bool
+
+    def test_unknown_node_named_wherever_it_sits(self):
+        model = two_atom_xy_model()
+        good = statement([(0, 0)], [(1, 1)])
+        with pytest.raises(ValueError, match=r"unknown node \(5, 1\)"):
+            _ci_verdicts(model, [good, statement([(0, 0)], [(1, 0)], [(5, 1)])])
+        with pytest.raises(ValueError, match=r"unknown node \(0, 2\)"):
+            exact_ci(model, statement([(0, 2)], [(1, 1)]))
 
 
 class TestVerifyMarkovFaithful:
