@@ -7,20 +7,20 @@ samples would break independence of the test observations.
 
 Because only each environment's tuple enters a test, the multiset of those
 tuples is a sufficient statistic for every statement over the same
-coordinates.  A `PatternTable` holds it: one `values_at` gather codes each
-environment's row by one mixed-radix int64 index, and the distinct codes
-become the table's patterns, each weighted by how many environments share
-it.  A statement's cube is then one weighted `np.bincount` over the
-patterns, with integer counts equal to a direct count.  The codes must fit
-int64, so the product of the covered coordinates' cardinalities may not
-exceed 2**63 - 1; a table over more is rejected.
+coordinates.  A `PatternTable` holds it, and every test here reads one:
+`pattern_table` codes each environment's row, from one `values_at` gather,
+by one mixed-radix int64 index, and the distinct codes become the table's
+patterns, each weighted by how many environments share it.  A statement's
+cube is then one weighted `np.bincount` over the patterns, with integer
+counts equal to a direct count.  The codes must fit int64, so a table whose
+coordinates' cardinalities multiply past 2**63 - 1 is rejected.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -114,23 +114,19 @@ def pattern_table(ds: EnvDataset, coords: Sequence[Tuple[int, int]]) -> PatternT
     return PatternTable(coords, ds.cardinalities, patterns, weights)
 
 
-def tabulate(source: Union[EnvDataset, PatternTable], stmt: CiStatement) -> ContingencyCube:
+def tabulate(table: PatternTable, stmt: CiStatement) -> ContingencyCube:
     """Accumulate one observation per environment into a stratified table.
 
-    From a `PatternTable`, the sorted given, left and right coordinates'
-    columns are coded by one C-order mixed-radix index per pattern, built
-    by Horner's rule over the table's contiguous columns, so a pattern with
-    given code z, left code x and right code y lands in cell
-    (z * kx + x) * ky + y.  The cube is the bincount of those codes
-    weighted by the patterns' environment counts, cast back to integers.
-    A dataset is first gathered into a table over the statement's own
-    coordinates, so there is one counting path.  The statement's
-    coordinates are distinct and covered by the table, so its codes fit
-    int64 whenever the table's do.
+    The sorted given, left and right coordinates' columns are coded by one
+    C-order mixed-radix index per pattern, built by Horner's rule over the
+    table's contiguous columns, so a pattern with given code z, left code x
+    and right code y lands in cell (z * kx + x) * ky + y.  The cube is the
+    bincount of those codes weighted by the patterns' environment counts,
+    cast back to integers.  The statement's coordinates are distinct and
+    covered by the table, so its codes fit int64 whenever the table's do.
     """
     given, left = sorted(stmt.given), sorted(stmt.left)
     coords = given + left + sorted(stmt.right)
-    table = source if isinstance(source, PatternTable) else pattern_table(source, coords)
     columns = table.columns(coords)
     cards = [table.cardinalities[v] for v, _ in coords]
     codes = np.zeros(len(table.weights), dtype=np.int64)
@@ -191,10 +187,10 @@ def g_test(
 
 
 def test_statement(
-    source: Union[EnvDataset, PatternTable], stmt: CiStatement, alpha: float = DEFAULT_ALPHA
+    table: PatternTable, stmt: CiStatement, alpha: float = DEFAULT_ALPHA
 ) -> CiResult:
     """Tabulate then G-test; verdict independent iff p > alpha."""
-    return g_test(tabulate(source, stmt), statement=stmt, alpha=alpha)
+    return g_test(tabulate(table, stmt), statement=stmt, alpha=alpha)
 
 
 # ---------------------------------------------------------------------------

@@ -15,9 +15,9 @@ checking the algorithm's correctness independently of finite-sample noise.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, List, Tuple
+from typing import Callable, List, Optional, Tuple
 
-from .ci_test import DEFAULT_ALPHA, CiResult, pattern_table, test_statement
+from .ci_test import DEFAULT_ALPHA, CiResult, PatternTable, pattern_table, test_statement
 from .graphs import CiStatement, Dag
 from .sampling import EnvDataset
 
@@ -74,7 +74,7 @@ class DiscoveryResult:
     graph: Dag
     sink_order: SinkOrder
     test_log: List[CiResult] = field(default_factory=list)
-    alpha: float = DEFAULT_ALPHA
+    alpha: Optional[float] = None  # the level of the tests, if the tester took one
 
     def to_dict(self) -> dict:
         return {
@@ -85,20 +85,21 @@ class DiscoveryResult:
         }
 
 
-def data_tester(ds: EnvDataset, alpha: float = DEFAULT_ALPHA) -> CiTester:
-    """Statistical backend: stratified G-test with one row per environment.
-
-    Every statement discovery tests reads samples 0 and 1 only, so the
-    tester gathers one pattern table over every variable at both samples
-    (column s * d + v) when it is built, and tabulates each statement from
-    it.  The table belongs to the tester, not to the dataset: a second
-    tester on the same dataset gathers again."""
+def _two_sample_table(ds: EnvDataset) -> PatternTable:
+    """Every variable at samples 0 and 1 (column s * d + v), the only
+    coordinates discovery's statements read, in one pattern table."""
     if ds.min_samples < 2:
         raise ValueError(
             "discovery requires at least 2 samples in every environment "
             "(the cross-sample tests reference sample index 1)"
         )
-    table = pattern_table(ds, [(v, s) for s in (0, 1) for v in range(ds.d)])
+    return pattern_table(ds, [(v, s) for s in (0, 1) for v in range(ds.d)])
+
+
+def data_tester(table: PatternTable, alpha: float = DEFAULT_ALPHA) -> CiTester:
+    """Statistical backend: stratified G-test of each statement, tabulated
+    from `table`, which holds one observation per environment and must
+    cover the statement's coordinates."""
     return lambda stmt: test_statement(table, stmt, alpha)
 
 
@@ -195,10 +196,9 @@ def find_edges_with_tester(tester: CiTester, order: SinkOrder) -> Dag:
     return Dag(d, frozenset(edges))
 
 
-def discover_with_tester(
-    tester: CiTester, d: int, alpha: float = DEFAULT_ALPHA, force: bool = False
-) -> DiscoveryResult:
-    """Sink order, then edges, with every test result logged in call order."""
+def discover_with_tester(tester: CiTester, d: int, force: bool = False) -> DiscoveryResult:
+    """Sink order, then edges, with every test result logged in call order.
+    The level lives in the tester, so the result's `alpha` is left unset."""
     log: List[CiResult] = []
 
     def logged(stmt: CiStatement) -> CiResult:
@@ -207,12 +207,15 @@ def discover_with_tester(
 
     order = find_sink_order_with_tester(logged, d, force=force)
     graph = find_edges_with_tester(logged, order)
-    return DiscoveryResult(graph=graph, sink_order=order, test_log=log, alpha=alpha)
+    return DiscoveryResult(graph=graph, sink_order=order, test_log=log)
 
 
 def discover(ds: EnvDataset, alpha: float = DEFAULT_ALPHA, force: bool = False) -> DiscoveryResult:
-    """Full pipeline: sink-order identification then edge identification."""
-    return discover_with_tester(data_tester(ds, alpha), ds.d, alpha=alpha, force=force)
+    """Full pipeline: sink-order identification then edge identification,
+    every test at level `alpha` on one two-sample pattern table."""
+    result = discover_with_tester(data_tester(_two_sample_table(ds), alpha), ds.d, force=force)
+    result.alpha = alpha
+    return result
 
 
 def bivariate_direction(ds: EnvDataset) -> str:
@@ -221,7 +224,7 @@ def bivariate_direction(ds: EnvDataset) -> str:
     listed order.  No verdict is read, so no level is taken."""
     if ds.d != 2:
         raise ValueError("bivariate_direction requires exactly 2 variables")
-    tester = data_tester(ds)
+    tester = data_tester(_two_sample_table(ds))
     statements = [
         (X_TO_Y, CiStatement(frozenset([(0, 0)]), frozenset([(1, 1)]), frozenset([(0, 1)]))),
         (Y_TO_X, CiStatement(frozenset([(0, 0)]), frozenset([(1, 1)]), frozenset([(1, 0)]))),

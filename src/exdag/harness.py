@@ -273,7 +273,7 @@ def run_bivariate_sweep(cfg: ExperimentConfig) -> List[dict]:
     rows = [_bivariate_point(n_envs, cfg) for n_envs in sorted(cfg.env_grid)]
     if out:
         config = asdict(cfg)
-        del config["alpha"]  # bivariate_direction takes the largest p-value, at no level
+        del config["graphs"], config["alpha"]  # the xor graph only; no verdict reads alpha
         fields = ["n_envs", "repeats", "correct_fraction"]
         _write_sweep(out, config, rows, "bivariate_sweep.csv", fields)
     return rows

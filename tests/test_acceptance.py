@@ -14,7 +14,7 @@ import pytest
 
 from _acceptance_log import record
 from exdag import harness
-from exdag.ci_test import chi2_sf
+from exdag.ci_test import chi2_sf, pattern_table
 from exdag.ci_test import test_statement as run_ci_test
 from exdag.discovery import discover_with_tester
 from exdag.graphs import Dag, ci_set, enumerate_dags, icm_unroll, statement
@@ -206,7 +206,7 @@ def test_criterion_6_statistical_kernel():
     rejections = 0
     for trial in range(trials):
         ds = sample_dataset(g, prior, 1000, 2, trial + 1)
-        if not run_ci_test(ds, stmt, alpha).independent:
+        if not run_ci_test(pattern_table(ds, [(0, 0), (1, 1), (1, 0)]), stmt, alpha).independent:
             rejections += 1
     rate = rejections / trials
     band = 3 * math.sqrt(alpha * (1 - alpha) / trials)

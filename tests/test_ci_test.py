@@ -27,6 +27,11 @@ def _dataset(rows_per_env):
     return EnvDataset(d=d, cardinalities=cards, envs=envs)
 
 
+def _table(ds, stmt):
+    """A pattern table over `stmt`'s own coordinates."""
+    return pattern_table(ds, sorted(stmt.left | stmt.right | stmt.given))
+
+
 def _g_test_loop(counts):
     """Reference: the per-stratum G-test loop, (statistic, dof, p_value)."""
     counts = counts.astype(float)
@@ -61,7 +66,8 @@ class TestTabulate:
                 [[0, 0], [1, 0]],
             ]
         )
-        cube = tabulate(ds, statement([(0, 0)], [(1, 1)]))
+        stmt = statement([(0, 0)], [(1, 1)])
+        cube = tabulate(_table(ds, stmt), stmt)
         assert cube.counts.shape == (1, 2, 2)
         assert cube.total == ds.n_envs
         # observations are (X at sample 0, Y at sample 1) per environment:
@@ -77,14 +83,16 @@ class TestTabulate:
                 [[1, 1], [1, 1]],
             ]
         )
-        cube = tabulate(ds, statement([(0, 0)], [(1, 0)], [(0, 1)]))
+        stmt = statement([(0, 0)], [(1, 0)], [(0, 1)])
+        cube = tabulate(_table(ds, stmt), stmt)
         assert cube.counts.shape == (2, 2, 2)
         assert cube.strata_cards == (2,)
         assert cube.counts.sum() == 4
 
     def test_multi_node_sides(self):
         ds = _dataset([[[0, 1, 1], [1, 0, 0]]] * 3)
-        cube = tabulate(ds, statement([(0, 0), (1, 0)], [(2, 1)]))
+        stmt = statement([(0, 0), (1, 0)], [(2, 1)])
+        cube = tabulate(_table(ds, stmt), stmt)
         assert cube.x_card == 4
         assert cube.counts.sum() == 3
 
@@ -106,9 +114,10 @@ class TestPatternTable:
     @settings(max_examples=200, deadline=None)
     @given(data=st.data())
     def test_counts_match_reference(self, data):
-        """Counts from a dataset and from a table over every coordinate, in
-        shuffled column order, equal the reference; on samples 0 and 1 the
-        data tester's result is the G-test of the reference counts."""
+        """Counts from a table over every coordinate, in shuffled column
+        order, and from a table over the statement's own coordinates equal
+        the reference; on samples 0 and 1 the data tester's result is the
+        G-test of the reference counts."""
         d = data.draw(st.integers(2, 4))
         cards = data.draw(st.lists(st.integers(2, 4), min_size=d, max_size=d))
         rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
@@ -124,14 +133,15 @@ class TestPatternTable:
         ng = data.draw(st.integers(0, min(3, len(picks) - nl - nr)))
         stmt = statement(picks[:nl], picks[nl : nl + nr], picks[nl + nr : nl + nr + ng])
         ref = _reference_counts(ds, stmt)
-        for source in (ds, table):
+        for source in (table, _table(ds, stmt)):
             cube = tabulate(source, stmt)
             assert cube.counts.dtype == np.int64
             assert np.array_equal(cube.counts, ref)
             assert (cube.x_card, cube.y_card) == ref.shape[1:]
             assert math.prod(cube.strata_cards) == ref.shape[0]
         if all(s <= 1 for _, s in picks[: nl + nr + ng]):
-            res = data_tester(ds)(stmt)
+            two_sample = pattern_table(ds, [(v, s) for s in (0, 1) for v in range(d)])
+            res = data_tester(two_sample)(stmt)
             ref_res = g_test(ContingencyCube(ref, *ref.shape[1:], cube.strata_cards))
             assert (res.statistic, res.dof, res.p_value) == (
                 ref_res.statistic, ref_res.dof, ref_res.p_value
@@ -145,7 +155,7 @@ class TestPatternTable:
             with pytest.raises(ValueError, match=f"variable {v} outside"):
                 tabulate(table, stmt)
             with pytest.raises(ValueError, match="variable index outside"):
-                tabulate(ds, stmt)
+                _table(ds, stmt)
 
     def test_rejects_uncovered_or_negative_sample(self):
         ds = _dataset([[[0, 1], [1, 0], [1, 1]], [[1, 1], [0, 0], [0, 1]]])
@@ -155,9 +165,9 @@ class TestPatternTable:
         with pytest.raises(ValueError, match=r"\(0, -1\) is not covered"):
             tabulate(table, statement([(0, -1)], [(1, 0)]))
         with pytest.raises(ValueError, match="negative"):
-            tabulate(ds, statement([(0, -1)], [(1, 0)]))
+            _table(ds, statement([(0, -1)], [(1, 0)]))
         with pytest.raises(ValueError, match="sample index 3"):
-            tabulate(ds, statement([(0, 3)], [(1, 0)]))
+            _table(ds, statement([(0, 3)], [(1, 0)]))
 
     def test_int64_limit(self):
         # two environments of huge declared cardinality: nothing large is built
@@ -165,11 +175,12 @@ class TestPatternTable:
         envs = [np.array([[0, 1, 0], [5, 0, 1]])] * 2
         ds = EnvDataset(d=3, cardinalities=(huge, 2, 2), envs=envs)
         with pytest.raises(ValueError, match=rf"int64.*\[{huge}, 2, 2, {huge}, 2, 2\]"):
-            data_tester(ds)
+            pattern_table(ds, [(v, s) for s in (0, 1) for v in range(3)])
         with pytest.raises(ValueError, match="int64"):
-            tabulate(ds, statement([(0, 0)], [(0, 1)], [(1, 0), (2, 0)]))
+            _table(ds, statement([(0, 0)], [(0, 1)], [(1, 0), (2, 0)]))
         # a statement over the small variables codes within the limit
-        cube = tabulate(ds, statement([(1, 0)], [(2, 1)]))
+        stmt = statement([(1, 0)], [(2, 1)])
+        cube = tabulate(_table(ds, stmt), stmt)
         assert cube.counts[0].tolist() == [[0, 0], [0, 2]]
 
 
@@ -198,13 +209,14 @@ class TestPinnedTabulation:
         n = 0
         for rng, ds in self._datasets():
             nodes = [(v, s) for v in range(ds.d) for s in range(3)]
+            table = pattern_table(ds, nodes)
             for _ in range(60):
                 picks = [nodes[i] for i in rng.permutation(len(nodes))]
                 nl, nr = int(rng.integers(1, 3)), int(rng.integers(1, 3))
                 ng = int(rng.integers(0, 3))
                 stmt = statement(picks[:nl], picks[nl : nl + nr], picks[nl + nr : nl + nr + ng])
-                cube = tabulate(ds, stmt)
-                res = run_ci_test(ds, stmt)
+                cube = tabulate(table, stmt)
+                res = run_ci_test(table, stmt)
                 h.update(np.asarray(cube.counts.shape, dtype=np.int64).tobytes())
                 h.update(cube.counts.astype(np.int64).tobytes())
                 h.update(struct.pack("<3q", cube.x_card, cube.y_card, len(cube.strata_cards)))
@@ -283,21 +295,24 @@ class TestTestStatement:
         # copies of one exchangeable variable are strongly dependent
         g = Dag(1, frozenset())
         ds = sample_dataset(g, MixturePrior((XorBetaPrior(1, 3),)), 2000, 2, 0)
-        res = run_ci_test(ds, statement([(0, 0)], [(0, 1)]))
+        stmt = statement([(0, 0)], [(0, 1)])
+        res = run_ci_test(_table(ds, stmt), stmt)
         assert not res.independent
 
     def test_accepts_independence(self):
         g = Dag(2, frozenset())
         prior = MixturePrior((XorBetaPrior(1, 3), XorBetaPrior(1, 3)))
         ds = sample_dataset(g, prior, 2000, 2, 0)
-        res = run_ci_test(ds, statement([(0, 0)], [(1, 1)]))
+        stmt = statement([(0, 0)], [(1, 1)])
+        res = run_ci_test(_table(ds, stmt), stmt)
         assert res.independent
 
     def test_result_serialization(self):
         g = Dag(2, frozenset())
         prior = MixturePrior((XorBetaPrior(1, 3), XorBetaPrior(1, 3)))
         ds = sample_dataset(g, prior, 100, 2, 0)
-        data = run_ci_test(ds, statement([(0, 0)], [(1, 1)])).to_dict()
+        stmt = statement([(0, 0)], [(1, 1)])
+        data = run_ci_test(_table(ds, stmt), stmt).to_dict()
         assert set(data) == {"statement", "G", "dof", "p", "verdict", "n_effective"}
         assert data["n_effective"] == 100
 

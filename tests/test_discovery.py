@@ -11,7 +11,6 @@ from exdag.discovery import (
     X_TO_Y,
     Y_TO_X,
     bivariate_direction,
-    data_tester,
     discover,
     discover_with_tester,
     find_edges_with_tester,
@@ -201,16 +200,26 @@ class TestStatisticalDiscovery:
         assert forced.sink_order.forced == strict.sink_order.forced == ()
         assert forced.to_dict() == strict.to_dict()
 
+    def test_alpha_is_the_level_discover_tests_at(self):
+        # an oracle's verdicts take no level, so its run records none
+        g, prior = bivariate_xor_model()
+        model = random_generic_model(g, 2, np.random.default_rng(0))
+        assert discover_with_tester(oracle_tester(model), 2).alpha is None
+        ds = sample_dataset(g, prior, 500, 2, 0)
+        assert discover(ds, alpha=0.01).to_dict()["alpha"] == 0.01
+
     def test_requires_two_samples(self):
         g, prior = bivariate_xor_model()
         ds = sample_dataset(g, prior, 100, 1, 0)
-        with pytest.raises(ValueError, match="2 samples"):
-            data_tester(ds)
+        message = r"^discovery requires at least 2 samples in every environment \(the cross"
+        for run in (discover, bivariate_direction):
+            with pytest.raises(ValueError, match=message):
+                run(ds)
 
 
 class TestOneGatherPerTester:
-    """Each data tester gathers its pattern table with one `values_at` call
-    when it is built, and nothing is cached on the dataset."""
+    """Each discovery run gathers its pattern table with one `values_at`
+    call, and nothing is cached on the dataset."""
 
     @pytest.fixture
     def gathers(self, monkeypatch):

@@ -326,18 +326,19 @@ class TestBivariateSweep:
 
 
 class TestManifestAlpha:
-    """Multivariate verdicts read `alpha`; `bivariate_direction` takes the
-    largest p-value, so the bivariate manifest records no level."""
+    """Multivariate verdicts read `alpha` and run the given graphs;
+    `bivariate_direction` takes the largest p-value on the xor benchmark's
+    one graph, so the bivariate manifest records neither."""
 
     @pytest.mark.parametrize(
-        "run, point, name, has_alpha",
+        "run, point, name, has_alpha, graphs",
         [
-            ("run_bivariate_sweep", "_bivariate_point", "bivariate_sweep", False),
-            ("run_multivariate", "_multivariate_graph", "multivariate", True),
+            ("run_bivariate_sweep", "_bivariate_point", "bivariate_sweep", False, None),
+            ("run_multivariate", "_multivariate_graph", "multivariate", True, ["fork3"]),
         ],
     )
     def test_alpha_recorded_only_where_read(self, tmp_path, monkeypatch, run, point, name,
-                                            has_alpha):
+                                            has_alpha, graphs):
         row = {"n_envs": 300, "repeats": 1, "correct_fraction": 1.0, "graph": "fork3",
                "graph_recovery": 1.0, "deadlocks": 0, "edge_recovery": {}}
         monkeypatch.setattr(harness, point, lambda *args: row)
@@ -347,6 +348,8 @@ class TestManifestAlpha:
         config = json.loads((tmp_path / f"{name}_manifest.json").read_text())["config"]
         assert ("alpha" in config) == has_alpha
         assert config.get("alpha", 0.01) == 0.01
+        assert ("graphs" in config) == (graphs is not None)
+        assert config.get("graphs") == graphs
         assert (config["repeats"], config["env_grid"]) == (1, [300])
 
 
