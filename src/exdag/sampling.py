@@ -8,12 +8,18 @@ how many environments are drawn.  `sample_dataset` works in blocks of
 environments: it makes a block's rng calls in one loop, one rng call per run
 of equal mechanism draws (consecutive nodes whose draws are the same call
 share one sized call, with the same stream as one call per node), then
-samples each node for the whole block at once.
+samples each node for the whole block at once.  A Dirichlet node with
+symmetric alpha >= 0.1 draws its CPT columns as standard Gamma variates,
+which is how numpy's own `Generator.dirichlet` draws them, so nodes with
+equal alpha and any number of categories share one `standard_gamma` call
+and the stream is unchanged.
 """
 
 from __future__ import annotations
 
+import math
 import operator
+from collections import abc
 from dataclasses import dataclass, field
 from typing import Callable, List, NamedTuple, Optional, Sequence, Tuple, Union
 
@@ -35,8 +41,12 @@ class XorBetaPrior:
     b: float
 
     def __post_init__(self):
-        if self.a <= 0 or self.b <= 0:
-            raise ValueError("Beta parameters must be strictly positive")
+        for name in ("a", "b"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value > 0):
+                raise ValueError(
+                    f"Beta parameter {name} must be finite and strictly positive, got {value}"
+                )
 
     cardinality = 2
 
@@ -56,8 +66,11 @@ class DirichletColumnsPrior:
         object.__setattr__(self, "alpha", tuple(float(a) for a in self.alpha))
         if len(self.alpha) < 2:
             raise ValueError("Dirichlet prior needs at least two categories")
-        if any(a <= 0 for a in self.alpha):
-            raise ValueError("Dirichlet parameters must be strictly positive")
+        for j, a in enumerate(self.alpha):
+            if not (math.isfinite(a) and a > 0):
+                raise ValueError(
+                    f"Dirichlet parameter alpha[{j}] must be finite and strictly positive, got {a}"
+                )
 
     @property
     def cardinality(self):
@@ -71,6 +84,11 @@ class AtomMixturePrior:
         if not atoms:
             raise ValueError("atom mixture needs at least one atom")
         self.atoms = [(float(w), np.asarray(cpt, dtype=float)) for w, cpt in atoms]
+        for j, (w, cpt) in enumerate(self.atoms):
+            if not math.isfinite(w):
+                raise ValueError(f"atom {j} weight must be finite, got {w}")
+            if not np.isfinite(cpt).all():
+                raise ValueError(f"atom {j} CPT entries must be finite")
         total = sum(w for w, _ in self.atoms)
         if any(w < 0 for w, _ in self.atoms) or abs(total - 1.0) > COLUMN_SUM_TOL:
             raise ValueError(f"atom weights sum to {total}; they must be nonnegative and sum to 1")
@@ -143,14 +161,17 @@ def parent_configs(g: Dag, cardinalities: Sequence[int], i: int) -> Tuple[Tuple[
 class _Mechanism(NamedTuple):
     """One node's mechanism prior, as `sample_dataset` draws it.  A unit is
     one raw variate of shape `unit_shape` and type `dtype`: the xor flip
-    probability psi, one Dirichlet CPT column or one atom index.  A node
-    draws `units` of them per environment.  `draw(rng, size)` makes `size`
-    units in one rng call, the same draws in the same order as `size`
-    consecutive one-unit calls.  Mechanisms with equal `key` make the same
-    call, so the sampler makes one rng call per run of equal mechanism
-    draws, with the same stream as one call per node.  `cpts(raws)` maps a
-    (n_envs, units, *unit_shape) block of raw variates to the environments'
-    CPTs, shape (n_envs, k, n_cfg)."""
+    probability psi, one Dirichlet CPT column, one atom index, or one Gamma
+    variate of a symmetric Dirichlet column with alpha >= 0.1 (such a node
+    draws n_cfg * k of them).  A node draws `units` of them per
+    environment.  `draw(rng, size)` makes `size` units in one rng call, the
+    same draws in the same order as `size` consecutive one-unit calls.
+    Mechanisms with equal `key` make the same call, so the sampler makes
+    one rng call per run of equal mechanism draws, with the same stream as
+    one call per node.  `cpts(raws)` maps a (n_envs, units, *unit_shape)
+    block of raw variates to the environments' CPTs, shape (n_envs, k,
+    n_cfg); the Gamma mechanism normalises its raws in place, so it is
+    called once per block."""
 
     key: tuple
     draw: Callable[[np.random.Generator, int], np.ndarray]
@@ -185,6 +206,26 @@ def _node_drawers(g: Dag, prior: MixturePrior) -> List[_Mechanism]:
                 p1 = np.where(odd, 1.0 - psi, psi)  # P(X=1 | config), psi is (n_envs, 1)
                 return np.stack((1.0 - p1, p1), axis=1)
             key, units, unit_shape, dtype = ("xor", p.a, p.b), 1, (), float
+        elif isinstance(p, DirichletColumnsPrior) and len(set(p.alpha)) == 1 and p.alpha[0] >= 0.1:
+            # For max alpha >= 0.1, Generator.dirichlet draws a column as k
+            # standard_gamma(alpha_j) variates in order, scaled by one over
+            # their sequential sum, so a symmetric alpha's columns are one
+            # sized standard_gamma call with the same stream.  Below 0.1
+            # numpy breaks a stick with Beta variates instead, and an
+            # asymmetric alpha would need an array-shaped standard_gamma
+            # call, which is no faster than rng.dirichlet.
+            k = p.cardinality
+            def draw(rng, size, a=p.alpha[0]):
+                return rng.standard_gamma(a, size=size)
+            def cpts(gammas, n_cfg=n_cfg, k=k):
+                # normalised in place, as Generator.dirichlet does
+                columns = gammas.reshape(len(gammas), n_cfg, k)
+                acc = columns[..., 0].copy()
+                for j in range(1, k):
+                    acc += columns[..., j]
+                columns *= np.divide(1.0, acc, out=acc)[..., None]
+                return columns.swapaxes(1, 2)
+            key, units, unit_shape, dtype = ("gamma", p.alpha[0]), n_cfg * k, (), float
         elif isinstance(p, DirichletColumnsPrior):
             def draw(rng, size, alpha=np.asarray(p.alpha)):
                 return rng.dirichlet(alpha, size=size)  # one CPT column per row
@@ -234,6 +275,25 @@ def _run_buffers(
     return draws, raws
 
 
+class _EnvViews(abc.Sequence):
+    """Read-only sequence of a dataset's environments: item e is the view
+    `rows[offsets[e]:offsets[e + 1]]`, made when it is read."""
+
+    def __init__(self, rows: np.ndarray, offsets: np.ndarray):
+        self._rows, self._offsets = rows, offsets
+
+    def __len__(self):
+        return len(self._offsets) - 1
+
+    def __getitem__(self, e):
+        e = range(len(self))[operator.index(e)]  # IndexError past either end
+        return self._rows[self._offsets[e] : self._offsets[e + 1]]
+
+    def __iter__(self):
+        bounds = self._offsets.tolist()
+        return (self._rows[a:b] for a, b in zip(bounds[:-1], bounds[1:]))
+
+
 @dataclass(eq=False)
 class EnvDataset:
     """Categorical observations indexed (environment, sample, variable).
@@ -245,13 +305,15 @@ class EnvDataset:
     `rows` once, and rejects a value outside [0, k) for its variable's k.
     The producers in this package, whose values are in range by
     construction, hand over `rows` and `offsets` directly (`_from_rows`).
-    Either way `envs` becomes a list of views into `rows`.  Datasets
-    compare by identity.
+    Either way `envs` then becomes an `_EnvViews`, which slices an
+    environment's rows out of `rows` when it is read, so construction does
+    not grow with the number of environments.  Datasets compare by
+    identity.
     """
 
     d: int
     cardinalities: Tuple[int, ...]
-    envs: List[np.ndarray] = field(repr=False)  # each (N_e, d); views into `rows` after init
+    envs: Sequence[np.ndarray] = field(repr=False)  # each (N_e, d); views into `rows` after init
     true_graph: Optional[Dag] = None
     seed: Optional[int] = None
     prior_description: Optional[List[str]] = None
@@ -292,8 +354,7 @@ class EnvDataset:
         self._min_samples = int(sizes.min())
         if self._min_samples < 1:
             raise ValueError(f"environment {int(np.argmin(sizes))} is empty")
-        bounds = self.offsets.tolist()
-        self.envs = [self.rows[a:b] for a, b in zip(bounds[:-1], bounds[1:])]
+        self.envs = _EnvViews(self.rows, self.offsets)
 
     @property
     def n_envs(self):
@@ -439,7 +500,12 @@ def sample_dataset(
     environment e draws each node's mechanism in node-index order, then the
     uniforms of each node in topological order.  The data stream depends on
     that order.  It makes one rng call per run of equal mechanism draws
-    (`_run_buffers`), which gives the same stream as one call per node.
+    (`_run_buffers`), which gives the same stream as one call per node.  A
+    Dirichlet node with symmetric alpha >= 0.1 is drawn as n_cfg * k
+    `standard_gamma(alpha)` variates and normalised column by column
+    exactly as `Generator.dirichlet` normalises its own Gamma variates, so
+    its CPTs are bit for bit those of `rng.dirichlet`; consecutive such
+    nodes with equal alpha share one call whatever their cardinality.
     `_ancestral_stage` then samples each node for the whole block at once.
 
     Environment e's generator is exactly `np.random.default_rng((rng_seed,

@@ -609,6 +609,12 @@ class TestCli:
             main(["simulate", "--graph", "fork3", "--prior", spec,
                   "--out", str(tmp_path / "x.csv")])
 
+    def test_non_finite_prior_names_node(self, tmp_path):
+        spec = '[{"kind": "xor_beta", "a": NaN, "b": 3}, {"kind": "xor_beta", "a": 1, "b": 3}]'
+        with pytest.raises(SystemExit, match="bad prior for node 0 .*parameter a must be finite"):
+            main(["simulate", "--graph", '{"d": 2, "edges": [[0, 1]]}', "--prior", spec,
+                  "--out", str(tmp_path / "x.csv")])
+
     @pytest.mark.parametrize(
         "argv, named",
         [

@@ -85,6 +85,28 @@ class TestPriors:
         prior = AtomMixturePrior([(1.0, [[0.25, 0.5], [0.75, 0.5]])])
         assert prior.cardinality == 2
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_beta_params_finite(self, bad):
+        with pytest.raises(ValueError, match="Beta parameter a must be finite"):
+            XorBetaPrior(bad, 3.0)
+        with pytest.raises(ValueError, match="Beta parameter b must be finite"):
+            XorBetaPrior(1.0, bad)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_dirichlet_params_finite(self, bad):
+        with pytest.raises(ValueError, match=r"alpha\[0\] must be finite"):
+            DirichletColumnsPrior((bad, 1.0))
+        with pytest.raises(ValueError, match=r"alpha\[1\] must be finite"):
+            DirichletColumnsPrior((1.0, bad))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_atom_mixture_finite(self, bad):
+        cpt = [[0.25, 0.5], [0.75, 0.5]]
+        with pytest.raises(ValueError, match="atom 1 weight must be finite"):
+            AtomMixturePrior([(1.0, cpt), (bad, cpt)])
+        with pytest.raises(ValueError, match="atom 0 CPT entries must be finite"):
+            AtomMixturePrior([(1.0, [[bad, 0.5], [0.75, 0.5]])])
+
     def test_mixture_prior_cardinalities(self):
         prior = MixturePrior((XorBetaPrior(1, 3), DirichletColumnsPrior((1.0,) * 3)))
         assert prior.d == 2
@@ -142,6 +164,22 @@ class TestEnvDataset:
         assert all(np.array_equal(a, b) for a, b in zip(ds.envs, envs))
         with pytest.raises(ValueError, match="negative"):
             ds.values_at([(0, -1)])
+
+    def test_envs_slice_rows_on_access(self):
+        n_envs = 10_000
+        offsets = np.arange(0, 2 * n_envs + 1, 2)
+        rows = np.arange(2 * n_envs).reshape(-1, 1) % 2
+        ds = EnvDataset._from_rows(1, (2,), rows, offsets)
+        assert not isinstance(ds.envs, list)
+        assert len(ds.envs) == n_envs
+        assert np.shares_memory(ds.envs[3], rows)
+        assert ds.envs[-1].tolist() == ds.envs[n_envs - 1].tolist() == [[0], [1]]
+        for e in (n_envs, -n_envs - 1):
+            with pytest.raises(IndexError):
+                ds.envs[e]
+        assert [rows.shape for rows in ds.envs] == [(2, 1)] * n_envs
+        with pytest.raises(TypeError):
+            ds.envs[0] = rows[:2]
 
     def test_values_at_rejects_variable_outside_range(self):
         envs = [np.array([[0, 1], [1, 0]]), np.array([[1, 1], [0, 0]])]
@@ -236,6 +274,49 @@ class TestSampleDataset:
         pa_info = {i: parent_configs(g, cards, i) for i in range(g.d)}
         for e in (0, 1, 2, n_envs - 5, n_envs - 4, n_envs - 3, n_envs - 2, n_envs - 1):
             rng = np.random.default_rng((17, e))
+            ref = _ancestral_sample(order, pa_info, cards, _reference_cpts(prior, g, rng), 2, rng)
+            assert np.array_equal(ds.envs[e], ref)
+
+    def test_gamma_runs_match_one_dirichlet_call_per_node(self):
+        # a Dirichlet node with symmetric alpha >= 0.1 draws standard Gamma
+        # variates keyed by alpha alone, so nodes 0-2 (k = 3, 2, 4) make one
+        # call; node 3's alpha = 0.1 is the least that takes that path and
+        # node 4's 0.0999 stays on rng.dirichlet (numpy's stick-breaking);
+        # node 5 is asymmetric; nodes 6 and 8 repeat node 1's prior but the
+        # xor node 7 between them splits their run.  The edge 8 -> 5 makes
+        # topological order differ from index order.  The reference makes
+        # one scalar rng.dirichlet call per Dirichlet node.
+        g = Dag(9, frozenset({(0, 1), (0, 2), (1, 2), (2, 3), (3, 4), (4, 5),
+                              (6, 7), (7, 8), (8, 5)}))
+        prior = MixturePrior(
+            (
+                DirichletColumnsPrior((0.5,) * 3), DirichletColumnsPrior((0.5,) * 2),
+                DirichletColumnsPrior((0.5,) * 4), DirichletColumnsPrior((0.1,) * 2),
+                DirichletColumnsPrior((0.0999,) * 3), DirichletColumnsPrior((0.5, 2.0)),
+                DirichletColumnsPrior((0.5,) * 2), XorBetaPrior(1, 3),
+                DirichletColumnsPrior((0.5,) * 2),
+            )
+        )
+        mechanisms = sampling._node_drawers(g, prior)
+        draws, raws = sampling._run_buffers(mechanisms, 1)
+        # units per run: Gamma variates for 0-2, 3, 6 and 8, CPT columns
+        # for 4 and 5, one psi for 7
+        assert [units for _, _, units in draws] == [3 * 1 + 2 * 3 + 4 * 6, 2 * 4, 2, 6, 2, 1, 4]
+        # the CPTs themselves, bit for bit, not only the samples they give
+        for e in range(3):
+            rng = np.random.default_rng((23, e))
+            for buffer, draw, units in draws:
+                buffer[0] = draw(rng, units)
+            ref = _reference_cpts(prior, g, np.random.default_rng((23, e)))
+            for m, raw, cpt in zip(mechanisms, raws, ref):
+                assert np.array_equal(m.cpts(raw)[0], cpt)
+        n_envs = sampling._BLOCK_ENVS + 3
+        ds = sample_dataset(g, prior, n_envs, 2, 23)
+        cards = prior.cardinalities
+        order = g.topological_order()
+        pa_info = {i: parent_configs(g, cards, i) for i in range(g.d)}
+        for e in (0, 1, 2, n_envs - 5, n_envs - 4, n_envs - 3, n_envs - 2, n_envs - 1):
+            rng = np.random.default_rng((23, e))
             ref = _ancestral_sample(order, pa_info, cards, _reference_cpts(prior, g, rng), 2, rng)
             assert np.array_equal(ds.envs[e], ref)
 
