@@ -4,17 +4,19 @@ A `Dag` represents a causal structure over ``d`` variables.  `icm_unroll`
 expands a DAG into a `Dmag` over (variable, sample) node pairs: one copy of
 the DAG per sample plus a bidirected edge between every two copies of the
 same variable, absorbing the per-variable latent mechanism parameter.
-Independence is read off a `Dmag` via m-separation, implemented as a
-reachability traversal over (node, entered-through-arrowhead) states.
+Independence is read off a `Dmag` via m-separation: a Bayes-Ball walk over
+bit masks of (node, entered-through-arrowhead) states, which from one left
+side under one conditioning set reaches every node it is m-connected to.
+`_separations` is the one separation path: it decides a list of statements
+with one walk per distinct (left, given).
 """
 
 from __future__ import annotations
 
 import itertools
-from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
-from typing import FrozenSet, Hashable, Iterable, Iterator, List, Tuple
+from typing import FrozenSet, Hashable, Iterable, Iterator, List, Sequence, Tuple
 
 Node = Hashable
 DmagNode = Tuple[int, int]  # (variable index, sample index)
@@ -162,8 +164,21 @@ class Dmag:
         _toposort(self.nodes, self.directed)  # raises on directed cycles
 
     @cached_property
-    def _incidence(self):
-        return _incidence_lists(self.nodes, self.directed, self.bidirected)
+    def _masks(self):
+        """(node -> bit, then per bit position the masks of the node's
+        children, parents and spouses): the structure each separation walk
+        reads, built once per graph."""
+        position = {v: i for i, v in enumerate(self.nodes)}
+        children, parents, spouses = ([0] * len(position) for _ in range(3))
+        for u, v in self.directed:
+            children[position[u]] |= 1 << position[v]
+            parents[position[v]] |= 1 << position[u]
+        for pair in self.bidirected:
+            u, v = tuple(pair)
+            spouses[position[u]] |= 1 << position[v]
+            spouses[position[v]] |= 1 << position[u]
+        index = {v: 1 << i for v, i in position.items()}
+        return index, children, parents, spouses
 
 
 def icm_unroll(g: Dag, n_samples: int) -> Dmag:
@@ -181,66 +196,78 @@ def icm_unroll(g: Dag, n_samples: int) -> Dmag:
     return Dmag(nodes, directed, bidirected)
 
 
-def _incidence_lists(nodes, directed, bidirected):
-    """node -> [(neighbor, head_at_node, head_at_neighbor)] over every edge:
-    the structure each separation query walks, built once per graph."""
-    inc = {v: [] for v in nodes}
-    for u, v in directed:
-        inc[u].append((v, False, True))
-        inc[v].append((u, True, False))
-    for pair in bidirected:
-        u, v = tuple(pair)
-        inc[u].append((v, True, True))
-        inc[v].append((u, True, True))
-    return inc
+def _reach(children, parents, spouses, src: int, z: int) -> int:
+    """The mask of nodes m-connected to the nodes of `src` given those of `z`:
+    Bayes-Ball (Shachter, UAI 1998) over bit masks.
 
-
-def _separated(inc, s: CiStatement) -> bool:
-    """Bayes-Ball reachability (Shachter, UAI 1998) over incidence lists.
-
-    Walk states are (node, entered-through-arrowhead).  A node passed through
-    as a collider (arrowhead on both incident edge marks) is open iff it is
-    in the conditioning set; a non-collider is open iff it is outside it.
-    A walk may revisit nodes, so it can run from a collider down to a
-    conditioned descendant and back up: such walks connect exactly the
-    pairs that paths with every collider an ancestor of the conditioning
-    set do, without computing that ancestor set.
+    Walk states are (node, entered-through-arrowhead); `head` and `tail`
+    hold the nodes reached in each.  A node passed through as a collider
+    (arrowhead on both incident edge marks) is open iff it is in `z`; a
+    non-collider is open iff it is outside it.  So a node outside `z` passes
+    the walk on to its children, and to its parents and spouses too if it
+    was entered through a tail; a node in `z` entered through an arrowhead
+    passes it on to its parents and spouses only.  A walk may revisit nodes,
+    so it can run from a collider down to a conditioned descendant and back
+    up: such walks connect exactly the pairs that paths with every collider
+    an ancestor of the conditioning set do, without computing that ancestor
+    set.
     """
-    for group in (s.left, s.right, s.given):
-        for v in group:
-            if v not in inc:
-                raise ValueError(f"statement references unknown node {v}")
-    right, given = s.right, s.given
+    head = tail = 0
+    unconditioned = ~z
+    down = up = src  # the nodes passing the walk on to children; to parents and spouses
+    while down or up:
+        next_head = next_tail = 0
+        while down:
+            low = down & -down
+            next_head |= children[low.bit_length() - 1]
+            down ^= low
+        while up:
+            low = up & -up
+            i = low.bit_length() - 1
+            next_head |= spouses[i]
+            next_tail |= parents[i]
+            up ^= low
+        next_head &= ~head
+        next_tail &= ~tail
+        head |= next_head
+        tail |= next_tail
+        down = (next_head | next_tail) & unconditioned
+        up = (next_head & z) | (next_tail & unconditioned)
+    return head | tail
 
-    seen = set()
-    queue = deque()
-    for x in s.left:
-        for w, _head_at_x, head_at_w in inc[x]:
-            state = (w, head_at_w)
-            if state not in seen:
-                seen.add(state)
-                queue.append(state)
-    while queue:
-        v, came_in_head = queue.popleft()
-        if v in right:
-            return False
-        for w, head_at_v, head_at_w in inc[v]:
-            if came_in_head and head_at_v:
-                passable = v in given  # collider
-            else:
-                passable = v not in given
-            if passable:
-                state = (w, head_at_w)
-                if state not in seen:
-                    seen.add(state)
-                    queue.append(state)
-    return True
+
+def _separations(m: Dmag, stmts: Sequence[CiStatement]) -> List[bool]:
+    """Whether each statement is an m-separation of `m`, in input order: the
+    one separation path behind `m_separated`, `ci_set` and
+    `verify_markov_faithful`.  One walk from a left side under one
+    conditioning set decides every right side at once, so statements that
+    share (left, given) share a walk, and each right side's mask is built
+    once per call."""
+    index, children, parents, spouses = m._masks
+    bits = index.__getitem__
+    reached, right_masks = {}, {}
+    out = []
+    try:
+        for s in stmts:
+            walk = (s.left, s.given)
+            mask = reached.get(walk)
+            if mask is None:
+                mask = reached[walk] = _reach(
+                    children, parents, spouses, sum(map(bits, s.left)), sum(map(bits, s.given))
+                )
+            right = right_masks.get(s.right)
+            if right is None:
+                right = right_masks[s.right] = sum(map(bits, s.right))
+            out.append(not mask & right)
+    except KeyError as err:
+        raise ValueError(f"statement references unknown node {err.args[0]}") from None
+    return out
 
 
 def m_separated(m: Dmag, s: CiStatement) -> bool:
     """m-separation over a mixed graph: as d-separation, but a node entered
     and exited through bidirected arrowheads also counts as a collider."""
-    return _separated(m._incidence, s)
+    return _separations(m, [s])[0]
 
 
 def ci_statements(nodes: Iterable[Node], max_condition_size: int) -> Iterator[CiStatement]:
@@ -249,6 +276,8 @@ def ci_statements(nodes: Iterable[Node], max_condition_size: int) -> Iterator[Ci
     a < b, then conditioning sets by size, then lexicographically.  The sides
     are disjoint by construction, so they skip the constructor's checks, and
     each pair's two sides are built once and shared by its statements."""
+    if max_condition_size < 0:
+        raise ValueError(f"max_condition_size must be >= 0, got {max_condition_size}")
     nodes = sorted(nodes)
     for a, b in itertools.combinations(nodes, 2):
         left, right = frozenset([a]), frozenset([b])
@@ -266,7 +295,8 @@ def ci_set(m: Dmag, max_condition_size: int) -> List[CiStatement]:
         raise EnumerationSizeError(
             f"ci_set enumeration limited to {CI_SET_NODE_LIMIT} nodes, got {len(m.nodes)}"
         )
-    out = [s for s in ci_statements(m.nodes, max_condition_size) if m_separated(m, s)]
+    stmts = list(ci_statements(m.nodes, max_condition_size))
+    out = [s for s, separated in zip(stmts, _separations(m, stmts)) if separated]
     out.sort(key=CiStatement.sort_key)
     return out
 

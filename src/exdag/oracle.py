@@ -12,6 +12,7 @@ and faithful to the unrolled mixed graph.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass, field
@@ -20,7 +21,7 @@ from typing import List, Optional, Sequence, Tuple
 import numpy as np
 
 from .ci_test import CiResult, DEFAULT_ALPHA
-from .graphs import CiStatement, Dag, EnumerationSizeError, ci_statements, icm_unroll, m_separated
+from .graphs import CiStatement, Dag, EnumerationSizeError, _separations, ci_statements, icm_unroll
 from .sampling import AtomMixturePrior, MixturePrior, _node_drawers, parent_configs
 
 STATE_SPACE_LIMIT = 2**20
@@ -41,7 +42,8 @@ class FiniteMixtureModel:
     samples_per_env: int
     # out of __init__, so dataclasses.replace starts the caches empty
     _joint: Optional[np.ndarray] = field(init=False, default=None, repr=False, compare=False)
-    _marginals: dict = field(init=False, default_factory=dict, repr=False, compare=False)
+    # node set F -> (shape, positions, p_F), from _full_marginal
+    _full_marginals: dict = field(init=False, default_factory=dict, repr=False, compare=False)
     # (variable, sample) -> joint axis, for every node of the unrolled graph
     _axes: dict = field(init=False, default_factory=dict, repr=False, compare=False)
 
@@ -108,51 +110,70 @@ def exact_joint(model: FiniteMixtureModel) -> np.ndarray:
     return joint
 
 
-def _marginal(model: FiniteMixtureModel, axes: frozenset) -> np.ndarray:
-    """The joint summed over every axis outside `axes`, with keepdims,
-    memoized per model."""
-    marginal = model._marginals.get(axes)
-    if marginal is None:
-        joint = exact_joint(model)
-        dropped = tuple(a for a in range(joint.ndim) if a not in axes)
-        marginal = model._marginals[axes] = joint.sum(axis=dropped, keepdims=True)
-    return marginal
+def _full_marginal(model: FiniteMixtureModel, full: frozenset):
+    """(shape of p_F, node -> bit 1 + its position among F's axes, p_F) for
+    the node set F = `full`: p_F is the joint summed over every axis outside
+    F, with F's axes in joint order behind a leading row axis of length 1."""
+    try:
+        axes = sorted(model._axes[v] for v in full)
+    except KeyError as err:
+        raise ValueError(f"statement references unknown node {err.args[0]}") from None
+    joint = exact_joint(model)
+    p_full = joint.sum(axis=tuple(a for a in range(joint.ndim) if a not in axes))[np.newaxis]
+    return p_full.shape, {v: 2 << axes.index(model._axes[v]) for v in full}, p_full
+
+
+@functools.cache
+def _bit_axes(bits: int) -> Tuple[int, ...]:
+    """The positions of the bits set in `bits`, lowest first.  Cached: the
+    side positions of a batch key repeat across calls and models."""
+    return tuple(a for a in range(bits.bit_length()) if bits >> a & 1)
 
 
 def _ci_verdicts(model: FiniteMixtureModel, stmts: Sequence[CiStatement]) -> List[bool]:
     """The exact verdict of each statement, in input order: the one verdict
     path behind `exact_ci`, `true_ci_set` and `verify_markov_faithful`.
 
-    Statements are grouped by their full axis set, left | right | given.
-    A group's p(l,g), p(r,g) and p(g) are stacked along a leading statement
-    axis against its one p(l,r,g), so the rule runs once per group.  Every
-    cell meets the same floats as a one-statement check, so verdicts do not
-    depend on which statements share a call."""
-    axis_of = model._axes.__getitem__
-    groups = {}
+    A verdict depends only on p_F, the marginal of the statement's full
+    node set F = left | right | given, and on where its left and right nodes
+    sit among F's axes.  So statements are batched by (shape of p_F, left
+    positions, right positions).  A batch stacks its p_F and sums them over
+    the right axes, the left axes and both, to get p(l,g), p(r,g) and p(g),
+    and the rule runs once per batch."""
+    memo = model._full_marginals
+    batches = {}  # (shape, left bits, right bits) -> ([statement index], [p_F])
     for k, stmt in enumerate(stmts):
-        try:
-            left = frozenset(map(axis_of, stmt.left))
-            right = frozenset(map(axis_of, stmt.right))
-            given = frozenset(map(axis_of, stmt.given))
-        except KeyError as err:
-            raise ValueError(f"statement references unknown node {err.args[0]}") from None
-        groups.setdefault(left | right | given, []).append((k, left | given, right | given, given))
+        full = stmt.left | stmt.right | stmt.given
+        entry = memo.get(full)
+        if entry is None:
+            entry = memo[full] = _full_marginal(model, full)
+        shape, positions, p_full = entry
+        key = (shape, sum(map(positions.__getitem__, stmt.left)),
+               sum(map(positions.__getitem__, stmt.right)))
+        batch = batches.get(key)
+        if batch is None:
+            batches[key] = ([k], [p_full])
+        else:
+            batch[0].append(k)
+            batch[1].append(p_full)
     verdicts = [False] * len(stmts)
-    for full, members in groups.items():
-        p_lrg = _marginal(model, full)
-        stacked = np.empty((3, len(members)) + p_lrg.shape)
-        for j, (_, lg, rg, g) in enumerate(members):
-            stacked[0, j] = _marginal(model, lg)
-            stacked[1, j] = _marginal(model, rg)
-            stacked[2, j] = _marginal(model, g)
-        # indexing is cheaper than iterating over `stacked`, which shows on
-        # exact_ci's one-statement calls
-        p_lg, p_rg, p_g = stacked[0], stacked[1], stacked[2]
-        cells = np.abs(p_lrg * p_g - p_lg * p_rg) <= DEFAULT_CI_TOL * p_g**2
-        holds = np.logical_and.reduce(cells.reshape(len(members), -1), axis=1)
-        for member, independent in zip(members, holds.tolist()):
-            verdicts[member[0]] = independent
+    for (_, left, right), (members, rows) in batches.items():
+        p_lrg = rows[0] if len(rows) == 1 else np.concatenate(rows)
+        left_axes = _bit_axes(left)
+        p_lg = np.add.reduce(p_lrg, axis=_bit_axes(right), keepdims=True)
+        p_rg = np.add.reduce(p_lrg, axis=left_axes, keepdims=True)
+        # |p(l,r,g) p(g) - p(l,g) p(r,g)| <= tol p(g)^2, in place, with p(g)
+        # spread over every cell: ops on arrays of one shape skip broadcasting
+        p_g = np.empty_like(p_lrg)
+        p_g[...] = np.add.reduce(p_lg, axis=left_axes, keepdims=True)
+        gap = p_lrg * p_g
+        gap -= p_lg * p_rg
+        np.abs(gap, out=gap)
+        bound = np.square(p_g, out=p_g)
+        bound *= DEFAULT_CI_TOL
+        holds = np.logical_and.reduce((gap <= bound).reshape(len(rows), -1), axis=1)
+        for k, independent in zip(members, holds.tolist()):
+            verdicts[k] = independent
     return verdicts
 
 
@@ -161,17 +182,19 @@ def exact_ci(model: FiniteMixtureModel, stmt: CiStatement) -> bool:
     the exact joint.  |p(l,r|g) - p(l|g) p(r|g)| <= `DEFAULT_CI_TOL` is tested
     multiplied through by p(g)^2, as |p(l,r,g) p(g) - p(l,g) p(r,g)| <= tol p(g)^2
     per cell, so a cell with p(g) = 0 reads 0 <= 0 (p(g)^2 must not underflow,
-    which holds for p(g) >~ 1e-154).  Marginals come from a memo per model,
-    keyed by axis set.  This is `true_ci_set`'s batched path on a
-    one-statement list, so every caller gets the same verdict."""
+    which holds for p(g) >~ 1e-154).  p(l,r,g) comes from a memo per model,
+    keyed by the full node set, and the other three are its sums.  This is
+    `true_ci_set`'s batched path on a one-statement list, so every caller
+    gets the same verdict."""
     return _ci_verdicts(model, [stmt])[0]
 
 
 def true_ci_set(model: FiniteMixtureModel, max_condition_size: int) -> List[CiStatement]:
     """All `ci_statements` over the model's (variable, sample) nodes that
     hold in the exact joint, sorted.  The verdicts come from one batched
-    pass, which checks all statements that share a full axis set
-    (left | right | given) at once, with `exact_ci`'s rule."""
+    pass, which checks all statements whose full marginals share a shape and
+    whose sides sit at the same positions in it at once, with `exact_ci`'s
+    rule."""
     nodes = [(i, s) for i in range(model.d) for s in range(model.samples_per_env)]
     stmts = list(ci_statements(nodes, max_condition_size))
     out = [s for s, independent in zip(stmts, _ci_verdicts(model, stmts)) if independent]
@@ -206,13 +229,14 @@ def verify_markov_faithful(
     separations that fail in the distribution (Markov violations: must never
     occur) and distributional independences the graph does not imply
     (faithfulness violations: occur only for degenerate mixtures), each list
-    in enumeration order.  The exact verdicts come from one batched pass,
-    grouped by full axis set with `exact_ci`'s rule, as in `true_ci_set`."""
+    in enumeration order.  The separations come from one batched walk pass
+    over the graph, and the exact verdicts from one batched pass with
+    `exact_ci`'s rule, as in `true_ci_set`."""
     dmag = icm_unroll(model.graph, model.samples_per_env)
     stmts = list(ci_statements(dmag.nodes, max_condition_size))
+    separations = _separations(dmag, stmts)
     markov, faithless = [], []
-    for stmt, independent in zip(stmts, _ci_verdicts(model, stmts)):
-        separated = m_separated(dmag, stmt)
+    for stmt, separated, independent in zip(stmts, separations, _ci_verdicts(model, stmts)):
         if separated and not independent:
             markov.append(stmt)
         elif independent and not separated:

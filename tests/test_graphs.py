@@ -13,6 +13,7 @@ from exdag.graphs import (
     ci_statements,
     enumerate_dags,
     icm_unroll,
+    _separations,
     m_separated,
     statement,
 )
@@ -218,6 +219,25 @@ def _random_statement(rng, nodes):
             return statement(left, right, given)
 
 
+def _random_dmag(rng, n):
+    """A random mixed graph on nodes 0..n-1: directed edges along a random
+    order, and bidirected edges between any two nodes."""
+    order = rng.sample(range(n), n)
+    directed = {
+        (order[a], order[b])
+        for a, b in itertools.combinations(range(n), 2)
+        if rng.random() < 0.35
+    }
+    bidirected = {
+        frozenset(p) for p in itertools.combinations(range(n), 2) if rng.random() < 0.25
+    }
+    return Dmag(frozenset(range(n)), frozenset(directed), frozenset(bidirected))
+
+
+def _path_separated(m, s):
+    return brute_force_separated(m.nodes, m.directed, m.bidirected, s)
+
+
 class TestSeparationAgainstPathDefinition:
     """`m_separated` agrees with path enumeration on small random mixed
     graphs and DAGs, for singleton and multi-node sides."""
@@ -227,19 +247,10 @@ class TestSeparationAgainstPathDefinition:
         verdicts = []
         for _ in range(300):
             n = rng.randint(2, 6)
-            order = rng.sample(range(n), n)
-            directed = {
-                (order[a], order[b])
-                for a, b in itertools.combinations(range(n), 2)
-                if rng.random() < 0.35
-            }
-            bidirected = {
-                frozenset(p) for p in itertools.combinations(range(n), 2) if rng.random() < 0.25
-            }
-            m = Dmag(frozenset(range(n)), frozenset(directed), frozenset(bidirected))
+            m = _random_dmag(rng, n)
             for _ in range(10):
                 s = _random_statement(rng, list(range(n)))
-                want = brute_force_separated(m.nodes, m.directed, m.bidirected, s)
+                want = _path_separated(m, s)
                 assert m_separated(m, s) == want, (repr(m), str(s))
                 verdicts.append(want)
         assert 0.2 < sum(verdicts) / len(verdicts) < 0.8
@@ -263,6 +274,54 @@ class TestSeparationAgainstPathDefinition:
         assert 0.2 < sum(verdicts) / len(verdicts) < 0.8
 
 
+class TestBatchedSeparations:
+    """One `_separations` call equals path enumeration per statement, in
+    input order, whatever else shares the call."""
+
+    def test_match_path_definition_in_input_order(self):
+        rng = random.Random(2)
+        verdicts = []
+        for _ in range(150):
+            m = _random_dmag(rng, rng.randint(3, 7))
+            nodes = sorted(m.nodes)
+            stmts = [_random_statement(rng, nodes) for _ in range(8)]
+            # every right side, of one node and of two, under some (left, given)
+            for s in stmts[:3]:
+                rest = [v for v in nodes if v not in s.left | s.given]
+                for size in (1, 2):
+                    stmts += [
+                        statement(s.left, right, s.given)
+                        for right in itertools.combinations(rest, size)
+                    ]
+            stmts += stmts[:4]  # duplicates
+            rng.shuffle(stmts)
+            assert len({(s.left, s.given) for s in stmts}) < len(stmts)
+            got = _separations(m, stmts)
+            assert got == [_path_separated(m, s) for s in stmts], repr(m)
+            verdicts += got
+        assert 0.1 < sum(verdicts) / len(verdicts) < 0.9
+
+    def test_ci_set_is_filtered_ci_statements(self):
+        rng = random.Random(3)
+        for _ in range(40):
+            m = _random_dmag(rng, rng.randint(2, 6))
+            for k in (0, 1, 2, len(m.nodes)):
+                want = [s for s in ci_statements(m.nodes, k) if _path_separated(m, s)]
+                assert ci_set(m, k) == sorted(want, key=CiStatement.sort_key)
+
+    def test_unknown_node_named_wherever_it_sits(self):
+        m = icm_unroll(CHAIN, 2)
+        good = list(ci_statements(m.nodes, 1))[:5]
+        for bad in (
+            statement([(5, 1)], [(0, 0)]),
+            statement([(0, 0)], [(5, 1)], [(1, 0)]),
+            statement([(0, 0)], [(1, 1)], [(1, 0), (5, 1)]),
+        ):
+            for at in (0, 2, len(good)):
+                with pytest.raises(ValueError, match=r"unknown node \(5, 1\)"):
+                    _separations(m, good[:at] + [bad] + good[at:])
+
+
 class TestCiSet:
     def test_sorted_and_deterministic(self):
         m = icm_unroll(FORK, 2)
@@ -283,6 +342,10 @@ class TestCiSet:
     def test_node_limit(self):
         with pytest.raises(EnumerationSizeError):
             ci_set(icm_unroll(Dag(5, frozenset()), 3), 2)
+
+    def test_negative_condition_size_rejected(self):
+        with pytest.raises(ValueError, match="max_condition_size must be >= 0, got -1"):
+            ci_set(icm_unroll(FORK, 2), -1)
 
 
 class TestEnumerateDags:

@@ -251,18 +251,20 @@ class TestExactCi:
         verdicts = [exact_ci(model, s) for s in stmts]
         assert verdicts == [brute_force_ci(model, s, 1e-9) for s in stmts]
         assert 0 < sum(verdicts) < len(verdicts)
-        given_axes = (frozenset(model.axis_of(v, t) for v, t in s.given) for s in stmts)
-        assert sum(bool((model._marginals[axes] == 0).any()) for axes in given_axes) > 10
+        assert sum(bool((fresh_marginal(model, s.given) == 0).any()) for s in stmts) > 10
 
     def test_memoized_marginals_equal_fresh_sums(self):
         g = Dag(3, frozenset({(0, 2), (1, 2)}))
         model = random_generic_model(g, 2, np.random.default_rng(6), cardinalities=(3, 2, 2))
         true_ci_set(model, 4)
         fresh = exact_joint(dataclasses.replace(model))
-        assert 0 < len(model._marginals) <= 2**fresh.ndim
-        for axes, marginal in model._marginals.items():
+        assert 0 < len(model._full_marginals) <= 2**fresh.ndim
+        for full, (shape, positions, p_full) in model._full_marginals.items():
+            axes = sorted(model.axis_of(v, s) for v, s in full)
             dropped = tuple(a for a in range(fresh.ndim) if a not in axes)
-            assert np.array_equal(marginal, fresh.sum(axis=dropped, keepdims=True))
+            assert shape == p_full.shape
+            assert np.array_equal(p_full, fresh.sum(axis=dropped)[np.newaxis])
+            assert positions == {(v, s): 2 << axes.index(model.axis_of(v, s)) for v, s in full}
 
     def test_replace_starts_fresh_caches(self):
         fork3 = harness.preset_graph("fork3")
@@ -281,21 +283,21 @@ class TestExactCi:
         assert true_ci_set(replaced, 6) != old_set
 
 
+def fresh_marginal(model, nodes):
+    """The joint summed afresh over every axis outside those of `nodes`,
+    with size-1 axes kept."""
+    joint = exact_joint(model)
+    axes = {model.axis_of(v, s) for v, s in nodes}
+    return joint.sum(axis=tuple(a for a in range(joint.ndim) if a not in axes), keepdims=True)
+
+
 def one_statement_verdict(model, stmt):
     """Reference: the product-form rule on one statement, with its four
     marginals summed afresh from the joint."""
-    joint = exact_joint(model)
-    left, right, given = (
-        frozenset(model.axis_of(v, s) for v, s in side)
-        for side in (stmt.left, stmt.right, stmt.given)
-    )
-
-    def marginal(axes):
-        dropped = tuple(a for a in range(joint.ndim) if a not in axes)
-        return joint.sum(axis=dropped, keepdims=True)
-
+    left, right, given = stmt.left, stmt.right, stmt.given
     p_lrg, p_lg, p_rg, p_g = (
-        marginal(axes) for axes in (left | right | given, left | given, right | given, given)
+        fresh_marginal(model, nodes)
+        for nodes in (left | right | given, left | given, right | given, given)
     )
     return bool((np.abs(p_lrg * p_g - p_lg * p_rg) <= DEFAULT_CI_TOL * p_g**2).all())
 
@@ -343,10 +345,7 @@ class TestBatchedVerdicts:
             assert verdicts == [one_statement_verdict(model, s) for s in stmts]
             assert all(type(v) is bool for v in verdicts)
             assert 0 < sum(verdicts) < len(verdicts)
-            zero_mass_cells += sum(
-                int((model._marginals[frozenset(model._axes[v] for v in s.given)] == 0).sum())
-                for s in stmts
-            )
+            zero_mass_cells += sum(int((fresh_marginal(model, s.given) == 0).sum()) for s in stmts)
         assert zero_mass_cells > 0
 
     def test_one_statement_call_returns_a_python_bool(self):
@@ -387,6 +386,14 @@ class TestVerifyMarkovFaithful:
             model = random_generic_model(g, 2, rng)
             want = ci_set(icm_unroll(g, 2), 2 * g.d)
             assert true_ci_set(model, 2 * g.d) == want
+
+    def test_negative_condition_size_rejected(self):
+        # both used to check nothing and report an empty set or a clean model
+        model = random_generic_model(XY, 2, np.random.default_rng(1))
+        with pytest.raises(ValueError, match="max_condition_size must be >= 0, got -1"):
+            true_ci_set(model, -1)
+        with pytest.raises(ValueError, match="max_condition_size must be >= 0, got -3"):
+            verify_markov_faithful(model, -3)
 
 
 class TestExchangeability:
