@@ -7,21 +7,23 @@ the other remaining first-sample values), then identify edges between
 buckets with increasing gap, reusing the parent sets discovered at lower
 gaps to build the conditioning sets.
 
-Tests are pluggable: the statistical G-test backend is the default, and an
-exact distribution-level backend (see `exdag.oracle.oracle_tester`) allows
-checking the algorithm's correctness independently of finite-sample noise.
+Tests are pluggable: a tester decides a list of statements per call, one
+call per sink sweep and per edge gap.  The statistical G-test backend is
+the default, and an exact backend (see `exdag.oracle.oracle_tester`)
+checks the algorithm independently of finite-sample noise.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, List, Optional, Tuple
+from typing import Callable, List, Optional, Sequence, Tuple
 
 from .ci_test import DEFAULT_ALPHA, CiResult, PatternTable, pattern_table, test_statement
 from .graphs import CiStatement, Dag
 from .sampling import EnvDataset
 
-CiTester = Callable[[CiStatement], CiResult]
+# decides a list of statements in one call: one result each, in input order
+CiTester = Callable[[Sequence[CiStatement]], List[CiResult]]
 
 X_TO_Y = "X->Y"
 Y_TO_X = "Y->X"
@@ -97,10 +99,10 @@ def _two_sample_table(ds: EnvDataset) -> PatternTable:
 
 
 def data_tester(table: PatternTable, alpha: float = DEFAULT_ALPHA) -> CiTester:
-    """Statistical backend: stratified G-test of each statement, tabulated
-    from `table`, which holds one observation per environment and must
-    cover the statement's coordinates."""
-    return lambda stmt: test_statement(table, stmt, alpha)
+    """Statistical backend: stratified G-test of each listed statement,
+    tabulated from `table`, which holds one observation per environment and
+    must cover the statements' coordinates."""
+    return lambda stmts: [test_statement(table, stmt, alpha) for stmt in stmts]
 
 
 def _sink_statement(i: int, j: int, conditioning) -> CiStatement:
@@ -115,29 +117,25 @@ def _sink_statement(i: int, j: int, conditioning) -> CiStatement:
 def find_sink_order_with_tester(tester: CiTester, d: int, force: bool = False) -> SinkOrder:
     """Iteratively peel off sink buckets.
 
-    Within a sweep the remaining-variable set is frozen, so results do not
-    depend on iteration order; all variables passing the sweep enter the
-    same bucket.  With `force`, a deadlocked sweep admits the variable whose
-    worst pairwise p-value is largest instead of raising, and records it in
-    the order's `forced`.
+    Within a sweep the remaining-variable set is frozen, so the sweep's
+    statements go to the tester as one list; all variables passing the
+    sweep enter the same bucket.  With `force`, a deadlocked sweep admits
+    the variable whose worst pairwise p-value is largest instead of
+    raising, and records it in the order's `forced`.
     """
     remaining = list(range(d))
     buckets = []
     forced = []
     while remaining:
+        others = {i: [j for j in remaining if j != i] for i in remaining}
+        results = iter(tester([_sink_statement(i, j, others[i])
+                               for i in remaining for j in others[i]]))
         placed = []
         p_matrix = {}
         for i in remaining:
-            others = [j for j in remaining if j != i]
-            p_values = []
-            all_independent = True
-            for j in others:
-                res = tester(_sink_statement(i, j, [l for l in others]))
-                p_values.append(res.p_value)
-                if not res.independent:
-                    all_independent = False
-            p_matrix[i] = p_values if p_values else [1.0]
-            if all_independent:
+            row = [next(results) for _ in others[i]]
+            p_matrix[i] = [res.p_value for res in row] or [1.0]
+            if all(res.independent for res in row):
                 placed.append(i)
         if not placed:
             if not force:
@@ -174,13 +172,16 @@ def find_edges_with_tester(tester: CiTester, order: SinkOrder) -> Dag:
     conditioning on another parent that is a collider can then open a
     path to j.  The paper's pseudo-code for this stage is not in the
     repository, so whether this set matches the paper's is unchecked.
+
+    Each gap's statements go to the tester as one list: at gap 1 S reads no
+    parents, and a parent found during a higher gap lies in the source's
+    bucket, which S already holds.
     """
     buckets = order.buckets
     n_buckets = len(buckets)
-    d = order.d
-    parents = {i: set() for i in range(d)}
-    edges = set()
+    parents = {i: set() for i in range(order.d)}
     for t in range(1, n_buckets):
+        pairs, stmts = [], []
         for k in range(n_buckets - t):
             upper = {v for m in range(k + t + 1, n_buckets) for v in buckets[m]}
             for i in buckets[k]:
@@ -189,21 +190,23 @@ def find_edges_with_tester(tester: CiTester, order: SinkOrder) -> Dag:
                     if t > 1:
                         cond |= parents[i] | set(buckets[k + t])
                     cond -= {i, j}
-                    res = tester(_sink_statement(i, j, cond))
-                    if not res.independent:
-                        edges.add((j, i))
-                        parents[i].add(j)
-    return Dag(d, frozenset(edges))
+                    pairs.append((j, i))
+                    stmts.append(_sink_statement(i, j, cond))
+        for (j, i), res in zip(pairs, tester(stmts), strict=True):
+            if not res.independent:
+                parents[i].add(j)
+    return Dag(order.d, frozenset((j, i) for i in parents for j in parents[i]))
 
 
 def discover_with_tester(tester: CiTester, d: int, force: bool = False) -> DiscoveryResult:
-    """Sink order, then edges, with every test result logged in call order.
+    """Sink order, then edges, with each batch's results logged in call order.
     The level lives in the tester, so the result's `alpha` is left unset."""
     log: List[CiResult] = []
 
-    def logged(stmt: CiStatement) -> CiResult:
-        log.append(tester(stmt))
-        return log[-1]
+    def logged(stmts: Sequence[CiStatement]) -> List[CiResult]:
+        results = tester(stmts)
+        log.extend(results)
+        return results
 
     order = find_sink_order_with_tester(logged, d, force=force)
     graph = find_edges_with_tester(logged, order)
@@ -219,20 +222,16 @@ def discover(ds: EnvDataset, alpha: float = DEFAULT_ALPHA, force: bool = False) 
 
 
 def bivariate_direction(ds: EnvDataset) -> str:
-    """Three-hypothesis decision for d = 2: pick the statement with the
-    highest p-value among (X->Y), (Y->X), (X indep Y); ties break in that
-    listed order.  No verdict is read, so no level is taken."""
+    """Three-hypothesis decision for d = 2: one tester call, then the statement
+    with the highest p-value among (X->Y), (Y->X), (X indep Y); ties break in
+    that listed order.  No verdict is read, so no level is taken."""
     if ds.d != 2:
         raise ValueError("bivariate_direction requires exactly 2 variables")
-    tester = data_tester(_two_sample_table(ds))
+    labels = (X_TO_Y, Y_TO_X, X_INDEP_Y)
     statements = [
-        (X_TO_Y, CiStatement(frozenset([(0, 0)]), frozenset([(1, 1)]), frozenset([(0, 1)]))),
-        (Y_TO_X, CiStatement(frozenset([(0, 0)]), frozenset([(1, 1)]), frozenset([(1, 0)]))),
-        (X_INDEP_Y, CiStatement(frozenset([(0, 0)]), frozenset([(1, 0)]), frozenset())),
+        CiStatement(frozenset([(0, 0)]), frozenset([(1, 1)]), frozenset([(0, 1)])),
+        CiStatement(frozenset([(0, 0)]), frozenset([(1, 1)]), frozenset([(1, 0)])),
+        CiStatement(frozenset([(0, 0)]), frozenset([(1, 0)]), frozenset()),
     ]
-    best_label, best_p = None, -1.0
-    for label, stmt in statements:
-        res = tester(stmt)
-        if res.p_value > best_p:
-            best_label, best_p = label, res.p_value
-    return best_label
+    p_values = [res.p_value for res in data_tester(_two_sample_table(ds))(statements)]
+    return labels[p_values.index(max(p_values))]

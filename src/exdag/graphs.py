@@ -101,6 +101,8 @@ class Dag:
     edges: FrozenSet[Tuple[int, int]]
 
     def __post_init__(self):
+        if self.d < 1:
+            raise ValueError(f"d must be >= 1, got {self.d}")
         object.__setattr__(self, "edges", frozenset(tuple(e) for e in self.edges))
         for u, v in self.edges:
             if u == v:
@@ -133,7 +135,9 @@ class Dag:
 
     @classmethod
     def from_dict(cls, data: dict) -> "Dag":
-        return cls(int(data["d"]), frozenset((int(u), int(v)) for u, v in data["edges"]))
+        if type(data["d"]) is not int:  # bools and floats are not sizes
+            raise TypeError(f"d must be an integer, got {data['d']!r}")
+        return cls(data["d"], frozenset((int(u), int(v)) for u, v in data["edges"]))
 
     def __str__(self):
         return f"Dag(d={self.d}, edges={sorted(self.edges)})"

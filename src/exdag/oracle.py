@@ -132,7 +132,8 @@ def _bit_axes(bits: int) -> Tuple[int, ...]:
 
 def _ci_verdicts(model: FiniteMixtureModel, stmts: Sequence[CiStatement]) -> List[bool]:
     """The exact verdict of each statement, in input order: the one verdict
-    path behind `exact_ci`, `true_ci_set` and `verify_markov_faithful`.
+    path behind `exact_ci`, `true_ci_set`, `verify_markov_faithful` and
+    `oracle_tester`.
 
     A verdict depends only on p_F, the marginal of the statement's full
     node set F = left | right | given, and on where its left and right nodes
@@ -184,8 +185,8 @@ def exact_ci(model: FiniteMixtureModel, stmt: CiStatement) -> bool:
     per cell, so a cell with p(g) = 0 reads 0 <= 0 (p(g)^2 must not underflow,
     which holds for p(g) >~ 1e-154).  p(l,r,g) comes from a memo per model,
     keyed by the full node set, and the other three are its sums.  This is
-    `true_ci_set`'s batched path on a one-statement list, so every caller
-    gets the same verdict."""
+    the batched path of `true_ci_set` and `oracle_tester` on a one-statement
+    list, so every caller gets the same verdict."""
     return _ci_verdicts(model, [stmt])[0]
 
 
@@ -285,18 +286,11 @@ def random_generic_model(
 
 
 def oracle_tester(model: FiniteMixtureModel):
-    """A CI-test backend that answers from the exact joint (p = 1 or 0),
-    for running discovery in the infinite-data limit."""
-
-    def tester(stmt: CiStatement) -> CiResult:
-        independent = exact_ci(model, stmt)
-        return CiResult(
-            statement=stmt,
-            statistic=0.0,
-            dof=0,
-            p_value=1.0 if independent else 0.0,
-            alpha=DEFAULT_ALPHA,
-            n_effective=0,
-        )
-
-    return tester
+    """A CI-test backend that answers each list from the exact joint (p = 1
+    or 0) in one batched verdict pass, for running discovery in the
+    infinite-data limit."""
+    return lambda stmts: [
+        CiResult(statement=stmt, statistic=0.0, dof=0, p_value=1.0 if independent else 0.0,
+                 alpha=DEFAULT_ALPHA, n_effective=0)
+        for stmt, independent in zip(stmts, _ci_verdicts(model, stmts))
+    ]

@@ -141,7 +141,7 @@ class TestPatternTable:
             assert math.prod(cube.strata_cards) == ref.shape[0]
         if all(s <= 1 for _, s in picks[: nl + nr + ng]):
             two_sample = pattern_table(ds, [(v, s) for s in (0, 1) for v in range(d)])
-            res = data_tester(two_sample)(stmt)
+            res = data_tester(two_sample)([stmt])[0]
             ref_res = g_test(ContingencyCube(ref, *ref.shape[1:], cube.strata_cards))
             assert (res.statistic, res.dof, res.p_value) == (
                 ref_res.statistic, ref_res.dof, ref_res.p_value

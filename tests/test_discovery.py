@@ -3,6 +3,7 @@ import itertools
 import numpy as np
 import pytest
 
+from exdag import discovery
 from exdag.ci_test import CiResult
 from exdag.discovery import (
     NoSinkFoundError,
@@ -16,7 +17,8 @@ from exdag.discovery import (
     find_edges_with_tester,
     find_sink_order_with_tester,
 )
-from exdag.graphs import Dag, enumerate_dags, icm_unroll, m_separated
+from exdag.graphs import Dag, _separations, enumerate_dags, icm_unroll
+from exdag.harness import preset_graph
 from exdag.oracle import oracle_tester, random_generic_model
 from exdag.sampling import (
     EnvDataset,
@@ -28,21 +30,15 @@ from exdag.sampling import (
 
 
 def graph_tester(g: Dag, n_samples: int = 2):
-    """Infinite-data tester answering straight from m-separation."""
+    """Infinite-data tester answering each list straight from m-separation,
+    in one batched pass: a candidate's sweep statements share one (left,
+    given), so they share one walk."""
     dmag = icm_unroll(g, n_samples)
-
-    def tester(stmt):
-        independent = m_separated(dmag, stmt)
-        return CiResult(
-            statement=stmt,
-            statistic=0.0,
-            dof=0,
-            p_value=1.0 if independent else 0.0,
-            alpha=0.05,
-            n_effective=0,
-        )
-
-    return tester
+    return lambda stmts: [
+        CiResult(statement=stmt, statistic=0.0, dof=0, p_value=1.0 if separated else 0.0,
+                 alpha=0.05, n_effective=0)
+        for stmt, separated in zip(stmts, _separations(dmag, stmts))
+    ]
 
 
 class TestSinkOrder:
@@ -74,8 +70,8 @@ class TestFindSinkOrder:
         assert order.buckets == ((0, 1, 2),)
 
     def test_deadlock_raises_with_p_values(self):
-        def always_dependent(stmt):
-            return CiResult(stmt, 100.0, 1, 0.001, 0.05, 10)
+        def always_dependent(stmts):
+            return [CiResult(stmt, 100.0, 1, 0.001, 0.05, 10) for stmt in stmts]
 
         with pytest.raises(NoSinkFoundError) as err:
             find_sink_order_with_tester(always_dependent, 2)
@@ -85,9 +81,8 @@ class TestFindSinkOrder:
     def test_force_breaks_deadlock_by_max_min_p(self):
         p_for = {0: 0.002, 1: 0.04}  # both below alpha, 1 looks most sink-like
 
-        def tester(stmt):
-            (i, _), = stmt.left
-            return CiResult(stmt, 10.0, 1, p_for[i], 0.05, 10)
+        def tester(stmts):
+            return [CiResult(stmt, 10.0, 1, p_for[min(stmt.left)[0]], 0.05, 10) for stmt in stmts]
 
         order = find_sink_order_with_tester(tester, 2, force=True)
         assert order.buckets == ((1,), (0,))
@@ -98,9 +93,9 @@ class TestFindEdges:
     def test_statement_convention(self):
         seen = []
 
-        def tester(stmt):
-            seen.append(stmt)
-            return CiResult(stmt, 0.0, 0, 1.0, 0.05, 0)
+        def tester(stmts):
+            seen.extend(stmts)
+            return [CiResult(stmt, 0.0, 0, 1.0, 0.05, 0) for stmt in stmts]
 
         find_edges_with_tester(tester, SinkOrder(((1,), (0,))))
         assert len(seen) == 1
@@ -114,7 +109,7 @@ class TestFindEdges:
         seen = []
         tester = graph_tester(g)
         order = SinkOrder(((2,), (1,), (0,)))
-        graph = find_edges_with_tester(lambda stmt: seen.append(stmt) or tester(stmt), order)
+        graph = find_edges_with_tester(lambda stmts: seen.extend(stmts) or tester(stmts), order)
         assert graph == g
         # the 2->0 gap-2 test conditions on the middle bucket variable
         gap2 = [s for s in seen if s.left == {(2, 0)} and s.right == {(0, 1)}]
@@ -169,6 +164,60 @@ class TestOracleDiscovery:
         assert Dag.from_dict(data["graph"]) == g
         assert data["buckets"] == [[1], [0]]
         assert len(data["tests"]) == len(res.test_log)
+
+
+def _random_dag(d, seed):
+    rng = np.random.default_rng(seed)
+    order = rng.permutation(d)
+    return Dag(d, frozenset(
+        (int(order[a]), int(order[b]))
+        for a, b in itertools.combinations(range(d), 2)
+        if rng.random() < 0.5
+    ))
+
+
+class TestOneTesterCallPerBatch:
+    """Discovery hands the tester each sink sweep and each edge gap as one
+    list, and logs the batches in call order."""
+
+    @pytest.mark.parametrize("g", [
+        preset_graph("chain4"),
+        preset_graph("diamond4"),
+        *(_random_dag(d, seed) for d, seed in [(3, 0), (5, 1), (6, 2), (7, 3)]),
+    ], ids=["chain4", "diamond4", "random_d3", "random_d5", "random_d6", "random_d7"])
+    def test_one_call_per_sweep_and_gap(self, g):
+        batches = []
+        tester = graph_tester(g)
+
+        def counted(stmts):
+            batches.append(list(stmts))
+            return tester(stmts)
+
+        res = discover_with_tester(counted, g.d)
+        assert res.graph == g
+        n_buckets = len(res.sink_order.buckets)
+        assert n_buckets > 1
+        # every gap 1..n_buckets-1 holds at least one pair of buckets
+        assert len(batches) == n_buckets + (n_buckets - 1)
+        assert [s for batch in batches for s in batch] == [r.statement for r in res.test_log]
+
+    def test_bivariate_direction_makes_one_call_of_three(self, monkeypatch):
+        calls = []
+        make = discovery.data_tester
+
+        def counting(*args):
+            tester = make(*args)
+
+            def counted(stmts):
+                calls.append(list(stmts))
+                return tester(stmts)
+
+            return counted
+
+        monkeypatch.setattr(discovery, "data_tester", counting)
+        g, prior = bivariate_xor_model()
+        assert bivariate_direction(sample_dataset(g, prior, 4000, 2, 1)) == X_TO_Y
+        assert [len(stmts) for stmts in calls] == [3]
 
 
 class TestStatisticalDiscovery:

@@ -67,6 +67,19 @@ class TestDag:
         for g in (CHAIN, FORK, COLLIDER, Dag(1, frozenset())):
             assert Dag.from_dict(json.loads(json.dumps(g.to_dict()))) == g
 
+    @pytest.mark.parametrize("d", [0, -1])
+    def test_rejects_fewer_than_one_node(self, d):
+        with pytest.raises(ValueError, match=rf"d must be >= 1, got {d}$"):
+            Dag(d, frozenset())
+        with pytest.raises(ValueError, match=rf"d must be >= 1, got {d}$"):
+            Dag.from_dict({"d": d, "edges": []})
+
+    @pytest.mark.parametrize("d", [2.5, 2.0, True, "2"])
+    def test_from_dict_takes_only_an_int_size(self, d):
+        # int() would read 2.5 as 2 and True as 1
+        with pytest.raises(TypeError, match=f"d must be an integer, got {d!r}"):
+            Dag.from_dict({"d": d, "edges": [[0, 1]]})
+
 
 class TestCiStatement:
     def test_requires_nonempty_sides(self):

@@ -554,8 +554,12 @@ class TestCli:
         [
             ("fork9", "JSONDecodeError"),
             ('{"d":2,"edges":[[0,1],[1,0]]}', "graph contains a directed cycle"),
+            ('{"d": -1, "edges": []}', "ValueError: d must be >= 1, got -1"),
+            ('{"d": 0, "edges": []}', "ValueError: d must be >= 1, got 0"),
+            ('{"d": 2.5, "edges": [[0, 1]]}', "TypeError: d must be an integer, got 2.5"),
+            ('{"d": true, "edges": []}', "TypeError: d must be an integer, got True"),
         ],
-        ids=["unknown_preset", "cyclic"],
+        ids=["unknown_preset", "cyclic", "negative_d", "zero_d", "float_d", "bool_d"],
     )
     def test_bad_graph_spec_names_it(self, tmp_path, spec, reason):
         with pytest.raises(SystemExit, match=re.escape(repr(spec)) + ".*" + reason):

@@ -427,8 +427,22 @@ class TestOracleTester:
     def test_binary_p_values(self):
         model = two_atom_xy_model()
         tester = oracle_tester(model)
-        assert tester(statement([(0, 0)], [(1, 1)], [(0, 1)])).p_value == 1.0
-        assert tester(statement([(0, 0)], [(1, 1)], [(1, 0)])).p_value == 0.0
+        holds = statement([(0, 0)], [(1, 1)], [(0, 1)])
+        fails = statement([(0, 0)], [(1, 1)], [(1, 0)])
+        assert [res.p_value for res in tester([holds, fails])] == [1.0, 0.0]
+        assert tester([]) == []
+        # a shuffled list with repeats: one result per statement, in input
+        # order, each with exact_ci's verdict
+        nodes = [(v, s) for s in range(2) for v in range(2)]
+        pool = list(ci_statements(nodes, 2))
+        stmts = [pool[k] for k in np.random.default_rng(0).integers(len(pool), size=3 * len(pool))]
+        results = tester(stmts)
+        assert [res.statement for res in results] == stmts
+        assert [res.p_value for res in results] == [1.0 if exact_ci(model, s) else 0.0 for s in stmts]
+        assert {res.p_value for res in results} == {0.0, 1.0}
+        assert {(res.statistic, res.dof) for res in results} == {(0.0, 0)}
+        with pytest.raises(ValueError, match=r"unknown node \(5, 1\)"):
+            tester([holds, statement([(0, 0)], [(5, 1)]), fails])
 
 
 def _sha256(lines):
