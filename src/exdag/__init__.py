@@ -28,6 +28,7 @@ from .ci_test import (
     pattern_table,
     tabulate,
     test_statement,
+    test_statements,
 )
 from .discovery import (
     DiscoveryResult,

@@ -10,10 +10,17 @@ tuples is a sufficient statistic for every statement over the same
 coordinates.  A `PatternTable` holds it, and every test here reads one:
 `pattern_table` codes each environment's row, from one `values_at` gather,
 by one mixed-radix int64 index, and the distinct codes become the table's
-patterns, each weighted by how many environments share it.  A statement's
-cube is then one weighted `np.bincount` over the patterns, with integer
-counts equal to a direct count.  The codes must fit int64, so a table whose
-coordinates' cardinalities multiply past 2**63 - 1 is rejected.
+patterns, each weighted by how many environments share it.  The codes must
+fit int64, so a table whose coordinates' cardinalities multiply past
+2**63 - 1 is rejected.
+
+`test_statements` is the one test path; `tabulate`, `g_test` and
+`test_statement` are its one-statement and one-cube cases.  It decides a
+list in one pass.  Each distinct coordinate set F = left | right | given
+gets one count array, one weighted `np.bincount` over the patterns with
+integer counts equal to a direct count, and every statement on F cuts its
+cube from that array by a transpose.  Cubes of one shape are stacked and
+go through G together, with G equal bit for bit to a per-stratum loop.
 """
 
 from __future__ import annotations
@@ -28,6 +35,10 @@ from .graphs import CiStatement
 from .sampling import EnvDataset
 
 DEFAULT_ALPHA = 0.05
+# `test_statements` flushes a stack of same-shape cubes through G once it
+# holds this many cells, so a long list of large cubes is never all in
+# memory at once
+_STACK_CELLS = 1 << 14
 
 
 @dataclass
@@ -114,30 +125,96 @@ def pattern_table(ds: EnvDataset, coords: Sequence[Tuple[int, int]]) -> PatternT
     return PatternTable(coords, ds.cardinalities, patterns, weights)
 
 
-def tabulate(table: PatternTable, stmt: CiStatement) -> ContingencyCube:
-    """Accumulate one observation per environment into a stratified table.
+def _count_array(table: PatternTable, coords: Tuple[Tuple[int, int], ...]) -> np.ndarray:
+    """Counts over `coords`, one axis per coordinate in the order given.
 
-    The sorted given, left and right coordinates' columns are coded by one
-    C-order mixed-radix index per pattern, built by Horner's rule over the
-    table's contiguous columns, so a pattern with given code z, left code x
-    and right code y lands in cell (z * kx + x) * ky + y.  The cube is the
-    bincount of those codes weighted by the patterns' environment counts,
-    cast back to integers.  The statement's coordinates are distinct and
-    covered by the table, so its codes fit int64 whenever the table's do.
+    The coordinates' columns are coded by one C-order mixed-radix index per
+    pattern, built by Horner's rule over the table's contiguous columns,
+    and the array is the bincount of those codes weighted by the patterns'
+    environment counts, cast back to integers.  The coordinates are distinct
+    and covered by the table, so their codes fit int64 whenever the table's
+    do.
     """
-    given, left = sorted(stmt.given), sorted(stmt.left)
-    coords = given + left + sorted(stmt.right)
     columns = table.columns(coords)
     cards = [table.cardinalities[v] for v, _ in coords]
     codes = np.zeros(len(table.weights), dtype=np.int64)
     for column, k in zip(columns, cards):
         codes *= k
         codes += table.patterns[:, column]
-    kx = math.prod(cards[len(given) : len(given) + len(left)])
-    ky = math.prod(cards[len(given) + len(left) :])
     counts = np.bincount(codes, weights=table.weights, minlength=math.prod(cards))
-    counts = counts.astype(np.int64).reshape(-1, kx, ky)
-    return ContingencyCube(counts, kx, ky, strata_cards=tuple(cards[: len(given)]))
+    return counts.astype(np.int64).reshape(cards)
+
+
+def _full_coords(stmt: CiStatement) -> Tuple[Tuple[int, int], ...]:
+    """F = left | right | given, sorted: the axes of the statement's count array."""
+    return tuple(sorted(stmt.left | stmt.right | stmt.given))
+
+
+def _cube(counts: np.ndarray, full: Tuple[Tuple[int, int], ...], stmt: CiStatement) -> ContingencyCube:
+    """The statement's cube cut from the count array of its sorted
+    coordinates `full`: the axes of its sorted given, left and right
+    coordinates, in that order, each group flattened C-order, so a pattern
+    with given code z, left code x and right code y lands in cell
+    (z * kx + x) * ky + y."""
+    axis = {c: a for a, c in enumerate(full)}
+    given, left, right = ([axis[c] for c in sorted(side)] for side in (stmt.given, stmt.left, stmt.right))
+    kx = math.prod(counts.shape[a] for a in left)
+    ky = math.prod(counts.shape[a] for a in right)
+    cube = counts.transpose(given + left + right).reshape(-1, kx, ky)
+    return ContingencyCube(cube, kx, ky, strata_cards=tuple(counts.shape[a] for a in given))
+
+
+def tabulate(table: PatternTable, stmt: CiStatement) -> ContingencyCube:
+    """Accumulate one observation per environment into a stratified table:
+    the one-statement case of `test_statements`' counting."""
+    full = _full_coords(stmt)
+    return _cube(_count_array(table, full), full, stmt)
+
+
+def _g_stack(
+    counts: np.ndarray, statements: Sequence[Optional[CiStatement]], alpha: float
+) -> List[CiResult]:
+    """The G-test of each cube of a (m, n_strata, kx, ky) stack, one result
+    per cube, in stack order.
+
+    Marginals, expected counts and terms are computed for the whole stack
+    at once.  Each used stratum's terms are summed over its flattened
+    cells, and each cube's stratum sums, doubled, are then added in stratum
+    order by one `np.add.accumulate` along a (cube, stratum) matrix that
+    starts from a 0.0 column and holds 0.0 at unused strata.  So G equals
+    that of a per-stratum loop bit for bit.  Counts are nonnegative
+    integers, so every marginal is an exact float sum.
+    """
+    counts = np.asarray(counts, dtype=float)
+    m, n_strata, kx, ky = counts.shape
+    totals = counts.sum(axis=(1, 2, 3))
+    if not totals.all():
+        raise ValueError("contingency cube is empty")
+    row = counts.sum(axis=3)  # (m, n_strata, kx)
+    col = counts.sum(axis=2)  # (m, n_strata, ky)
+    r = np.count_nonzero(row, axis=2)
+    c = np.count_nonzero(col, axis=2)
+    used = (r >= 2) & (c >= 2)  # implies a nonempty stratum
+    table, row, col = counts[used], row[used], col[used]
+    total = row.sum(axis=1)
+    expected = row[:, :, None] * col[:, None, :] / total[:, None, None]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        terms = np.where(table > 0, table * np.log(table / expected), 0.0)
+    folds = np.zeros((m, n_strata + 1))
+    folds[:, 1:][used] = 2.0 * terms.reshape(len(table), kx * ky).sum(axis=1)
+    g_stats = np.add.accumulate(folds, axis=1)[:, -1].tolist()
+    dofs = np.where(used, (r - 1) * (c - 1), 0).sum(axis=1).tolist()
+    return [
+        CiResult(
+            statement=stmt,
+            statistic=g_stat,
+            dof=dof,
+            p_value=chi2_sf(g_stat, dof) if dof > 0 else 1.0,
+            alpha=alpha,
+            n_effective=int(n),
+        )
+        for stmt, g_stat, dof, n in zip(statements, g_stats, dofs, totals.tolist())
+    ]
 
 
 def g_test(
@@ -150,47 +227,60 @@ def g_test(
     G = 2 sum O ln(O/E) with stratum-wise expected counts; degrees of freedom
     sum (r-1)(c-1) over nonempty strata, counting only rows/columns with a
     nonzero stratum marginal.  Strata with r < 2 or c < 2 contribute
-    nothing.  dof = 0 yields p = 1.
-
-    Marginals, expected counts and terms are computed for the whole cube at
-    once.  Each stratum's terms are summed over its flattened cells and the
-    stratum sums are then added in stratum order, so G equals that of a
-    per-stratum loop bit for bit.
+    nothing.  dof = 0 yields p = 1.  This is the one-cube case of
+    `test_statements`' G pass, so G equals a per-stratum loop's bit for bit.
     """
-    counts = cube.counts.astype(float)
-    if counts.sum() == 0:
-        raise ValueError("contingency cube is empty")
-    row = counts.sum(axis=2)  # (n_strata, kx)
-    col = counts.sum(axis=1)  # (n_strata, ky)
-    r = np.count_nonzero(row, axis=1)
-    c = np.count_nonzero(col, axis=1)
-    used = (r >= 2) & (c >= 2)  # implies a nonempty stratum
-    table, row, col = counts[used], row[used], col[used]
-    total = row.sum(axis=1)
-    expected = row[:, :, None] * col[:, None, :] / total[:, None, None]
-    with np.errstate(divide="ignore", invalid="ignore"):
-        terms = np.where(table > 0, table * np.log(table / expected), 0.0)
-    stratum_sums = terms.reshape(len(table), counts.shape[1] * counts.shape[2]).sum(axis=1)
-    g_stat = 0.0
-    for stratum_sum in stratum_sums.tolist():
-        g_stat += 2.0 * stratum_sum
-    dof = int(((r - 1) * (c - 1))[used].sum())
-    p = chi2_sf(g_stat, dof) if dof > 0 else 1.0
-    return CiResult(
-        statement=statement,
-        statistic=float(g_stat),
-        dof=dof,
-        p_value=float(p),
-        alpha=alpha,
-        n_effective=cube.total,
-    )
+    return _g_stack(cube.counts[np.newaxis], [statement], alpha)[0]
 
 
 def test_statement(
     table: PatternTable, stmt: CiStatement, alpha: float = DEFAULT_ALPHA
 ) -> CiResult:
-    """Tabulate then G-test; verdict independent iff p > alpha."""
-    return g_test(tabulate(table, stmt), statement=stmt, alpha=alpha)
+    """Tabulate then G-test; verdict independent iff p > alpha.  The
+    one-statement case of `test_statements`."""
+    return test_statements(table, [stmt], alpha)[0]
+
+
+def test_statements(
+    table: PatternTable, stmts: Sequence[CiStatement], alpha: float = DEFAULT_ALPHA
+) -> List[CiResult]:
+    """G-test every statement of a list on `table`: one result each, in
+    input order, equal bit for bit to testing them one at a time.
+
+    Each distinct coordinate set F = left | right | given is counted once,
+    by `_count_array` over sorted F, and every statement on F cuts its cube
+    from that array.  Cubes of one shape are stacked and go through
+    `_g_stack` together, a stack at a time of fewer than `_STACK_CELLS`
+    cells plus one cube.  Raises `ValueError` for a coordinate the table
+    does not cover.
+    """
+    results: List[Optional[CiResult]] = [None] * len(stmts)
+    by_coords: Dict[Tuple[Tuple[int, int], ...], List[int]] = {}
+    for k, stmt in enumerate(stmts):
+        by_coords.setdefault(_full_coords(stmt), []).append(k)
+    stacks: Dict[Tuple[int, ...], Tuple[List[int], List[np.ndarray]]] = {}
+
+    def flush(shape):
+        members, cubes = stacks.pop(shape)
+        stack = np.array(cubes, dtype=float)
+        cubes.clear()  # the float stack replaces them during the G pass
+        for k, res in zip(members, _g_stack(stack, [stmts[k] for k in members], alpha)):
+            results[k] = res
+
+    for full, members in by_coords.items():
+        counts = _count_array(table, full)
+        for k in members:
+            cube = _cube(counts, full, stmts[k]).counts
+            members_of_shape, cubes = stacks.setdefault(cube.shape, ([], []))
+            members_of_shape.append(k)
+            cubes.append(cube)
+            if len(cubes) * cube.size >= _STACK_CELLS:
+                shape = cube.shape
+                del cube  # so the flush frees it with the rest of the stack
+                flush(shape)
+    for shape in list(stacks):
+        flush(shape)
+    return results
 
 
 # ---------------------------------------------------------------------------

@@ -25,7 +25,7 @@ from .graphs import CiStatement, Dag, EnumerationSizeError, _separations, ci_sta
 from .sampling import AtomMixturePrior, MixturePrior, _node_drawers, parent_configs
 
 STATE_SPACE_LIMIT = 2**20
-DEFAULT_CI_TOL = 1e-9
+DEFAULT_CI_TOL = 1e-12
 # random_generic_model redraws a node's atoms closer than this in every entry
 MIN_ATOM_SEPARATION = 1e-3
 
@@ -180,13 +180,16 @@ def _ci_verdicts(model: FiniteMixtureModel, stmts: Sequence[CiStatement]) -> Lis
 
 def exact_ci(model: FiniteMixtureModel, stmt: CiStatement) -> bool:
     """True iff left and right are conditionally independent given `given` in
-    the exact joint.  |p(l,r|g) - p(l|g) p(r|g)| <= `DEFAULT_CI_TOL` is tested
-    multiplied through by p(g)^2, as |p(l,r,g) p(g) - p(l,g) p(r,g)| <= tol p(g)^2
-    per cell, so a cell with p(g) = 0 reads 0 <= 0 (p(g)^2 must not underflow,
-    which holds for p(g) >~ 1e-154).  p(l,r,g) comes from a memo per model,
-    keyed by the full node set, and the other three are its sums.  This is
-    the batched path of `true_ci_set` and `oracle_tester` on a one-statement
-    list, so every caller gets the same verdict."""
+    the exact joint.  |p(l,r|g) - p(l|g) p(r|g)| <= `DEFAULT_CI_TOL` (1e-12) is
+    tested multiplied through by p(g)^2, as |p(l,r,g) p(g) - p(l,g) p(r,g)| <=
+    tol p(g)^2 per cell, so a cell with p(g) = 0 reads 0 <= 0 (p(g)^2 must not
+    underflow, which holds for p(g) >~ 1e-154).  p(l,r,g) comes from a memo
+    per model, keyed by the full node set, and the other three are its sums.
+    Their float error is about 1e-16, so the tolerance leaves 10^4 of
+    headroom, and a generic model's true dependence can be as small as
+    6.6e-10 (two atoms of one node 0.013 apart, `TestToleranceRegression`).
+    This is the batched path of `true_ci_set` and `oracle_tester` on a
+    one-statement list, so every caller gets the same verdict."""
     return _ci_verdicts(model, [stmt])[0]
 
 

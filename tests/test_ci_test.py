@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from exdag import ci_test
 from exdag.ci_test import (
     ContingencyCube,
     chi2_sf,
@@ -15,6 +16,7 @@ from exdag.ci_test import (
     tabulate,
 )
 from exdag.ci_test import test_statement as run_ci_test
+from exdag.ci_test import test_statements as run_ci_tests
 from exdag.discovery import data_tester
 from exdag.graphs import Dag, statement
 from exdag.sampling import EnvDataset, MixturePrior, XorBetaPrior, sample_dataset
@@ -225,6 +227,76 @@ class TestPinnedTabulation:
                 n += 1
         assert n == 360
         assert h.hexdigest() == self.DIGEST
+
+
+def _bits(res):
+    """A result's statement, G, dof, p and n_effective, floats as their bits."""
+    return res.statement, struct.pack("<dqdq", res.statistic, res.dof, res.p_value, res.n_effective)
+
+
+class TestStatementLists:
+    """`test_statements` decides a list in one pass and gives, bit for bit,
+    the results of testing each statement alone and of the per-stratum
+    G loop on directly counted cubes."""
+
+    @staticmethod
+    def _lists():
+        """Per ragged dataset: its three-sample table and a list that mixes
+        cube shapes, statements sharing a coordinate set (every split of a
+        drawn set into left, right and given), distinct sets, multi-node
+        sides, empty `given` and repeats."""
+        for rng, ds in TestPinnedTabulation._datasets():
+            nodes = [(v, s) for v in range(ds.d) for s in range(3)]
+            stmts = []
+            for _ in range(12):
+                picks = [nodes[i] for i in rng.permutation(len(nodes))]
+                nl, nr = int(rng.integers(1, 3)), int(rng.integers(1, 3))
+                ng = int(rng.integers(0, 3))
+                stmts.append(statement(picks[:nl], picks[nl : nl + nr], picks[nl + nr : nl + nr + ng]))
+                if ng:
+                    full = picks[: nl + nr + ng]
+                    for cut in range(1, len(full) - 1):
+                        stmts.append(statement(full[:cut], full[cut : cut + 1], full[cut + 1 :]))
+            stmts += [stmts[k] for k in rng.integers(len(stmts), size=5)]
+            yield ds, pattern_table(ds, nodes), stmts
+
+    def test_equals_one_at_a_time_and_reference(self):
+        for ds, table, stmts in self._lists():
+            results = run_ci_tests(table, stmts)
+            assert [_bits(res) for res in results] == [
+                _bits(run_ci_test(table, stmt)) for stmt in stmts
+            ]
+            for stmt, res in zip(stmts, results):
+                assert (res.statistic, res.dof, res.p_value) == _g_test_loop(
+                    _reference_counts(ds, stmt)
+                )
+                assert res.n_effective == ds.n_envs
+            shapes = {tabulate(table, stmt).counts.shape for stmt in stmts}
+            full_sets = {stmt.left | stmt.right | stmt.given for stmt in stmts}
+            assert len(shapes) > 1 and len(full_sets) < len(stmts)
+
+    def test_every_split_and_stack_size_agree(self, monkeypatch):
+        ds, table, stmts = next(self._lists())
+        stmts = stmts[:24]
+        whole = [_bits(res) for res in run_ci_tests(table, stmts)]
+        for cut in range(len(stmts) + 1):
+            parts = run_ci_tests(table, stmts[:cut]) + run_ci_tests(table, stmts[cut:])
+            assert [_bits(res) for res in parts] == whole
+        # small budgets flush each shape's stack many times in one call
+        for cells in (1, 100, 1000):
+            monkeypatch.setattr(ci_test, "_STACK_CELLS", cells)
+            assert [_bits(res) for res in run_ci_tests(table, stmts)] == whole
+
+    def test_empty_list(self):
+        ds = _dataset([[[0, 1], [1, 0]], [[1, 1], [0, 0]]])
+        assert run_ci_tests(pattern_table(ds, [(0, 0), (1, 1)]), []) == []
+
+    def test_uncovered_coordinate_rejected(self):
+        ds = _dataset([[[0, 1], [1, 0]], [[1, 1], [0, 0]]])
+        table = pattern_table(ds, [(v, s) for s in (0, 1) for v in range(2)])
+        stmts = [statement([(0, 0)], [(1, 1)]), statement([(0, 2)], [(1, 0)])]
+        with pytest.raises(ValueError, match=r"\(0, 2\) is not covered"):
+            run_ci_tests(table, stmts)
 
 
 class TestGTest:

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from exdag import harness
+from exdag.discovery import discover_with_tester
 from exdag.graphs import (
     Dag,
     EnumerationSizeError,
@@ -443,6 +444,33 @@ class TestOracleTester:
         assert {(res.statistic, res.dof) for res in results} == {(0.0, 0)}
         with pytest.raises(ValueError, match=r"unknown node \(5, 1\)"):
             tester([holds, statement([(0, 0)], [(5, 1)]), fails])
+
+
+class TestToleranceRegression:
+    """A generic model whose true dependence is tiny but real: node 3's two
+    atoms differ by 0.013, so (2, 0) depends on (3, 1) by 6.6e-10 per cell.
+    Under a 1e-9 tolerance the oracle read it as independence and oracle
+    discovery dropped the edge 3 -> 2.  The atoms are written out exactly."""
+
+    GRAPH = Dag(4, frozenset({(0, 2), (3, 2)}))
+    ATOMS = [
+        [(0.5, [[0.4621017406981776], [0.5378982593018223]]),
+         (0.5, [[0.2798995674239986], [0.7201004325760014]])],
+        [(0.5, [[0.09711725038975881], [0.9028827496102411]]),
+         (0.5, [[0.3430311240611467], [0.6569688759388533]])],
+        [(0.5, [[0.7249289216120552, 0.39302409307221386, 0.8268558746245941, 0.8026168286220243],
+                [0.2750710783879447, 0.6069759069277861, 0.17314412537540588, 0.19738317137797565]]),
+         (0.5, [[0.5349441383011139, 0.892933619702179, 0.524401542733918, 0.5332031271909194],
+                [0.4650558616988861, 0.10706638029782096, 0.475598457266082, 0.46679687280908055]])],
+        [(0.5, [[0.5345841781350146], [0.4654158218649854]]),
+         (0.5, [[0.5472903605634158], [0.4527096394365842]])],
+    ]
+
+    def test_weak_dependence_is_dependence(self):
+        model = FiniteMixtureModel(self.GRAPH, atom_prior(self.ATOMS), 2)
+        found = discover_with_tester(oracle_tester(model), 4)
+        assert found.graph == self.GRAPH
+        assert true_ci_set(model, 8) == ci_set(icm_unroll(self.GRAPH, 2), 8)
 
 
 def _sha256(lines):
