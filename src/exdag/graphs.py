@@ -8,14 +8,15 @@ Independence is read off a `Dmag` via m-separation: a Bayes-Ball walk over
 bit masks of (node, entered-through-arrowhead) states, which from one left
 side under one conditioning set reaches every node it is m-connected to.
 `_separations` is the one separation path: it decides a list of statements
-with one walk per distinct (left, given).
+with one walk per distinct (left, given).  `ci_statements` is the one
+statement enumerator; each enumeration and its sort order are built once.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 from typing import FrozenSet, Hashable, Iterable, Iterator, List, Sequence, Tuple
 
 Node = Hashable
@@ -274,35 +275,59 @@ def m_separated(m: Dmag, s: CiStatement) -> bool:
     return _separations(m, [s])[0]
 
 
-def ci_statements(nodes: Iterable[Node], max_condition_size: int) -> Iterator[CiStatement]:
-    """All singleton-left/singleton-right statements over `nodes` with
-    conditioning sets up to `max_condition_size`, in canonical order: pairs
-    a < b, then conditioning sets by size, then lexicographically.  The sides
-    are disjoint by construction, so they skip the constructor's checks, and
-    each pair's two sides are built once and shared by its statements."""
-    if max_condition_size < 0:
-        raise ValueError(f"max_condition_size must be >= 0, got {max_condition_size}")
-    nodes = sorted(nodes)
+@lru_cache(maxsize=8)
+def _enumeration(nodes: Tuple[Node, ...], max_condition_size: int):
+    """(the statements `ci_statements` yields, the permutation that sorts
+    them by `sort_key`) for sorted `nodes` and a size already clipped to
+    len(nodes) - 2.  Cached by (nodes, size), at most 8 entries: an entry
+    over 8 nodes holds 1,792 statements, over `CI_SET_NODE_LIMIT` nodes
+    67,584.  The sides are disjoint by construction, so they skip the
+    constructor's checks, and each pair's two sides are built once and
+    shared by its statements."""
+    stmts = []
     for a, b in itertools.combinations(nodes, 2):
         left, right = frozenset([a]), frozenset([b])
         rest = [v for v in nodes if v not in (a, b)]
-        for size in range(min(max_condition_size, len(rest)) + 1):
+        for size in range(max_condition_size + 1):
             for given in itertools.combinations(rest, size):
-                yield CiStatement._from_disjoint(left, right, frozenset(given))
+                stmts.append(CiStatement._from_disjoint(left, right, frozenset(given)))
+    keys = [s.sort_key() for s in stmts]
+    return tuple(stmts), tuple(sorted(range(len(stmts)), key=keys.__getitem__))
+
+
+def _statement_order(nodes: Iterable[Node], max_condition_size: int):
+    """`_enumeration` of `nodes` in any order, after rejecting a negative
+    `max_condition_size`."""
+    if max_condition_size < 0:
+        raise ValueError(f"max_condition_size must be >= 0, got {max_condition_size}")
+    nodes = tuple(sorted(nodes))
+    return _enumeration(nodes, min(max_condition_size, max(len(nodes) - 2, 0)))
+
+
+def ci_statements(nodes: Iterable[Node], max_condition_size: int) -> Iterator[CiStatement]:
+    """All singleton-left/singleton-right statements over `nodes` with
+    conditioning sets up to `max_condition_size`, in canonical order: pairs
+    a < b, then conditioning sets by size, then lexicographically.  A
+    negative size raises at the call.  The whole enumeration is built on
+    the first call and kept in a cache keyed by (sorted nodes, size clipped
+    to len(nodes) - 2) that holds 8 enumerations, so repeated calls share
+    the same (immutable) statements."""
+    return iter(_statement_order(nodes, max_condition_size)[0])
 
 
 def ci_set(m: Dmag, max_condition_size: int) -> List[CiStatement]:
     """All `ci_statements` of the graph's nodes that are m-separations, in
-    canonical sorted order.  Restricting to singleton sides is sufficient
-    for the pairwise-structural equivalence checks this feeds."""
+    canonical sorted order (by `CiStatement.sort_key`): the enumeration's
+    cache holds that order as a permutation, so no call sorts.  Each call
+    returns a new list.  Restricting to singleton sides is sufficient for
+    the pairwise-structural equivalence checks this feeds."""
     if len(m.nodes) > CI_SET_NODE_LIMIT:
         raise EnumerationSizeError(
             f"ci_set enumeration limited to {CI_SET_NODE_LIMIT} nodes, got {len(m.nodes)}"
         )
-    stmts = list(ci_statements(m.nodes, max_condition_size))
-    out = [s for s, separated in zip(stmts, _separations(m, stmts)) if separated]
-    out.sort(key=CiStatement.sort_key)
-    return out
+    stmts, order = _statement_order(m.nodes, max_condition_size)
+    separated = _separations(m, stmts)
+    return [stmts[i] for i in order if separated[i]]
 
 
 def enumerate_dags(d: int) -> List[Dag]:

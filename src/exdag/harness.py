@@ -362,8 +362,9 @@ def run_oracle_sweep(
     graph_reports = []
     graph_ci_sets = []
     for g in dags:
-        dmag_cis = ci_set(icm_unroll(g, VERIFY_SAMPLES_PER_ENV), VERIFY_MAX_CONDITION_SIZE)
-        graph_ci_sets.append(frozenset(s.sort_key() for s in dmag_cis))
+        graph_ci_sets.append(
+            frozenset(ci_set(icm_unroll(g, VERIFY_SAMPLES_PER_ENV), VERIFY_MAX_CONDITION_SIZE))
+        )
         markov_ok = True
         faithful_count = 0
         bridge_count = 0
@@ -405,10 +406,7 @@ def run_identifiability(d: int = 3, out_dir: Optional[str] = None) -> dict:
     equivalence (expected coarser)."""
     out = _make_out_dir(out_dir)
     dags = enumerate_dags(d)
-    icm_keys = [
-        frozenset(s.sort_key() for s in ci_set(icm_unroll(g, VERIFY_SAMPLES_PER_ENV), d))
-        for g in dags
-    ]
+    icm_keys = [frozenset(ci_set(icm_unroll(g, VERIFY_SAMPLES_PER_ENV), d)) for g in dags]
     icm_classes: Dict[frozenset, List[int]] = {}
     for idx, key in enumerate(icm_keys):
         icm_classes.setdefault(key, []).append(idx)

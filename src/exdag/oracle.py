@@ -21,7 +21,14 @@ from typing import List, Optional, Sequence, Tuple
 import numpy as np
 
 from .ci_test import CiResult, DEFAULT_ALPHA
-from .graphs import CiStatement, Dag, EnumerationSizeError, _separations, ci_statements, icm_unroll
+from .graphs import (
+    CiStatement,
+    Dag,
+    EnumerationSizeError,
+    _separations,
+    _statement_order,
+    icm_unroll,
+)
 from .sampling import AtomMixturePrior, MixturePrior, _node_drawers, parent_configs
 
 STATE_SPACE_LIMIT = 2**20
@@ -42,10 +49,8 @@ class FiniteMixtureModel:
     samples_per_env: int
     # out of __init__, so dataclasses.replace starts the caches empty
     _joint: Optional[np.ndarray] = field(init=False, default=None, repr=False, compare=False)
-    # node set F -> (shape, positions, p_F), from _full_marginal
+    # node set F -> (shape, positions, p_F), filled by _run_plan
     _full_marginals: dict = field(init=False, default_factory=dict, repr=False, compare=False)
-    # (variable, sample) -> joint axis, for every node of the unrolled graph
-    _axes: dict = field(init=False, default_factory=dict, repr=False, compare=False)
 
     def __post_init__(self):
         if self.samples_per_env < 1:
@@ -60,9 +65,6 @@ class FiniteMixtureModel:
             raise EnumerationSizeError(
                 f"unrolled state space of {size} configurations exceeds {STATE_SPACE_LIMIT}"
             )
-        self._axes = {
-            (v, s): self.axis_of(v, s) for s in range(self.samples_per_env) for v in range(self.d)
-        }
 
     @property
     def d(self):
@@ -110,17 +112,28 @@ def exact_joint(model: FiniteMixtureModel) -> np.ndarray:
     return joint
 
 
-def _full_marginal(model: FiniteMixtureModel, full: frozenset):
-    """(shape of p_F, node -> bit 1 + its position among F's axes, p_F) for
-    the node set F = `full`: p_F is the joint summed over every axis outside
-    F, with F's axes in joint order behind a leading row axis of length 1."""
+def _node_axes(d: int, samples_per_env: int) -> dict:
+    """(variable, sample) -> joint axis, by `FiniteMixtureModel.axis_of`'s
+    convention, for every node of the unrolled graph."""
+    return {(v, s): s * d + v for s in range(samples_per_env) for v in range(d)}
+
+
+@functools.lru_cache(maxsize=4096)
+def _layout(shape: Tuple[int, ...], samples_per_env: int, full: frozenset):
+    """(shape of p_F, node -> bit 1 + its position among F's axes, the axes
+    outside F) for the node set F = `full` of a model with joint `shape`
+    and `samples_per_env` samples.  p_F is the joint summed over the axes
+    outside F, which keeps F's axes in joint order, behind a leading row
+    axis of length 1.  Cached by (shape, samples per environment, F), at
+    most 4096 entries, so list callers do not rebuild a layout per call."""
+    axes = _node_axes(len(shape) // samples_per_env, samples_per_env)
     try:
-        axes = sorted(model._axes[v] for v in full)
+        f_axes = sorted(axes[v] for v in full)
     except KeyError as err:
         raise ValueError(f"statement references unknown node {err.args[0]}") from None
-    joint = exact_joint(model)
-    p_full = joint.sum(axis=tuple(a for a in range(joint.ndim) if a not in axes))[np.newaxis]
-    return p_full.shape, {v: 2 << axes.index(model._axes[v]) for v in full}, p_full
+    positions = {v: 2 << f_axes.index(axes[v]) for v in full}
+    dropped = tuple(a for a in range(len(shape)) if a not in f_axes)
+    return (1,) + tuple(shape[a] for a in f_axes), positions, dropped
 
 
 @functools.cache
@@ -130,38 +143,74 @@ def _bit_axes(bits: int) -> Tuple[int, ...]:
     return tuple(a for a in range(bits.bit_length()) if bits >> a & 1)
 
 
-def _ci_verdicts(model: FiniteMixtureModel, stmts: Sequence[CiStatement]) -> List[bool]:
-    """The exact verdict of each statement, in input order: the one verdict
-    path behind `exact_ci`, `true_ci_set`, `verify_markov_faithful` and
-    `oracle_tester`.
+@dataclass(frozen=True)
+class _VerdictPlan:
+    """How `_run_plan` decides a statement list: the list's distinct full
+    node sets F = left | right | given, each with its `_layout`, and one
+    batch per (shape of p_F, left positions, right positions), as (left
+    axes, right axes, F index of each member).  `order` holds the members'
+    statement indices, batch by batch.  A plan depends on the statements,
+    the joint's shape and the samples per environment only, not on the
+    model's numbers."""
 
-    A verdict depends only on p_F, the marginal of the statement's full
-    node set F = left | right | given, and on where its left and right nodes
-    sit among F's axes.  So statements are batched by (shape of p_F, left
-    positions, right positions).  A batch stacks its p_F and sums them over
-    the right axes, the left axes and both, to get p(l,g), p(r,g) and p(g),
-    and the rule runs once per batch."""
-    memo = model._full_marginals
-    batches = {}  # (shape, left bits, right bits) -> ([statement index], [p_F])
+    fulls: Tuple[Tuple[frozenset, tuple], ...]
+    batches: Tuple[Tuple[Tuple[int, ...], Tuple[int, ...], Tuple[int, ...]], ...]
+    order: np.ndarray
+
+
+def _verdict_plan(
+    shape: Tuple[int, ...], samples_per_env: int, stmts: Sequence[CiStatement]
+) -> _VerdictPlan:
+    """The `_VerdictPlan` of `stmts` for a model with joint `shape` and
+    `samples_per_env` samples.  A verdict depends only on p_F and on where
+    the statement's left and right nodes sit among F's axes, so that is the
+    batch key."""
+    fulls, layouts = {}, []  # F -> its index in layouts
+    batches = {}  # (shape, left bits, right bits) -> ([statement index], [F index])
     for k, stmt in enumerate(stmts):
         full = stmt.left | stmt.right | stmt.given
-        entry = memo.get(full)
-        if entry is None:
-            entry = memo[full] = _full_marginal(model, full)
-        shape, positions, p_full = entry
-        key = (shape, sum(map(positions.__getitem__, stmt.left)),
+        f = fulls.get(full)
+        if f is None:
+            f = fulls[full] = len(layouts)
+            layouts.append(_layout(shape, samples_per_env, full))
+        f_shape, positions, _ = layouts[f]
+        key = (f_shape, sum(map(positions.__getitem__, stmt.left)),
                sum(map(positions.__getitem__, stmt.right)))
         batch = batches.get(key)
         if batch is None:
-            batches[key] = ([k], [p_full])
+            batches[key] = ([k], [f])
         else:
             batch[0].append(k)
-            batch[1].append(p_full)
-    verdicts = [False] * len(stmts)
-    for (_, left, right), (members, rows) in batches.items():
-        p_lrg = rows[0] if len(rows) == 1 else np.concatenate(rows)
-        left_axes = _bit_axes(left)
-        p_lg = np.add.reduce(p_lrg, axis=_bit_axes(right), keepdims=True)
+            batch[1].append(f)
+    order = np.array([k for members, _ in batches.values() for k in members], dtype=np.intp)
+    order.flags.writeable = False  # a cached plan is shared by every caller
+    return _VerdictPlan(
+        tuple(zip(fulls, layouts)),
+        tuple((_bit_axes(left), _bit_axes(right), tuple(f_idx))
+              for (_, left, right), (_, f_idx) in batches.items()),
+        order,
+    )
+
+
+def _run_plan(model: FiniteMixtureModel, plan: _VerdictPlan) -> List[bool]:
+    """The exact verdicts of a plan's statements, in statement order.  p_F
+    comes from the model's memo, `_full_marginals`, keyed by F, which holds
+    (shape of p_F, positions, p_F) and is filled from the plan's layouts.
+    A batch stacks its p_F and sums them over the right axes, the left axes
+    and both, to get p(l,g), p(r,g) and p(g), and the rule runs once per
+    batch; one index then scatters every batch's verdicts into place."""
+    memo = model._full_marginals
+    p = []
+    for full, (shape, positions, dropped) in plan.fulls:
+        entry = memo.get(full)
+        if entry is None:
+            p_full = exact_joint(model).sum(axis=dropped)[np.newaxis]
+            entry = memo[full] = (shape, positions, p_full)
+        p.append(entry[2])
+    holds = []
+    for left_axes, right_axes, f_idx in plan.batches:
+        p_lrg = p[f_idx[0]] if len(f_idx) == 1 else np.concatenate([p[f] for f in f_idx])
+        p_lg = np.add.reduce(p_lrg, axis=right_axes, keepdims=True)
         p_rg = np.add.reduce(p_lrg, axis=left_axes, keepdims=True)
         # |p(l,r,g) p(g) - p(l,g) p(r,g)| <= tol p(g)^2, in place, with p(g)
         # spread over every cell: ops on arrays of one shape skip broadcasting
@@ -172,10 +221,31 @@ def _ci_verdicts(model: FiniteMixtureModel, stmts: Sequence[CiStatement]) -> Lis
         np.abs(gap, out=gap)
         bound = np.square(p_g, out=p_g)
         bound *= DEFAULT_CI_TOL
-        holds = np.logical_and.reduce((gap <= bound).reshape(len(rows), -1), axis=1)
-        for k, independent in zip(members, holds.tolist()):
-            verdicts[k] = independent
-    return verdicts
+        holds.append(np.logical_and.reduce((gap <= bound).reshape(len(f_idx), -1), axis=1))
+    verdicts = np.empty(len(plan.order), dtype=bool)
+    if holds:
+        verdicts[plan.order] = np.concatenate(holds)
+    return verdicts.tolist()
+
+
+def _ci_verdicts(model: FiniteMixtureModel, stmts: Sequence[CiStatement]) -> List[bool]:
+    """The exact verdict of each statement, in input order: the one verdict
+    path behind `exact_ci`, `true_ci_set`, `verify_markov_faithful` and
+    `oracle_tester`.  A list's plan is built on each call; `true_ci_set`
+    and `verify_markov_faithful` take theirs from `_model_plan`."""
+    return _run_plan(model, _verdict_plan(model.shape, model.samples_per_env, stmts))
+
+
+@functools.lru_cache(maxsize=8)
+def _model_plan(shape: Tuple[int, ...], samples_per_env: int, max_condition_size: int):
+    """(statements, sort permutation, `_VerdictPlan`) of the `ci_statements`
+    over every node of a model with joint `shape` and `samples_per_env`
+    samples.  These fix the nodes, their axes and every p_F's shape, so
+    models of one shape share a plan.  Cached by (shape, samples per
+    environment, size), at most 8 entries."""
+    nodes = _node_axes(len(shape) // samples_per_env, samples_per_env)
+    stmts, order = _statement_order(nodes, max_condition_size)
+    return stmts, order, _verdict_plan(shape, samples_per_env, stmts)
 
 
 def exact_ci(model: FiniteMixtureModel, stmt: CiStatement) -> bool:
@@ -188,22 +258,20 @@ def exact_ci(model: FiniteMixtureModel, stmt: CiStatement) -> bool:
     Their float error is about 1e-16, so the tolerance leaves 10^4 of
     headroom, and a generic model's true dependence can be as small as
     6.6e-10 (two atoms of one node 0.013 apart, `TestToleranceRegression`).
-    This is the batched path of `true_ci_set` and `oracle_tester` on a
+    This is the plan-and-run path of `true_ci_set` and `oracle_tester` on a
     one-statement list, so every caller gets the same verdict."""
     return _ci_verdicts(model, [stmt])[0]
 
 
 def true_ci_set(model: FiniteMixtureModel, max_condition_size: int) -> List[CiStatement]:
     """All `ci_statements` over the model's (variable, sample) nodes that
-    hold in the exact joint, sorted.  The verdicts come from one batched
-    pass, which checks all statements whose full marginals share a shape and
-    whose sides sit at the same positions in it at once, with `exact_ci`'s
-    rule."""
-    nodes = [(i, s) for i in range(model.d) for s in range(model.samples_per_env)]
-    stmts = list(ci_statements(nodes, max_condition_size))
-    out = [s for s, independent in zip(stmts, _ci_verdicts(model, stmts)) if independent]
-    out.sort(key=CiStatement.sort_key)
-    return out
+    hold in the exact joint, in `ci_set`'s sorted order, as a new list.  The
+    statements, their sort permutation and their verdict plan come from
+    `_model_plan`'s cache, keyed by (shape, samples per environment, size),
+    and the verdicts from one batched pass with `exact_ci`'s rule."""
+    stmts, order, plan = _model_plan(model.shape, model.samples_per_env, max_condition_size)
+    independent = _run_plan(model, plan)
+    return [stmts[i] for i in order if independent[i]]
 
 
 @dataclass
@@ -235,12 +303,11 @@ def verify_markov_faithful(
     (faithfulness violations: occur only for degenerate mixtures), each list
     in enumeration order.  The separations come from one batched walk pass
     over the graph, and the exact verdicts from one batched pass with
-    `exact_ci`'s rule, as in `true_ci_set`."""
-    dmag = icm_unroll(model.graph, model.samples_per_env)
-    stmts = list(ci_statements(dmag.nodes, max_condition_size))
-    separations = _separations(dmag, stmts)
+    `exact_ci`'s rule, on the cached plan of `true_ci_set`."""
+    stmts, _, plan = _model_plan(model.shape, model.samples_per_env, max_condition_size)
+    separations = _separations(icm_unroll(model.graph, model.samples_per_env), stmts)
     markov, faithless = [], []
-    for stmt, separated, independent in zip(stmts, separations, _ci_verdicts(model, stmts)):
+    for stmt, separated, independent in zip(stmts, separations, _run_plan(model, plan)):
         if separated and not independent:
             markov.append(stmt)
         elif independent and not separated:

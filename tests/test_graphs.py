@@ -361,6 +361,49 @@ class TestCiSet:
             ci_set(icm_unroll(FORK, 2), -1)
 
 
+def _reference_statements(nodes, k):
+    """The enumeration order written out: pairs a < b, then conditioning
+    sets by size, then lexicographically."""
+    nodes = sorted(nodes)
+    out = []
+    for a, b in itertools.combinations(nodes, 2):
+        rest = [v for v in nodes if v not in (a, b)]
+        for size in range(min(k, len(rest)) + 1):
+            out += [statement([a], [b], given) for given in itertools.combinations(rest, size)]
+    return out
+
+
+class TestEnumerationCache:
+    """`ci_statements` and `ci_set` read one cached enumeration per (sorted
+    nodes, clipped size); no caller sees another's list or a stale entry."""
+
+    def test_order_matches_reference_at_every_size(self):
+        for nodes in ([3, 0, 2, 1], [(1, 0), (0, 1), (2, 0), (0, 0), (1, 1)], [7]):
+            for k in range(len(nodes) + 2):
+                want = _reference_statements(nodes, k)
+                assert list(ci_statements(nodes, k)) == want
+                assert list(ci_statements(reversed(nodes), k)) == want
+
+    def test_returned_lists_are_fresh(self):
+        m = icm_unroll(FORK, 2)
+        first = ci_set(m, 4)
+        want = list(first)
+        first.reverse()
+        first.pop()
+        assert ci_set(m, 4) == want
+        partial = ci_statements(m.nodes, 4)
+        next(partial)
+        assert list(ci_statements(m.nodes, 4))[0] == _reference_statements(m.nodes, 4)[0]
+
+    def test_negative_size_rejected_after_cached_call(self):
+        m = icm_unroll(CHAIN, 2)
+        assert ci_set(m, 2) and list(ci_statements(m.nodes, 2))
+        with pytest.raises(ValueError, match="max_condition_size must be >= 0, got -1"):
+            ci_statements(m.nodes, -1)
+        with pytest.raises(ValueError, match="max_condition_size must be >= 0, got -1"):
+            ci_set(m, -1)
+
+
 class TestEnumerateDags:
     @pytest.mark.parametrize("d,count", [(1, 1), (2, 3), (3, 25), (4, 543)])
     def test_counts(self, d, count):

@@ -9,12 +9,14 @@ import pytest
 from exdag import harness
 from exdag.discovery import discover_with_tester
 from exdag.graphs import (
+    CiStatement,
     Dag,
     EnumerationSizeError,
     ci_set,
     ci_statements,
     enumerate_dags,
     icm_unroll,
+    m_separated,
     statement,
 )
 from exdag.oracle import (
@@ -191,6 +193,20 @@ def brute_force_ci(model, stmt, tol):
     )
 
 
+def zero_mass_model():
+    """A chain on cardinalities (2, 3, 2) whose 0/1 CPT entries give
+    conditioning cells of exactly zero mass, where the division-free rule
+    reads 0 <= 0 and `brute_force_ci` skips the cell."""
+    g = Dag(3, frozenset({(0, 1), (1, 2)}))
+    generic = random_generic_model(g, 2, np.random.default_rng(4), cardinalities=(2, 3, 2))
+    atoms = [node_prior.atoms for node_prior in generic.prior.node_priors]
+    atoms[0][0][1][:, 0] = [1.0, 0.0]
+    for node_atoms in atoms[1:]:
+        for _, cpt in node_atoms:
+            cpt[:, 0] = np.eye(cpt.shape[0])[-1]
+    return FiniteMixtureModel(g, atom_prior(atoms), 2)
+
+
 class TestExactCi:
     def test_causal_statement_holds(self):
         model = two_atom_xy_model()
@@ -238,16 +254,7 @@ class TestExactCi:
         assert 0 < sum(verdicts) < len(verdicts)
 
     def test_zero_mass_conditioning_cells_match_brute_force(self):
-        # 0/1 CPT entries give conditioning cells of exactly zero mass, where
-        # the division-free rule reads 0 <= 0 and the reference skips the cell
-        g = Dag(3, frozenset({(0, 1), (1, 2)}))
-        generic = random_generic_model(g, 2, np.random.default_rng(4), cardinalities=(2, 3, 2))
-        atoms = [node_prior.atoms for node_prior in generic.prior.node_priors]
-        atoms[0][0][1][:, 0] = [1.0, 0.0]
-        for node_atoms in atoms[1:]:
-            for _, cpt in node_atoms:
-                cpt[:, 0] = np.eye(cpt.shape[0])[-1]
-        model = FiniteMixtureModel(g, atom_prior(atoms), 2)
+        model = zero_mass_model()
         stmts = list(ci_statements([(v, s) for s in range(2) for v in range(3)], 4))
         verdicts = [exact_ci(model, s) for s in stmts]
         assert verdicts == [brute_force_ci(model, s, 1e-9) for s in stmts]
@@ -282,6 +289,11 @@ class TestExactCi:
             assert true_ci_set(replaced, 6) == true_ci_set(other, 6)
         # one atom per node is iid across samples: more independences hold
         assert true_ci_set(replaced, 6) != old_set
+
+
+def model_nodes(model):
+    """Every (variable, sample) node of the model, sorted."""
+    return [(v, s) for v in range(model.d) for s in range(model.samples_per_env)]
 
 
 def fresh_marginal(model, nodes):
@@ -339,7 +351,7 @@ class TestBatchedVerdicts:
         rng = np.random.default_rng(29)
         zero_mass_cells = 0
         for model in self._models():
-            nodes = sorted(model._axes)
+            nodes = model_nodes(model)
             stmts = list(ci_statements(nodes, 2)) + _random_statements(nodes, 60, rng)
             stmts = [stmts[j] for j in rng.permutation(len(stmts))]
             verdicts = _ci_verdicts(model, stmts)
@@ -395,6 +407,75 @@ class TestVerifyMarkovFaithful:
             true_ci_set(model, -1)
         with pytest.raises(ValueError, match="max_condition_size must be >= 0, got -3"):
             verify_markov_faithful(model, -3)
+
+
+class TestPlanPath:
+    """`true_ci_set` and `verify_markov_faithful` decide a plan cached per
+    (shape, samples per environment, size): at every size they agree with
+    `exact_ci` and `m_separated` asked one statement at a time."""
+
+    @staticmethod
+    def _models():
+        rng = np.random.default_rng(31)
+        chain = Dag(3, frozenset({(0, 1), (1, 2)}))
+        collider = Dag(3, frozenset({(0, 2), (1, 2)}))
+        yield random_generic_model(chain, 2, rng)
+        # the same nodes on other cardinalities: a plan of its own
+        yield random_generic_model(collider, 2, rng, cardinalities=(2, 3, 2))
+        # the same shape on another graph: the cached plan serves both
+        yield zero_mass_model()
+        # one atom per node: iid samples, so faithfulness violations
+        yield random_generic_model(XY, 3, rng, atoms_per_node=1, cardinalities=(3, 2))
+        yield random_generic_model(chain, 3, rng, cardinalities=(3, 2, 3))
+
+    def test_match_per_statement_rule_at_every_size(self):
+        faithless = 0
+        for model in self._models():
+            nodes = model_nodes(model)
+            dmag = icm_unroll(model.graph, model.samples_per_env)
+            reference = dataclasses.replace(model)  # its own, empty caches
+            every = list(ci_statements(nodes, len(nodes)))
+            independent = {s: exact_ci(reference, s) for s in every}
+            separated = {s: m_separated(dmag, s) for s in every}
+            for k in range(len(nodes) + 1):
+                stmts = list(ci_statements(nodes, k))
+                want = sorted((s for s in stmts if independent[s]), key=CiStatement.sort_key)
+                assert true_ci_set(model, k) == want
+                report = verify_markov_faithful(model, k)
+                assert report.markov_violations == [
+                    s for s in stmts if separated[s] and not independent[s]
+                ]
+                assert report.faithfulness_violations == [
+                    s for s in stmts if independent[s] and not separated[s]
+                ]
+                faithless += len(report.faithfulness_violations)
+        assert faithless > 0
+
+    def test_returned_lists_are_fresh(self):
+        fork3 = harness.preset_graph("fork3")
+        model = random_generic_model(fork3, 2, np.random.default_rng(3), atoms_per_node=1)
+        first = true_ci_set(model, 6)
+        want = list(first)
+        first.reverse()
+        first.pop()
+        assert true_ci_set(model, 6) == want
+        report = verify_markov_faithful(model, 6)
+        want = (list(report.markov_violations), list(report.faithfulness_violations))
+        report.markov_violations.append(want[1][0])
+        report.faithfulness_violations.clear()
+        again = verify_markov_faithful(model, 6)
+        assert (again.markov_violations, again.faithfulness_violations) == want
+
+    def test_bad_input_rejected_after_cached_call(self):
+        model = two_atom_xy_model()
+        assert true_ci_set(model, 2)
+        with pytest.raises(ValueError, match="max_condition_size must be >= 0, got -1"):
+            true_ci_set(model, -1)
+        with pytest.raises(ValueError, match="max_condition_size must be >= 0, got -1"):
+            verify_markov_faithful(model, -1)
+        good = statement([(0, 0)], [(1, 1)])
+        with pytest.raises(ValueError, match=r"unknown node \(5, 1\)"):
+            oracle_tester(model)([good, statement([(0, 0)], [(1, 0)], [(5, 1)])])
 
 
 class TestExchangeability:
