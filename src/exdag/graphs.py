@@ -7,9 +7,13 @@ same variable, absorbing the per-variable latent mechanism parameter.
 Independence is read off a `Dmag` via m-separation: a Bayes-Ball walk over
 bit masks of (node, entered-through-arrowhead) states, which from one left
 side under one conditioning set reaches every node it is m-connected to.
-`_separations` is the one separation path: it decides a list of statements
-with one walk per distinct (left, given).  `ci_statements` is the one
-statement enumerator; each enumeration and its sort order are built once.
+Node i of a graph's sorted nodes is bit i.  `_separations` is the one
+separation path: a `_SeparationPlan` holds a list's distinct (left, given)
+walks and each statement's walk index and right mask, and one walk per
+distinct (left, given) then one array test decide the list.
+`ci_statements` is the one statement enumerator; each enumeration, its sort
+order and its separation plan are built once, in a cache keyed by (sorted
+nodes, clipped size) that holds 8 enumerations.
 """
 
 from __future__ import annotations
@@ -18,6 +22,8 @@ import itertools
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from typing import FrozenSet, Hashable, Iterable, Iterator, List, Sequence, Tuple
+
+import numpy as np
 
 Node = Hashable
 DmagNode = Tuple[int, int]  # (variable index, sample index)
@@ -170,11 +176,14 @@ class Dmag:
 
     @cached_property
     def _masks(self):
-        """(node -> bit, then per bit position the masks of the node's
-        children, parents and spouses): the structure each separation walk
-        reads, built once per graph."""
-        position = {v: i for i, v in enumerate(self.nodes)}
-        children, parents, spouses = ([0] * len(position) for _ in range(3))
+        """(the nodes in sorted order, then per bit position the masks of the
+        node's children, parents and spouses): the structure each separation
+        walk reads, built once per graph.  Node i of the sorted order is bit
+        i, whatever order the node set iterates in, so a `_SeparationPlan`
+        built once for a node set serves every graph over it."""
+        nodes = tuple(sorted(self.nodes))
+        position = {v: i for i, v in enumerate(nodes)}
+        children, parents, spouses = ([0] * len(nodes) for _ in range(3))
         for u, v in self.directed:
             children[position[u]] |= 1 << position[v]
             parents[position[v]] |= 1 << position[u]
@@ -182,8 +191,7 @@ class Dmag:
             u, v = tuple(pair)
             spouses[position[u]] |= 1 << position[v]
             spouses[position[v]] |= 1 << position[u]
-        index = {v: 1 << i for v, i in position.items()}
-        return index, children, parents, spouses
+        return nodes, children, parents, spouses
 
 
 def icm_unroll(g: Dag, n_samples: int) -> Dmag:
@@ -241,32 +249,68 @@ def _reach(children, parents, spouses, src: int, z: int) -> int:
     return head | tail
 
 
-def _separations(m: Dmag, stmts: Sequence[CiStatement]) -> List[bool]:
-    """Whether each statement is an m-separation of `m`, in input order: the
-    one separation path behind `m_separated`, `ci_set` and
-    `verify_markov_faithful`.  One walk from a left side under one
-    conditioning set decides every right side at once, so statements that
-    share (left, given) share a walk, and each right side's mask is built
-    once per call."""
-    index, children, parents, spouses = m._masks
-    bits = index.__getitem__
-    reached, right_masks = {}, {}
-    out = []
+@dataclass(frozen=True)
+class _SeparationPlan:
+    """How `_run_separation_plan` decides a statement list: the list's
+    distinct (left mask, given mask) walks, each statement's walk index and
+    its right mask, with node i of the sorted `nodes` as bit i.  The masks
+    are int64, or Python ints in object arrays past 63 nodes.  A plan
+    depends on the statements and the node set only, not on the edges."""
+
+    nodes: Tuple[Node, ...]
+    walks: Tuple[Tuple[int, int], ...]
+    walk: np.ndarray
+    right: np.ndarray
+
+
+def _separation_plan(nodes: Tuple[Node, ...], stmts: Sequence[CiStatement]) -> _SeparationPlan:
+    """The `_SeparationPlan` of `stmts` over the sorted node tuple `nodes`.
+    Raises ValueError, with the node named, if a statement references a
+    node outside `nodes`."""
+    bits = {v: 1 << i for i, v in enumerate(nodes)}.__getitem__
+    walks, rights = {}, {}  # (left, given) -> walk index; right side -> mask
+    walk, right = [], []
     try:
         for s in stmts:
-            walk = (s.left, s.given)
-            mask = reached.get(walk)
+            key = (s.left, s.given)
+            w = walks.get(key)
+            if w is None:
+                w = walks[key] = len(walks)
+            mask = rights.get(s.right)
             if mask is None:
-                mask = reached[walk] = _reach(
-                    children, parents, spouses, sum(map(bits, s.left)), sum(map(bits, s.given))
-                )
-            right = right_masks.get(s.right)
-            if right is None:
-                right = right_masks[s.right] = sum(map(bits, s.right))
-            out.append(not mask & right)
+                mask = rights[s.right] = sum(map(bits, s.right))
+            walk.append(w)
+            right.append(mask)
+        masks = tuple((sum(map(bits, left)), sum(map(bits, given))) for left, given in walks)
     except KeyError as err:
         raise ValueError(f"statement references unknown node {err.args[0]}") from None
-    return out
+    dtype = np.int64 if len(nodes) < 64 else object
+    walk, right = np.array(walk, dtype=np.intp), np.array(right, dtype=dtype)
+    walk.flags.writeable = right.flags.writeable = False  # a cached plan is shared
+    return _SeparationPlan(nodes, masks, walk, right)
+
+
+def _run_separation_plan(m: Dmag, plan: _SeparationPlan) -> List[bool]:
+    """Whether each of a plan's statements is an m-separation of `m`, in
+    statement order: one `_reach` per distinct (left, given) walk decides
+    every right side at once, and one `reached[walk] & right == 0` decides
+    every statement.  The plan must number `m`'s own nodes."""
+    nodes, children, parents, spouses = m._masks
+    if plan.nodes != nodes:
+        raise ValueError("separation plan is over another node set than the graph's")
+    reached = np.array(
+        [_reach(children, parents, spouses, src, z) for src, z in plan.walks],
+        dtype=plan.right.dtype,
+    )
+    return ((reached[plan.walk] & plan.right) == 0).tolist()
+
+
+def _separations(m: Dmag, stmts: Sequence[CiStatement]) -> List[bool]:
+    """Whether each statement is an m-separation of `m`, in input order: the
+    one separation path, behind `m_separated` on a plan built per call and
+    behind `ci_set` and `verify_markov_faithful` on their enumeration's
+    cached plan."""
+    return _run_separation_plan(m, _separation_plan(m._masks[0], stmts))
 
 
 def m_separated(m: Dmag, s: CiStatement) -> bool:
@@ -278,12 +322,12 @@ def m_separated(m: Dmag, s: CiStatement) -> bool:
 @lru_cache(maxsize=8)
 def _enumeration(nodes: Tuple[Node, ...], max_condition_size: int):
     """(the statements `ci_statements` yields, the permutation that sorts
-    them by `sort_key`) for sorted `nodes` and a size already clipped to
-    len(nodes) - 2.  Cached by (nodes, size), at most 8 entries: an entry
-    over 8 nodes holds 1,792 statements, over `CI_SET_NODE_LIMIT` nodes
-    67,584.  The sides are disjoint by construction, so they skip the
-    constructor's checks, and each pair's two sides are built once and
-    shared by its statements."""
+    them by `sort_key`, their `_SeparationPlan`) for sorted `nodes` and a
+    size already clipped to len(nodes) - 2.  Cached by (nodes, size), at
+    most 8 entries: an entry over 8 nodes holds 1,792 statements and 769
+    walks, over `CI_SET_NODE_LIMIT` nodes 67,584 statements.  The sides are
+    disjoint by construction, so they skip the constructor's checks, and
+    each pair's two sides are built once and shared by its statements."""
     stmts = []
     for a, b in itertools.combinations(nodes, 2):
         left, right = frozenset([a]), frozenset([b])
@@ -292,7 +336,8 @@ def _enumeration(nodes: Tuple[Node, ...], max_condition_size: int):
             for given in itertools.combinations(rest, size):
                 stmts.append(CiStatement._from_disjoint(left, right, frozenset(given)))
     keys = [s.sort_key() for s in stmts]
-    return tuple(stmts), tuple(sorted(range(len(stmts)), key=keys.__getitem__))
+    order = tuple(sorted(range(len(stmts)), key=keys.__getitem__))
+    return tuple(stmts), order, _separation_plan(nodes, stmts)
 
 
 def _statement_order(nodes: Iterable[Node], max_condition_size: int):
@@ -318,15 +363,16 @@ def ci_statements(nodes: Iterable[Node], max_condition_size: int) -> Iterator[Ci
 def ci_set(m: Dmag, max_condition_size: int) -> List[CiStatement]:
     """All `ci_statements` of the graph's nodes that are m-separations, in
     canonical sorted order (by `CiStatement.sort_key`): the enumeration's
-    cache holds that order as a permutation, so no call sorts.  Each call
-    returns a new list.  Restricting to singleton sides is sufficient for
-    the pairwise-structural equivalence checks this feeds."""
+    cache holds that order as a permutation and the statements' separation
+    plan, so no call sorts or re-derives a walk.  Each call returns a new
+    list.  Restricting to singleton sides is sufficient for the
+    pairwise-structural equivalence checks this feeds."""
     if len(m.nodes) > CI_SET_NODE_LIMIT:
         raise EnumerationSizeError(
             f"ci_set enumeration limited to {CI_SET_NODE_LIMIT} nodes, got {len(m.nodes)}"
         )
-    stmts, order = _statement_order(m.nodes, max_condition_size)
-    separated = _separations(m, stmts)
+    stmts, order, plan = _statement_order(m.nodes, max_condition_size)
+    separated = _run_separation_plan(m, plan)
     return [stmts[i] for i in order if separated[i]]
 
 

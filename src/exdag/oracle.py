@@ -25,7 +25,7 @@ from .graphs import (
     CiStatement,
     Dag,
     EnumerationSizeError,
-    _separations,
+    _run_separation_plan,
     _statement_order,
     icm_unroll,
 )
@@ -33,6 +33,9 @@ from .sampling import AtomMixturePrior, MixturePrior, _node_drawers, parent_conf
 
 STATE_SPACE_LIMIT = 2**20
 DEFAULT_CI_TOL = 1e-12
+# _run_plan gathers a batch in blocks of about this many cells, so that its
+# temporaries stay small however many statements share the batch
+_BLOCK_CELLS = 4096
 # random_generic_model redraws a node's atoms closer than this in every entry
 MIN_ATOM_SEPARATION = 1e-3
 
@@ -136,25 +139,40 @@ def _layout(shape: Tuple[int, ...], samples_per_env: int, full: frozenset):
     return (1,) + tuple(shape[a] for a in f_axes), positions, dropped
 
 
-@functools.cache
-def _bit_axes(bits: int) -> Tuple[int, ...]:
-    """The positions of the bits set in `bits`, lowest first.  Cached: the
-    side positions of a batch key repeat across calls and models."""
-    return tuple(a for a in range(bits.bit_length()) if bits >> a & 1)
+@functools.lru_cache(maxsize=4096)
+def _gather(f_shape: Tuple[int, ...], left: int, right: int) -> np.ndarray:
+    """The positions in raveled p_F of p_F's cells, with the axes whose
+    position bits are set in `left` moved to axis 0, those set in `right`
+    to axis 1 and the rest to axis 2, each group merged in axis order: an
+    int32 array of shape (left size, right size, given size).  Cached by
+    (shape of p_F, left bits, right bits), at most 4096 entries, so a
+    list's plan costs one lookup per statement."""
+    dims = f_shape[1:]
+    left_axes = [a for a in range(len(dims)) if left >> (a + 1) & 1]
+    right_axes = [a for a in range(len(dims)) if right >> (a + 1) & 1]
+    given_axes = [a for a in range(len(dims)) if a not in left_axes + right_axes]
+    pattern = np.arange(math.prod(dims), dtype=np.int32).reshape(dims)
+    pattern = pattern.transpose(left_axes + right_axes + given_axes).reshape(
+        math.prod(dims[a] for a in left_axes), math.prod(dims[a] for a in right_axes), -1
+    )
+    pattern.flags.writeable = False  # shared by every plan that reads it
+    return pattern
 
 
 @dataclass(frozen=True)
 class _VerdictPlan:
-    """How `_run_plan` decides a statement list: the list's distinct full
-    node sets F = left | right | given, each with its `_layout`, and one
-    batch per (shape of p_F, left positions, right positions), as (left
-    axes, right axes, F index of each member).  `order` holds the members'
-    statement indices, batch by batch.  A plan depends on the statements,
-    the joint's shape and the samples per environment only, not on the
-    model's numbers."""
+    """How `_run_plan` decides a statement list.  `fulls` holds the list's
+    distinct full node sets F = left | right | given, each with its
+    `_layout`; their raveled p_F are concatenated in this order.  There is
+    one batch per shape (left size, right size, given size) of p_F with the
+    statement's left and right axes moved to fixed positions, held as an
+    int32 index into that concatenation of shape (members, left size,
+    right size, given size).  `order` holds the members' statement indices,
+    batch by batch.  A plan depends on the statements, the joint's shape
+    and the samples per environment only, not on the model's numbers."""
 
     fulls: Tuple[Tuple[frozenset, tuple], ...]
-    batches: Tuple[Tuple[Tuple[int, ...], Tuple[int, ...], Tuple[int, ...]], ...]
+    batches: Tuple[np.ndarray, ...]
     order: np.ndarray
 
 
@@ -162,43 +180,53 @@ def _verdict_plan(
     shape: Tuple[int, ...], samples_per_env: int, stmts: Sequence[CiStatement]
 ) -> _VerdictPlan:
     """The `_VerdictPlan` of `stmts` for a model with joint `shape` and
-    `samples_per_env` samples.  A verdict depends only on p_F and on where
-    the statement's left and right nodes sit among F's axes, so that is the
-    batch key."""
-    fulls, layouts = {}, []  # F -> its index in layouts
-    batches = {}  # (shape, left bits, right bits) -> ([statement index], [F index])
+    `samples_per_env` samples.  A verdict depends only on p_F with the
+    statement's left and right axes moved to the front, so that moved
+    shape is the batch key, and a member's index is its `_gather` pattern
+    plus the offset of its p_F in the concatenation."""
+    fulls, layouts, offsets = {}, [], []  # F -> its index in layouts
+    size = 0
+    batches = {}  # moved shape -> ([statement index], [pattern], [offset])
     for k, stmt in enumerate(stmts):
         full = stmt.left | stmt.right | stmt.given
         f = fulls.get(full)
         if f is None:
             f = fulls[full] = len(layouts)
             layouts.append(_layout(shape, samples_per_env, full))
+            offsets.append(size)
+            size += math.prod(layouts[f][0])
         f_shape, positions, _ = layouts[f]
-        key = (f_shape, sum(map(positions.__getitem__, stmt.left)),
-               sum(map(positions.__getitem__, stmt.right)))
-        batch = batches.get(key)
+        pattern = _gather(f_shape, sum(map(positions.__getitem__, stmt.left)),
+                          sum(map(positions.__getitem__, stmt.right)))
+        batch = batches.get(pattern.shape)
         if batch is None:
-            batches[key] = ([k], [f])
+            batches[pattern.shape] = ([k], [pattern], [offsets[f]])
         else:
             batch[0].append(k)
-            batch[1].append(f)
-    order = np.array([k for members, _ in batches.values() for k in members], dtype=np.intp)
-    order.flags.writeable = False  # a cached plan is shared by every caller
-    return _VerdictPlan(
-        tuple(zip(fulls, layouts)),
-        tuple((_bit_axes(left), _bit_axes(right), tuple(f_idx))
-              for (_, left, right), (_, f_idx) in batches.items()),
-        order,
-    )
+            batch[1].append(pattern)
+            batch[2].append(offsets[f])
+    indices = []
+    for _, patterns, starts in batches.values():
+        index = np.concatenate(patterns).reshape((len(patterns),) + patterns[0].shape)
+        index += np.array(starts, dtype=np.int32).reshape(-1, 1, 1, 1)
+        index.flags.writeable = False  # a cached plan is shared by every caller
+        indices.append(index)
+    order = np.array([k for members, _, _ in batches.values() for k in members], dtype=np.intp)
+    order.flags.writeable = False
+    return _VerdictPlan(tuple(zip(fulls, layouts)), tuple(indices), order)
 
 
 def _run_plan(model: FiniteMixtureModel, plan: _VerdictPlan) -> List[bool]:
     """The exact verdicts of a plan's statements, in statement order.  p_F
     comes from the model's memo, `_full_marginals`, keyed by F, which holds
     (shape of p_F, positions, p_F) and is filled from the plan's layouts.
-    A batch stacks its p_F and sums them over the right axes, the left axes
-    and both, to get p(l,g), p(r,g) and p(g), and the rule runs once per
-    batch; one index then scatters every batch's verdicts into place."""
+    The raveled p_F are concatenated once.  A batch is gathered from that
+    concatenation by its index, shaped (members, left, right, given), in
+    blocks of about `_BLOCK_CELLS` cells; sums over axes 2, 1 and then 1
+    again give p(l,g), p(r,g) and p(g).  For cardinalities below 8 each sum
+    adds the same cells in the same order as a sum over p_F's own axes.
+    The rule runs once per block, and one index scatters every block's
+    verdicts into place."""
     memo = model._full_marginals
     p = []
     for full, (shape, positions, dropped) in plan.fulls:
@@ -206,22 +234,27 @@ def _run_plan(model: FiniteMixtureModel, plan: _VerdictPlan) -> List[bool]:
         if entry is None:
             p_full = exact_joint(model).sum(axis=dropped)[np.newaxis]
             entry = memo[full] = (shape, positions, p_full)
-        p.append(entry[2])
+        p.append(entry[2].ravel())
+    flat = np.concatenate(p) if p else None  # an empty list has no batch
     holds = []
-    for left_axes, right_axes, f_idx in plan.batches:
-        p_lrg = p[f_idx[0]] if len(f_idx) == 1 else np.concatenate([p[f] for f in f_idx])
-        p_lg = np.add.reduce(p_lrg, axis=right_axes, keepdims=True)
-        p_rg = np.add.reduce(p_lrg, axis=left_axes, keepdims=True)
-        # |p(l,r,g) p(g) - p(l,g) p(r,g)| <= tol p(g)^2, in place, with p(g)
-        # spread over every cell: ops on arrays of one shape skip broadcasting
-        p_g = np.empty_like(p_lrg)
-        p_g[...] = np.add.reduce(p_lg, axis=left_axes, keepdims=True)
-        gap = p_lrg * p_g
-        gap -= p_lg * p_rg
-        np.abs(gap, out=gap)
-        bound = np.square(p_g, out=p_g)
-        bound *= DEFAULT_CI_TOL
-        holds.append(np.logical_and.reduce((gap <= bound).reshape(len(f_idx), -1), axis=1))
+    for index in plan.batches:
+        step = max(1, _BLOCK_CELLS // index[0].size)
+        for lo in range(0, len(index), step):
+            block = index[lo:lo + step]
+            p_lrg = np.take(flat, block)
+            p_lg = np.add.reduce(p_lrg, axis=2, keepdims=True)
+            p_rg = np.add.reduce(p_lrg, axis=1, keepdims=True)
+            # |p(l,r,g) p(g) - p(l,g) p(r,g)| <= tol p(g)^2, in place, with
+            # p(g) spread over every cell: ops on arrays of one shape skip
+            # broadcasting
+            p_g = np.empty_like(p_lrg)
+            p_g[...] = np.add.reduce(p_lg, axis=1, keepdims=True)
+            gap = np.multiply(p_lrg, p_g, out=p_lrg)
+            gap -= p_lg * p_rg
+            np.abs(gap, out=gap)
+            bound = np.square(p_g, out=p_g)
+            bound *= DEFAULT_CI_TOL
+            holds.append(np.logical_and.reduce((gap <= bound).reshape(len(block), -1), axis=1))
     verdicts = np.empty(len(plan.order), dtype=bool)
     if holds:
         verdicts[plan.order] = np.concatenate(holds)
@@ -231,21 +264,25 @@ def _run_plan(model: FiniteMixtureModel, plan: _VerdictPlan) -> List[bool]:
 def _ci_verdicts(model: FiniteMixtureModel, stmts: Sequence[CiStatement]) -> List[bool]:
     """The exact verdict of each statement, in input order: the one verdict
     path behind `exact_ci`, `true_ci_set`, `verify_markov_faithful` and
-    `oracle_tester`.  A list's plan is built on each call; `true_ci_set`
-    and `verify_markov_faithful` take theirs from `_model_plan`."""
+    `oracle_tester`.  A list's plan is built on each call from the cached
+    `_layout`s and `_gather` patterns; `true_ci_set` and
+    `verify_markov_faithful` take theirs from `_model_plan`."""
     return _run_plan(model, _verdict_plan(model.shape, model.samples_per_env, stmts))
 
 
 @functools.lru_cache(maxsize=8)
 def _model_plan(shape: Tuple[int, ...], samples_per_env: int, max_condition_size: int):
-    """(statements, sort permutation, `_VerdictPlan`) of the `ci_statements`
-    over every node of a model with joint `shape` and `samples_per_env`
-    samples.  These fix the nodes, their axes and every p_F's shape, so
-    models of one shape share a plan.  Cached by (shape, samples per
-    environment, size), at most 8 entries."""
+    """(statements, sort permutation, `_SeparationPlan`, `_VerdictPlan`) of
+    the `ci_statements` over every node of a model with joint `shape` and
+    `samples_per_env` samples.  These fix the nodes, their axes and every
+    p_F's shape, so models of one shape share a plan.  Cached by (shape,
+    samples per environment, size), at most 8 entries; the binary 8-node
+    plan at full size has 7 batches, one per |F|, over 247 node sets.  Its
+    index holds one int32 per cell of each statement's p_F, 81,648 for
+    that plan, so it grows with the enumeration faster than the joint."""
     nodes = _node_axes(len(shape) // samples_per_env, samples_per_env)
-    stmts, order = _statement_order(nodes, max_condition_size)
-    return stmts, order, _verdict_plan(shape, samples_per_env, stmts)
+    stmts, order, separations = _statement_order(nodes, max_condition_size)
+    return stmts, order, separations, _verdict_plan(shape, samples_per_env, stmts)
 
 
 def exact_ci(model: FiniteMixtureModel, stmt: CiStatement) -> bool:
@@ -269,7 +306,7 @@ def true_ci_set(model: FiniteMixtureModel, max_condition_size: int) -> List[CiSt
     statements, their sort permutation and their verdict plan come from
     `_model_plan`'s cache, keyed by (shape, samples per environment, size),
     and the verdicts from one batched pass with `exact_ci`'s rule."""
-    stmts, order, plan = _model_plan(model.shape, model.samples_per_env, max_condition_size)
+    stmts, order, _, plan = _model_plan(model.shape, model.samples_per_env, max_condition_size)
     independent = _run_plan(model, plan)
     return [stmts[i] for i in order if independent[i]]
 
@@ -301,11 +338,12 @@ def verify_markov_faithful(
     separations that fail in the distribution (Markov violations: must never
     occur) and distributional independences the graph does not imply
     (faithfulness violations: occur only for degenerate mixtures), each list
-    in enumeration order.  The separations come from one batched walk pass
-    over the graph, and the exact verdicts from one batched pass with
-    `exact_ci`'s rule, on the cached plan of `true_ci_set`."""
-    stmts, _, plan = _model_plan(model.shape, model.samples_per_env, max_condition_size)
-    separations = _separations(icm_unroll(model.graph, model.samples_per_env), stmts)
+    in enumeration order.  The separations come from the enumeration's
+    cached separation plan, one walk per distinct (left, given), and the
+    exact verdicts from one batched pass with `exact_ci`'s rule, on the
+    cached plan of `true_ci_set`."""
+    stmts, _, walks, plan = _model_plan(model.shape, model.samples_per_env, max_condition_size)
+    separations = _run_separation_plan(icm_unroll(model.graph, model.samples_per_env), walks)
     markov, faithless = [], []
     for stmt, separated, independent in zip(stmts, separations, _run_plan(model, plan)):
         if separated and not independent:

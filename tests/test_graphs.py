@@ -335,6 +335,59 @@ class TestBatchedSeparations:
                     _separations(m, good[:at] + [bad] + good[at:])
 
 
+class TestCanonicalNumbering:
+    """Node i of a graph's sorted nodes is bit i, whatever order its node set
+    iterates in, so one cached separation plan serves every graph over the
+    same nodes.  Nodes 1024 * i share a hash bucket, so a frozenset of them
+    iterates in insertion order."""
+
+    @staticmethod
+    def _reinserted(m, rng):
+        """`m` on nodes 1024 * v, its nodes and edges inserted in random order."""
+        nodes = [1024 * v for v in m.nodes]
+        directed = [(1024 * u, 1024 * v) for u, v in m.directed]
+        bidirected = [frozenset(1024 * v for v in pair) for pair in m.bidirected]
+        for seq in (nodes, directed, bidirected):
+            rng.shuffle(seq)
+        return Dmag(nodes, directed, bidirected)
+
+    def test_insertion_order_changes_no_verdict(self):
+        rng = random.Random(5)
+        unsorted = 0
+        for _ in range(12):
+            base = _random_dmag(rng, rng.randint(4, 7))
+            copies = [self._reinserted(base, rng) for _ in range(4)]
+            assert len({tuple(m.nodes) for m in copies}) > 1
+            unsorted += sum(list(m.nodes) != sorted(m.nodes) for m in copies)
+            nodes = sorted(copies[0].nodes)
+            stmts = [_random_statement(rng, nodes) for _ in range(30)]
+            want_set = [s for s in ci_statements(nodes, 2) if _path_separated(copies[0], s)]
+            want = [_path_separated(copies[0], s) for s in stmts]
+            for m in copies:
+                assert ci_set(m, 2) == sorted(want_set, key=CiStatement.sort_key)
+                assert _separations(m, stmts) == want
+        assert unsorted > 0
+
+    def test_unknown_node_named_after_cached_ci_set(self):
+        for m in (icm_unroll(CHAIN, 2), self._reinserted(_random_dmag(random.Random(1), 5),
+                                                         random.Random(2))):
+            ci_set(m, 3)  # fills the enumeration cache
+            good = list(ci_statements(m.nodes, 1))[:3]
+            with pytest.raises(ValueError, match=r"unknown node \(5, 1\)"):
+                m_separated(m, statement([sorted(m.nodes)[0]], [(5, 1)]))
+            with pytest.raises(ValueError, match=r"unknown node \(5, 1\)"):
+                _separations(m, good + [statement([(5, 1)], [sorted(m.nodes)[0]])])
+
+
+    def test_masks_past_63_nodes(self):
+        # bit 63 and above do not fit an int64, so the masks stay Python ints
+        chain = Dmag(range(70), {(i, i + 1) for i in range(69)}, {frozenset((0, 69))})
+        stmts = [statement([0], [69]), statement([1], [68], [35]), statement([1], [68]),
+                 statement([0], [68], [69]), statement([1], [69], [0, 35])]
+        assert _separations(chain, stmts) == [_path_separated(chain, s) for s in stmts]
+        assert _separations(chain, stmts) == [False, True, False, False, True]
+
+
 class TestCiSet:
     def test_sorted_and_deterministic(self):
         m = icm_unroll(FORK, 2)

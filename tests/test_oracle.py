@@ -24,6 +24,7 @@ from exdag.oracle import (
     STATE_SPACE_LIMIT,
     FiniteMixtureModel,
     _ci_verdicts,
+    _model_plan,
     exact_ci,
     exact_joint,
     oracle_tester,
@@ -476,6 +477,41 @@ class TestPlanPath:
         good = statement([(0, 0)], [(1, 1)])
         with pytest.raises(ValueError, match=r"unknown node \(5, 1\)"):
             oracle_tester(model)([good, statement([(0, 0)], [(1, 0)], [(5, 1)])])
+
+
+class TestBatchKey:
+    """A verdict batch holds every statement whose p_F has one shape once
+    its left and right axes are moved to fixed positions: one batch per |F|
+    on binary nodes, and apart wherever the left or right size differs."""
+
+    def test_binary_eight_node_plan_has_one_batch_per_full_size(self):
+        stmts, _, _, plan = _model_plan((2,) * 8, 2, 6)
+        assert len(plan.batches) == 7
+        assert sorted(index.shape[1:] for index in plan.batches) == [
+            (2, 2, 2**k) for k in range(7)
+        ]
+        assert sorted(plan.order.tolist()) == list(range(len(stmts)))
+        assert all(index.dtype == np.int32 for index in plan.batches)
+
+    def test_mixed_cardinalities_match_per_statement_rule(self):
+        rng = np.random.default_rng(37)
+        chain = Dag(3, frozenset({(0, 1), (1, 2)}))
+        model = random_generic_model(chain, 3, rng, cardinalities=(3, 2, 3))
+        nodes = model_nodes(model)
+        stmts = list(ci_statements(nodes, 3))
+        # within one |F| the left and right sizes differ: (3, 2), (2, 3), (3, 3), (2, 2)
+        sizes = {index.shape[1:3] for index in _model_plan(model.shape, 3, 3)[3].batches}
+        assert {(3, 2), (2, 3), (3, 3), (2, 2)} <= sizes
+        independent = [one_statement_verdict(model, s) for s in stmts]
+        assert 0 < sum(independent) < len(stmts)
+        want = sorted((s for s, holds in zip(stmts, independent) if holds),
+                      key=CiStatement.sort_key)
+        assert true_ci_set(model, 3) == want
+        # a list's own plan, in random order, with multi-node sides
+        listed = stmts[::7] + _random_statements(nodes, 60, rng)
+        listed = [listed[j] for j in rng.permutation(len(listed))]
+        fresh = dataclasses.replace(model)
+        assert _ci_verdicts(fresh, listed) == [one_statement_verdict(model, s) for s in listed]
 
 
 class TestExchangeability:
