@@ -217,7 +217,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--out", help="output directory")
     p.add_argument("--alpha", type=_alpha, default=DEFAULT_ALPHA)
     p.add_argument("--graphs", type=_preset_names, default=(), help="comma-separated preset names")
-    p.add_argument("--workers", type=_COUNT, default=1)
 
     p = sub.add_parser("oracle-verify", help="exact Markov/faithfulness sweep over all DAGs")
     p.add_argument("--d", type=_DAG_SIZE, default=3)
@@ -324,7 +323,7 @@ def _run(parser: argparse.ArgumentParser, args) -> int:
                 print(f"envs={row['n_envs']:>6}  correct={row['correct_fraction']:.3f}")
             return 0
         try:
-            rows = harness.run_multivariate(exp, workers=args.workers)
+            rows = harness.run_multivariate(exp)
         except ValueError as err:
             raise SystemExit(f"sweep-multivariate: {err}") from None
         for row in rows:

@@ -9,7 +9,6 @@ import csv
 import json
 import re
 from collections import Counter
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 from typing import Dict, List, Optional, Tuple
@@ -283,13 +282,12 @@ def run_bivariate_sweep(cfg: ExperimentConfig) -> List[dict]:
 # multivariate recovery
 
 
-def _multivariate_graph(job: Tuple[ExperimentConfig, str, int]) -> dict:
+def _multivariate_graph(cfg: ExperimentConfig, name: str, n_envs: int) -> dict:
     """One graph's repeats, each one discovery with `force`.  A repeat
     whose sink order records a forced placement counts in `deadlocks`; its
     graph, from the repaired order, counts in the recovery rates.  Up to its
     first deadlocked sweep a forced run makes the strict run's tests, so a
     repeat counts exactly when `force=False` would raise."""
-    cfg, name, n_envs = job
     g = preset_graph(name)
     prior = default_binary_prior(g)
     exact = 0
@@ -322,7 +320,7 @@ def default_env_count(name: str, paper_scale: bool) -> int:
     return 100_000 if paper_scale else 20_000
 
 
-def run_multivariate(cfg: ExperimentConfig, workers: int = 1) -> List[dict]:
+def run_multivariate(cfg: ExperimentConfig) -> List[dict]:
     """Full-graph and per-edge recovery rates for the preset graphs, at
     `env_grid`'s environment counts and then `default_env_count`'s."""
     names = cfg.graphs or ("fork3", "collider3", "chain4", "diamond4")
@@ -333,8 +331,7 @@ def run_multivariate(cfg: ExperimentConfig, workers: int = 1) -> List[dict]:
     )
     cfg = replace(cfg, graphs=names, env_grid=grid)
     out = _make_out_dir(cfg.out_dir)
-    jobs = [(cfg, name, n_envs) for name, n_envs in zip(names, grid)]
-    rows = list(_pool_map(_multivariate_graph, jobs, workers))
+    rows = [_multivariate_graph(cfg, name, n_envs) for name, n_envs in zip(names, grid)]
     rows.sort(key=lambda r: r["graph"])
     if out:
         flat = [dict(r, edge_recovery=json.dumps(r["edge_recovery"], sort_keys=True)) for r in rows]
@@ -428,14 +425,6 @@ def run_identifiability(d: int = 3, out_dir: Optional[str] = None) -> dict:
 
 # ---------------------------------------------------------------------------
 # helpers
-
-
-def _pool_map(fn, jobs, workers: int):
-    workers = min(workers, len(jobs))  # the pool starts every worker at once
-    if workers <= 1:
-        return [fn(job) for job in jobs]
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, jobs))
 
 
 def _make_out_dir(out_dir: Optional[str]) -> Optional[Path]:

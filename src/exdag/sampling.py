@@ -13,12 +13,32 @@ symmetric alpha >= 0.1 draws its CPT columns as standard Gamma variates,
 which is how numpy's own `Generator.dirichlet` draws them, so nodes with
 equal alpha and any number of categories share one `standard_gamma` call
 and the stream is unchanged.
+
+Because environment e's data depends on e alone, `sample_dataset` also
+splits the environments into contiguous spans, one per usable CPU, and
+samples spans 1, 2, ... in `os.fork()` children that write into one shared
+anonymous mmap; the rows are byte for byte those of a single span.  Every
+span holds at least two full blocks (`n_envs // _SPAN_ENVS` bounds the
+span count), because a fork and the copy-on-write faults after it cost
+more than sampling a few thousand environments saves: on a 2-core host
+two spans of 5,000 environments were not reliably faster than one of
+10,000.  The
+caller reaps every child before it returns or raises, also when an
+exception such as KeyboardInterrupt arrives while it waits.  Where `os.sched_getaffinity` or
+`os.fork` is missing (macOS, Windows) the sampler runs one span.  On
+Python >= 3.12 `os.fork` emits a DeprecationWarning when the process has
+other threads; numpy's OpenBLAS helper thread counts unless
+OPENBLAS_NUM_THREADS=1.  A child calls no BLAS routine and takes no lock
+that another thread could hold, so the warning is left as it is.
 """
 
 from __future__ import annotations
 
 import math
+import mmap
 import operator
+import os
+import traceback
 from collections import abc
 from dataclasses import dataclass, field
 from typing import Callable, List, NamedTuple, Optional, Sequence, Tuple, Union
@@ -125,17 +145,16 @@ class MixturePrior:
     mixing measures, one per causal mechanism)."""
 
     node_priors: Tuple[NodePrior, ...]
+    # read on every exact-model shape lookup, so built once here
+    cardinalities: Tuple[int, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "node_priors", tuple(self.node_priors))
+        object.__setattr__(self, "cardinalities", tuple(p.cardinality for p in self.node_priors))
 
     @property
     def d(self):
         return len(self.node_priors)
-
-    @property
-    def cardinalities(self) -> Tuple[int, ...]:
-        return tuple(p.cardinality for p in self.node_priors)
 
     def describe(self) -> List[str]:
         return [repr(p) for p in self.node_priors]
@@ -456,6 +475,11 @@ class _SeedWords(np.random.bit_generator.ISeedSequence):
 # environments drawn and then sampled together: the raw mechanism variates,
 # the uniforms and the ancestral temporaries are held for one block
 _BLOCK_ENVS = 4096
+# the fewest environments a forked span holds.  On a 2-core host whose
+# second vCPU is shared, two spans of 5,000 environments sampled slower than
+# one of 10,000 in 3 of 10 measurements, while two spans of 10,000 beat one
+# of 20,000 in every one
+_SPAN_ENVS = 2 * _BLOCK_ENVS
 
 
 def _ancestral_stage(
@@ -482,6 +506,108 @@ def _ancestral_stage(
         # 1.0 must not yield category k
         thresholds = np.cumsum(columns, axis=-1)[..., :-1]
         values[..., i] = (uniforms[:, t, :, None] >= thresholds).sum(axis=-1)
+
+
+def _usable_cpus() -> int:
+    """The number of CPUs this process may run on; 1 where the platform
+    cannot say (no `os.sched_getaffinity`) or cannot fork (no `os.fork`).
+    A cgroup CPU quota does not lower it."""
+    if not (hasattr(os, "sched_getaffinity") and hasattr(os, "fork")):
+        return 1
+    return len(os.sched_getaffinity(0))
+
+
+def _sample_span(
+    g: Dag,
+    cards: Sequence[int],
+    mechanisms: List[_Mechanism],
+    words: np.ndarray,
+    values: np.ndarray,
+) -> None:
+    """Sample the environments whose seed words are the rows of `words`
+    into `values`, shape (len(words), samples_per_env, d), one block of
+    `_BLOCK_ENVS` environments at a time."""
+    samples_per_env = values.shape[1]
+    for start in range(0, len(words), _BLOCK_ENVS):
+        block = words[start : start + _BLOCK_ENVS]
+        draws, raws = _run_buffers(mechanisms, len(block))
+        uniforms = np.empty((len(block), g.d, samples_per_env))
+        for e, env_words in enumerate(block):
+            rng = np.random.default_rng(np.random.PCG64(_SeedWords(env_words)))
+            for buffer, draw, units in draws:
+                buffer[e] = draw(rng, units)
+            # each double takes one 64-bit word, so row t equals the t-th
+            # of d consecutive rng.random(n) calls
+            rng.random(out=uniforms[e])
+        _ancestral_stage(g, cards, mechanisms, raws, uniforms, values[start : start + len(block)])
+
+
+def _reap(children: Sequence[Tuple[int, int]]) -> List[Tuple[int, int]]:
+    """Wait for every (span, pid) child and return (span, exit code) pairs.
+    An exception that arrives while waiting, such as KeyboardInterrupt, does
+    not stop the waiting: every child is reaped first, then the first such
+    exception is raised."""
+    codes, pending = [], None
+    for span, pid in children:
+        while True:
+            try:
+                codes.append((span, os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])))
+                break
+            except ChildProcessError as err:
+                # reaped elsewhere, so its status is lost: nothing to wait for
+                pending = pending or err
+                break
+            except BaseException as err:
+                pending = pending or err
+    if pending is not None:
+        raise pending
+    return codes
+
+
+def _fork_spans(
+    sample_span: Callable[[int, int, np.ndarray], None],
+    bounds: Sequence[int],
+    values: np.ndarray,
+) -> None:
+    """Run `sample_span(lo, hi, out)` over the spans [bounds[i], bounds[i +
+    1]): span 0 in this process, straight into `values`, and every other
+    span in a forked child that writes into one shared anonymous mmap and
+    leaves only by `os._exit`.  Every child is reaped, also when span 0
+    raises.  A failed child writes its traceback to file descriptor 2, and
+    the caller then raises RuntimeError naming the span.  The children's
+    rows are copied into `values` last."""
+    head = bounds[1]
+    tail_shape = (bounds[-1] - head,) + values.shape[1:]
+    shared = np.frombuffer(
+        mmap.mmap(-1, math.prod(tail_shape) * values.itemsize), values.dtype
+    ).reshape(tail_shape)
+    children = []  # (span, pid)
+    try:
+        for span in range(1, len(bounds) - 1):
+            lo, hi = bounds[span], bounds[span + 1]
+            pid = os.fork()
+            if pid == 0:
+                # the child never unwinds into the caller, flushes inherited
+                # stdio or runs atexit handlers
+                status = 1
+                try:
+                    sample_span(lo, hi, shared[lo - head : hi - head])
+                    status = 0
+                except BaseException:
+                    os.write(2, traceback.format_exc().encode(errors="replace"))
+                finally:
+                    os._exit(status)
+            children.append((span, pid))
+        sample_span(0, head, values[:head])
+    finally:
+        codes = _reap(children)
+    for span, code in codes:
+        if code:
+            raise RuntimeError(
+                f"sampling span {span} (environments {bounds[span]}-{bounds[span + 1] - 1}) "
+                f"failed in a forked child with exit status {code}"
+            )
+    values[head:] = shared
 
 
 def sample_dataset(
@@ -514,7 +640,25 @@ def sample_dataset(
     through `_SeedWords`.  Environment 0's generator is also built the
     documented way, which validates the seed as `default_rng` does; if its
     state differs from the bulk one, numpy's seeding has changed and a
-    RuntimeError says so."""
+    RuntimeError says so.
+
+    After those checks the environments are split into w near-equal
+    contiguous spans, w = min(usable CPUs, n_envs // _SPAN_ENVS) and at
+    least 1, and `_sample_span` runs the block loop over each.  Every span
+    holds at least two full blocks (`_SPAN_ENVS`): splitting a
+    5,000-environment set-up in two made it slower, and a
+    10,000-environment dataset was slower in some measurements, since the
+    fork and the copy-on-write faults after it can cost more than sampling
+    the other half in process saves.  Spans 1 to w - 1
+    run in forked children (`_fork_spans`), which are all reaped (`_reap`)
+    before this returns or raises; a failed child raises RuntimeError
+    naming its span.  Where `os.sched_getaffinity` or `os.fork` is missing (macOS,
+    Windows), w is 1 and no process is forked.  The rows are the same for
+    every w.  On Python >= 3.12 `os.fork` emits a DeprecationWarning when
+    the process has other threads, and numpy's OpenBLAS helper thread
+    counts unless OPENBLAS_NUM_THREADS=1; a child calls no BLAS routine and
+    takes no lock another thread could hold, and the warning is not
+    filtered."""
     if n_envs < 1 or samples_per_env < 1:
         raise ValueError("n_envs and samples_per_env must be >= 1")
     if n_envs > 2**32:
@@ -533,18 +677,15 @@ def sample_dataset(
     cards = prior.cardinalities
     rows = np.empty((n_envs * samples_per_env, g.d), dtype=np.int64)
     values = rows.reshape(n_envs, samples_per_env, g.d)
-    for start in range(0, n_envs, _BLOCK_ENVS):
-        block = words[start : start + _BLOCK_ENVS]
-        draws, raws = _run_buffers(mechanisms, len(block))
-        uniforms = np.empty((len(block), g.d, samples_per_env))
-        for e, env_words in enumerate(block):
-            rng = np.random.default_rng(np.random.PCG64(_SeedWords(env_words)))
-            for buffer, draw, units in draws:
-                buffer[e] = draw(rng, units)
-            # each double takes one 64-bit word, so row t equals the t-th
-            # of d consecutive rng.random(n) calls
-            rng.random(out=uniforms[e])
-        _ancestral_stage(g, cards, mechanisms, raws, uniforms, values[start : start + len(block)])
+
+    def sample_span(lo, hi, out):
+        _sample_span(g, cards, mechanisms, words[lo:hi], out)
+
+    w = max(1, min(_usable_cpus(), n_envs // _SPAN_ENVS))
+    if w == 1:
+        sample_span(0, n_envs, values)
+    else:
+        _fork_spans(sample_span, [n_envs * i // w for i in range(w + 1)], values)
     return EnvDataset._from_rows(
         g.d,
         cards,

@@ -366,36 +366,6 @@ class TestMultivariate:
         assert 0.0 <= row["graph_recovery"] <= 1.0
         assert (tmp_path / "multivariate.csv").exists()
 
-    TWO_GRAPHS = dict(env_grid=(300, 300), graphs=("fork3", "collider3"), repeats=2, seed=3)
-
-    def test_worker_pool_matches_serial_rows(self):
-        cfg = ExperimentConfig(**self.TWO_GRAPHS)
-        assert harness.run_multivariate(cfg, workers=2) == harness.run_multivariate(cfg)
-
-    def test_pool_never_exceeds_job_count(self, monkeypatch, capsys):
-        # a forking pool starts all max_workers processes at its first
-        # submit; this stand-in records the size and runs jobs in-process
-        sizes = []
-
-        class RecordingPool:
-            def __init__(self, max_workers):
-                sizes.append(max_workers)
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            def map(self, fn, jobs):
-                return map(fn, jobs)
-
-        monkeypatch.setattr(harness, "ProcessPoolExecutor", RecordingPool)
-        assert main(["sweep-multivariate", "--graphs", "fork3,collider3", "--envs", "300,300",
-                     "--repeats", "1", "--workers", "1000"]) == 0
-        assert sizes == [2]
-        assert "collider3" in capsys.readouterr().out
-
     def test_more_env_counts_than_graphs_rejected(self):
         cfg = ExperimentConfig(env_grid=(100, 200), graphs=("fork3",))
         with pytest.raises(ValueError, match="2 environment counts for 1 graphs"):
@@ -632,8 +602,6 @@ class TestCli:
              "argument --samples-per-env:"),
             (["sweep-multivariate", "--graphs", "fork3", "--envs", "100,200"],
              "sweep-multivariate: 2 environment counts for 1 graphs"),
-            (["sweep-multivariate", "--workers", "0"], "argument --workers:"),
-            (["sweep-multivariate", "--workers", "-3"], "argument --workers:"),
             (["oracle-verify", "--d", "7"], "argument --d:"),
             (["identifiability", "--d", "0"], "argument --d:"),
             (["--config", "bad.cfg", "simulate", "--graph", "fork3", "--envs", "5"],
@@ -645,8 +613,7 @@ class TestCli:
              "one.csv/sweep"),
         ],
         ids=["simulate", "config", "config_switch", "discover", "bivariate", "sweep-bivariate",
-             "sweep-multivariate", "sweep-multivariate_extra_envs", "zero_workers",
-             "negative_workers", "oracle-verify",
+             "sweep-multivariate", "sweep-multivariate_extra_envs", "oracle-verify",
              "identifiability", "config_under_flag", "simulate_out_dir_missing",
              "simulate_out_is_dir", "discover_out_dir_missing", "sweep_out_under_file"],
     )
@@ -710,6 +677,21 @@ class TestCli:
         out = capsys.readouterr().out
         assert "150 environments" in out
 
+    def test_retired_workers_key_is_ignored(self, tmp_path, monkeypatch, capsys):
+        # sweep-multivariate no longer takes --workers; a config file that
+        # still names it loads, as any key naming no option does
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "run.cfg").write_text("workers=2\n")
+        argv = ["sweep-multivariate", "--graphs", "fork3", "--envs", "200", "--repeats", "1"]
+        assert main(["--config", "run.cfg", *argv]) == 0
+        from_config = capsys.readouterr().out
+        assert main(argv) == 0
+        assert capsys.readouterr().out == from_config
+        with pytest.raises(SystemExit) as exc:
+            main([*argv, "--workers", "2"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --workers" in capsys.readouterr().err
+
     XOR_PRIOR = json.dumps([{"kind": "xor_beta", "a": 1, "b": 3}] * 3)
 
     @pytest.mark.parametrize(
@@ -723,7 +705,7 @@ class TestCli:
                                  "samples-per-env": "3", "paper-scale": None, "out": "sweep"}),
             ("sweep-multivariate", {"graphs": "fork3,chain3", "envs": "200,300", "repeats": "1",
                                     "alpha": "0.02", "seed": "3", "samples-per-env": "3",
-                                    "paper-scale": None, "workers": "1", "out": "sweep"}),
+                                    "paper-scale": None, "out": "sweep"}),
             ("oracle-verify", {"d": "2", "models-per-graph": "2", "seed": "5", "out": "oracle"}),
             ("identifiability", {"d": "2", "out": "ident"}),
         ],

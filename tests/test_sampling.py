@@ -1,4 +1,5 @@
 import hashlib
+import os
 import tracemalloc
 
 import numpy as np
@@ -112,6 +113,10 @@ class TestPriors:
         assert prior.d == 2
         assert prior.cardinalities == (2, 3)
         assert len(prior.describe()) == 2
+        # built once at construction, outside repr, equality and hash
+        assert repr(prior) == f"MixturePrior(node_priors={prior.node_priors!r})"
+        same = MixturePrior(list(prior.node_priors))
+        assert same == prior and hash(same) == hash(prior)
 
 
 class TestParentConfigs:
@@ -362,20 +367,24 @@ class TestSampleDataset:
             ref = _ancestral_sample(order, pa_info, prior.cardinalities, cpts, 3, rng)
             assert np.array_equal(ds.envs[e], ref)
 
-    def test_memory_bounded_by_blocks(self):
+    def test_memory_bounded_by_blocks(self, monkeypatch):
         # one Dirichlet node with 64 parent configs draws 2 KB per
         # environment; a draw stage holding every environment's draws at
-        # once peaks near 240 MB under tracemalloc, for 6.4 MB of rows
+        # once peaks near 240 MB under tracemalloc, for 6.4 MB of rows.
+        # tracemalloc does not see a forked child's allocations, so the
+        # bound is also checked on one CPU, where no span is forked.
         g = Dag(4, frozenset({(0, 3), (1, 3), (2, 3)}))
         prior = MixturePrior((DirichletColumnsPrior((0.5,) * 4),) * 4)
-        tracemalloc.start()
-        try:
-            ds = sample_dataset(g, prior, 100_000, 2, 0)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert ds.rows.nbytes == 6_400_000
-        assert peak < 48e6
+        for cpus in (sampling._usable_cpus(), 1):
+            monkeypatch.setattr(sampling, "_usable_cpus", lambda: cpus)
+            tracemalloc.start()
+            try:
+                ds = sample_dataset(g, prior, 100_000, 2, 0)
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert ds.rows.nbytes == 6_400_000
+            assert peak < 48e6
 
     def test_invalid_sizes(self):
         g, prior = bivariate_xor_model()
@@ -469,6 +478,150 @@ class TestPinnedSamplerStream:
     def test_mixed_radix_rows(self, samples_per_env, digest):
         ds = sample_dataset(self.MIXED_GRAPH, self.MIXED_PRIOR, 64, samples_per_env, 11)
         assert hashlib.sha256(ds.rows.astype(np.int64).tobytes()).hexdigest() == digest
+
+
+class TestForkedSpans:
+    """`sample_dataset` splits its environments into w contiguous spans,
+    w = min(usable CPUs, n_envs // _SPAN_ENVS), and samples every span but
+    the first in a forked child.  The rows must not depend on w, and no
+    child may outlive the call.  Most cases shrink `_BLOCK_ENVS` and
+    `_SPAN_ENVS` so that the n_envs around their multiples stay small."""
+
+    @staticmethod
+    def _shrink(monkeypatch, block):
+        """Blocks of `block` environments, and spans of at least one block,
+        so that span bounds also fall inside blocks."""
+        monkeypatch.setattr(sampling, "_BLOCK_ENVS", block)
+        monkeypatch.setattr(sampling, "_SPAN_ENVS", block)
+
+    PRIORS = {
+        "xor": (CHAIN, MixturePrior((XorBetaPrior(1, 3), XorBetaPrior(2, 2), XorBetaPrior(1, 3)))),
+        "gamma": (CHAIN, MixturePrior((DirichletColumnsPrior((0.5,) * 3),) * 3)),
+        "dirichlet": (CHAIN, MixturePrior((DirichletColumnsPrior((1.0, 2.0, 0.5)),) * 3)),
+        "atom": (TestPinnedSamplerStream.GRAPH, TestPinnedSamplerStream.PRIORS["atom"]),
+    }
+
+    @staticmethod
+    def _sample(monkeypatch, cpus, *args):
+        """`sample_dataset(*args)` with `cpus` usable CPUs, and the number of
+        processes it forked."""
+        forks = []
+        real_fork = os.fork
+
+        def fork():
+            forks.append(None)
+            return real_fork()
+
+        monkeypatch.setattr(sampling, "_usable_cpus", lambda: cpus)
+        monkeypatch.setattr(os, "fork", fork)
+        return sample_dataset(*args), len(forks)
+
+    @staticmethod
+    def _assert_no_child_left():
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+    @pytest.mark.parametrize("samples_per_env", [1, 3])
+    @pytest.mark.parametrize("name", sorted(PRIORS))
+    def test_rows_identical_across_span_counts(self, monkeypatch, name, samples_per_env):
+        self._shrink(monkeypatch, 32)
+        block = sampling._BLOCK_ENVS
+        g, prior = self.PRIORS[name]
+        cards = prior.cardinalities
+        order = g.topological_order()
+        pa_info = {i: parent_configs(g, cards, i) for i in range(g.d)}
+        for n_envs in (2 * block - 1, 2 * block, 3 * block + 1):
+            serial, forks = self._sample(monkeypatch, 1, g, prior, n_envs, samples_per_env, 19)
+            assert forks == 0
+            for cpus in (2, 3):
+                ds, forks = self._sample(monkeypatch, cpus, g, prior, n_envs, samples_per_env, 19)
+                w = max(1, min(cpus, n_envs // block))
+                assert forks == w - 1
+                self._assert_no_child_left()
+                assert ds.rows.flags.c_contiguous and ds.rows.flags.owndata
+                assert ds.rows.dtype == np.int64
+                assert np.array_equal(ds.rows, serial.rows)
+                bounds = [n_envs * i // w for i in range(w + 1)]
+                for e in {*bounds[:-1], *(b - 1 for b in bounds[1:])}:
+                    rng = np.random.default_rng((19, e))
+                    cpts = _reference_cpts(prior, g, rng)
+                    ref = _ancestral_sample(order, pa_info, cards, cpts, samples_per_env, rng)
+                    assert np.array_equal(ds.envs[e], ref)
+
+    def test_real_span_floor(self, monkeypatch):
+        # at the real sizes a span holds at least two blocks, so 10,000
+        # environments stay in process and 2 * _SPAN_ENVS + 1 fork once
+        assert sampling._SPAN_ENVS == 2 * sampling._BLOCK_ENVS
+        g, prior = self.PRIORS["xor"]
+        for n_envs, want in ((10_000, 0), (2 * sampling._SPAN_ENVS - 1, 0),
+                             (2 * sampling._SPAN_ENVS + 1, 1)):
+            serial, _ = self._sample(monkeypatch, 1, g, prior, n_envs, 2, 3)
+            split, forks = self._sample(monkeypatch, 3, g, prior, n_envs, 2, 3)
+            assert forks == want
+            assert np.array_equal(split.rows, serial.rows)
+            self._assert_no_child_left()
+
+    def test_serial_without_fork(self, monkeypatch):
+        monkeypatch.delattr(os, "fork")
+        assert sampling._usable_cpus() == 1
+
+    def test_failed_child_names_its_span(self, monkeypatch, capfd):
+        caller = os.getpid()
+        real_stage = sampling._ancestral_stage
+
+        def stage(*args):
+            if os.getpid() != caller:
+                raise ValueError("stage failed in a child")
+            real_stage(*args)
+
+        monkeypatch.setattr(sampling, "_ancestral_stage", stage)
+        self._shrink(monkeypatch, 16)
+        g, prior = self.PRIORS["xor"]
+        with pytest.raises(RuntimeError, match=r"span 1 \(environments 16-31\).*exit status 1"):
+            self._sample(monkeypatch, 3, g, prior, 48, 2, 0)
+        self._assert_no_child_left()
+        # each child wrote its traceback to file descriptor 2
+        assert capfd.readouterr().err.count("ValueError: stage failed in a child") == 2
+
+    def test_parent_span_error_propagates(self, monkeypatch):
+        caller = os.getpid()
+        real_stage = sampling._ancestral_stage
+        error = ValueError("stage failed in the caller")
+
+        def stage(*args):
+            if os.getpid() == caller:
+                raise error
+            real_stage(*args)
+
+        monkeypatch.setattr(sampling, "_ancestral_stage", stage)
+        self._shrink(monkeypatch, 16)
+        g, prior = self.PRIORS["xor"]
+        with pytest.raises(ValueError) as exc:
+            self._sample(monkeypatch, 3, g, prior, 48, 2, 0)
+        assert exc.value is error
+        self._assert_no_child_left()
+
+    def test_interrupt_while_waiting_reaps_every_child(self, monkeypatch):
+        # a KeyboardInterrupt that arrives during the first wait must not
+        # leave the other child unreaped
+        real_waitpid = os.waitpid
+        calls = []
+
+        def waitpid(pid, options):
+            calls.append(pid)
+            if len(calls) == 1:
+                raise KeyboardInterrupt
+            return real_waitpid(pid, options)
+
+        monkeypatch.setattr(os, "waitpid", waitpid)
+        self._shrink(monkeypatch, 16)
+        g, prior = self.PRIORS["xor"]
+        with pytest.raises(KeyboardInterrupt):
+            self._sample(monkeypatch, 3, g, prior, 48, 2, 0)
+        monkeypatch.setattr(os, "waitpid", real_waitpid)
+        # the interrupted pid is waited for again, then the second child
+        assert len(calls) == 3 and calls[0] == calls[1] != calls[2]
+        self._assert_no_child_left()
 
 
 class TestBulkSeeding:
