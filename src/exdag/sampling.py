@@ -12,7 +12,9 @@ samples each node for the whole block at once.  A Dirichlet node with
 symmetric alpha >= 0.1 draws its CPT columns as standard Gamma variates,
 which is how numpy's own `Generator.dirichlet` draws them, so nodes with
 equal alpha and any number of categories share one `standard_gamma` call
-and the stream is unchanged.
+and the stream is unchanged.  Each node's draws become its CPTs' inner
+cumulative thresholds once per block, and each sample picks the column of
+its parents' config index, so no column is summed again per sample.
 
 Because environment e's data depends on e alone, `sample_dataset` also
 splits the environments into contiguous spans, one per usable CPU, and
@@ -187,17 +189,33 @@ class _Mechanism(NamedTuple):
     same draws in the same order as `size` consecutive one-unit calls.
     Mechanisms with equal `key` make the same call, so the sampler makes
     one rng call per run of equal mechanism draws, with the same stream as
-    one call per node.  `cpts(raws)` maps a (n_envs, units, *unit_shape)
-    block of raw variates to the environments' CPTs, shape (n_envs, k,
-    n_cfg); the Gamma mechanism normalises its raws in place, so it is
-    called once per block."""
+    one call per node.  `thresholds(raws)` maps a (block, units,
+    *unit_shape) block of raw variates to the environments' inner
+    cumulative thresholds, shape (block, k - 1, n_cfg): entry j of a
+    column is the sum of its first j + 1 probabilities, added in
+    `np.cumsum`'s order.  The last cumulative entry is left out, so a
+    column that sums to just below 1 still yields category k - 1 and never
+    k."""
 
     key: tuple
     draw: Callable[[np.random.Generator, int], np.ndarray]
     units: int
     unit_shape: Tuple[int, ...]
     dtype: type
-    cpts: Callable[[np.ndarray], np.ndarray]
+    thresholds: Callable[[np.ndarray], np.ndarray]
+
+
+def _inner_cumsum(columns: np.ndarray, scale=1.0) -> np.ndarray:
+    """`np.cumsum(columns * scale, axis=-1)[..., :-1]` of (block, n_cfg, k)
+    CPT columns, bit for bit, as shape (block, k - 1, n_cfg): one add per
+    category, where numpy's accumulate loops over every short column."""
+    block, n_cfg, k = columns.shape
+    thresholds = np.empty((block, k - 1, n_cfg))
+    for j in range(k - 1):
+        np.multiply(columns[..., j], scale, out=thresholds[:, j])
+        if j:
+            thresholds[:, j] += thresholds[:, j - 1]
+    return thresholds
 
 
 def _node_drawers(g: Dag, prior: MixturePrior) -> List[_Mechanism]:
@@ -221,9 +239,9 @@ def _node_drawers(g: Dag, prior: MixturePrior) -> List[_Mechanism]:
             odd = np.array([bin(c).count("1") & 1 for c in range(n_cfg)], dtype=bool)
             def draw(rng, size, a=p.a, b=p.b):
                 return rng.beta(a, b, size=size)
-            def cpts(psi, odd=odd):
-                p1 = np.where(odd, 1.0 - psi, psi)  # P(X=1 | config), psi is (n_envs, 1)
-                return np.stack((1.0 - p1, p1), axis=1)
+            def thresholds(psi, odd=odd):
+                # 1 - P(X=1 | config), psi is (block, 1)
+                return (1.0 - np.where(odd, 1.0 - psi, psi))[:, None]
             key, units, unit_shape, dtype = ("xor", p.a, p.b), 1, (), float
         elif isinstance(p, DirichletColumnsPrior) and len(set(p.alpha)) == 1 and p.alpha[0] >= 0.1:
             # For max alpha >= 0.1, Generator.dirichlet draws a column as k
@@ -236,20 +254,20 @@ def _node_drawers(g: Dag, prior: MixturePrior) -> List[_Mechanism]:
             k = p.cardinality
             def draw(rng, size, a=p.alpha[0]):
                 return rng.standard_gamma(a, size=size)
-            def cpts(gammas, n_cfg=n_cfg, k=k):
-                # normalised in place, as Generator.dirichlet does
+            def thresholds(gammas, n_cfg=n_cfg, k=k):
+                # scaled by one over the sequential sum, as Generator.dirichlet
+                # scales its Gamma variates
                 columns = gammas.reshape(len(gammas), n_cfg, k)
                 acc = columns[..., 0].copy()
                 for j in range(1, k):
                     acc += columns[..., j]
-                columns *= np.divide(1.0, acc, out=acc)[..., None]
-                return columns.swapaxes(1, 2)
+                return _inner_cumsum(columns, np.divide(1.0, acc, out=acc))
             key, units, unit_shape, dtype = ("gamma", p.alpha[0]), n_cfg * k, (), float
         elif isinstance(p, DirichletColumnsPrior):
             def draw(rng, size, alpha=np.asarray(p.alpha)):
                 return rng.dirichlet(alpha, size=size)  # one CPT column per row
-            def cpts(columns):
-                return columns.swapaxes(1, 2)
+            def thresholds(columns):
+                return _inner_cumsum(columns)
             key, units, unit_shape, dtype = ("dirichlet", p.alpha), n_cfg, (p.cardinality,), float
         elif isinstance(p, AtomMixturePrior):
             for _, cpt in p.atoms:
@@ -265,12 +283,12 @@ def _node_drawers(g: Dag, prior: MixturePrior) -> List[_Mechanism]:
             # inverse cdf of rng.random(size), after checking p on every call
             def draw(rng, size, cdf=cdf):
                 return cdf.searchsorted(rng.random(size), side="right")
-            def cpts(idx, atoms=np.stack([c for _, c in p.atoms])):
-                return atoms[idx[:, 0]]
+            def thresholds(idx, atoms=np.stack([c for _, c in p.atoms])):
+                return np.cumsum(atoms[:, :-1], axis=1)[idx[:, 0]]
             key, units, unit_shape, dtype = ("atoms", weights), 1, (), np.intp
         else:
             raise TypeError(f"unknown prior type {type(p).__name__}")
-        mechanisms.append(_Mechanism(key, draw, units, unit_shape, dtype, cpts))
+        mechanisms.append(_Mechanism(key, draw, units, unit_shape, dtype, thresholds))
     return mechanisms
 
 
@@ -491,21 +509,20 @@ def _ancestral_stage(
     values: np.ndarray,
 ) -> None:
     """The ancestral stage of `sample_dataset`, for one block of
-    environments: per node, its CPTs for every environment, then one
-    threshold comparison over the (block, n) samples, the parents' values
-    selecting the CPT column.  Writes the samples into `values`, shape
-    (block, n, d)."""
-    env = np.arange(uniforms.shape[0])[:, None]
+    environments: per node, its thresholds for every environment, then one
+    comparison over the (block, n) samples, the parents' config index
+    picking each sample's threshold column.  Writes the samples into
+    `values`, shape (block, n, d)."""
     for t, i in enumerate(g.topological_order()):
+        thresholds = mechanisms[i].thresholds(raws[i])  # (block, k - 1, n_cfg)
         pa, _ = parent_configs(g, cards, i)
-        cfg = 0  # parentless: the single column
-        if pa:
-            cfg = np.ravel_multi_index(tuple(values[..., p] for p in pa), [cards[p] for p in pa])
-        columns = mechanisms[i].cpts(raws[i])[env, :, cfg]  # (block, n or 1, k)
-        # the k-1 inner cumulative thresholds: a last cumulative entry below
-        # 1.0 must not yield category k
-        thresholds = np.cumsum(columns, axis=-1)[..., :-1]
-        values[..., i] = (uniforms[:, t, :, None] >= thresholds).sum(axis=-1)
+        if pa:  # a parentless node's one column broadcasts over the samples
+            cfg = 0  # the parents' mixed-radix config index, first parent most significant
+            for p in pa:
+                cfg = cfg * cards[p] + values[..., p]
+            thresholds = np.take_along_axis(thresholds, cfg[:, None, :], axis=2)
+        # one comparison per inner threshold: a short reduction axis is slow
+        values[..., i] = sum(uniforms[:, t] >= level for level in thresholds.swapaxes(0, 1))
 
 
 def _usable_cpus() -> int:
@@ -532,8 +549,10 @@ def _sample_span(
         block = words[start : start + _BLOCK_ENVS]
         draws, raws = _run_buffers(mechanisms, len(block))
         uniforms = np.empty((len(block), g.d, samples_per_env))
+        seed = _SeedWords(block[0])  # one seed view, pointed at each row in turn
         for e, env_words in enumerate(block):
-            rng = np.random.default_rng(np.random.PCG64(_SeedWords(env_words)))
+            seed.words = env_words
+            rng = np.random.default_rng(np.random.PCG64(seed))
             for buffer, draw, units in draws:
                 buffer[e] = draw(rng, units)
             # each double takes one 64-bit word, so row t equals the t-th
@@ -628,16 +647,22 @@ def sample_dataset(
     that order.  It makes one rng call per run of equal mechanism draws
     (`_run_buffers`), which gives the same stream as one call per node.  A
     Dirichlet node with symmetric alpha >= 0.1 is drawn as n_cfg * k
-    `standard_gamma(alpha)` variates and normalised column by column
-    exactly as `Generator.dirichlet` normalises its own Gamma variates, so
-    its CPTs are bit for bit those of `rng.dirichlet`; consecutive such
-    nodes with equal alpha share one call whatever their cardinality.
-    `_ancestral_stage` then samples each node for the whole block at once.
+    `standard_gamma(alpha)` variates and scaled column by column exactly
+    as `Generator.dirichlet` scales its own Gamma variates, so its CPTs are
+    bit for bit those of `rng.dirichlet`; consecutive such nodes with equal
+    alpha share one call whatever their cardinality.  `_ancestral_stage`
+    then samples each node for the whole block at once, from the inner
+    cumulative thresholds its `_Mechanism` makes of the block's raw
+    draws: each (environment, sample) takes the threshold column of its
+    parents' config index and counts the thresholds its uniform reaches.
+    The thresholds are summed in `np.cumsum`'s order, so the rows are those
+    of a per-sample cumsum over the gathered CPT column.
 
     Environment e's generator is exactly `np.random.default_rng((rng_seed,
     e))`.  `_seed_words` computes every environment's SeedSequence output
     at once, and numpy's PCG64 seeds itself from environment e's words
-    through `_SeedWords`.  Environment 0's generator is also built the
+    through the block's one `_SeedWords`, whose row is reassigned per
+    environment.  Environment 0's generator is also built the
     documented way, which validates the seed as `default_rng` does; if its
     state differs from the bulk one, numpy's seeding has changed and a
     RuntimeError says so.

@@ -307,14 +307,15 @@ class TestSampleDataset:
         # units per run: Gamma variates for 0-2, 3, 6 and 8, CPT columns
         # for 4 and 5, one psi for 7
         assert [units for _, _, units in draws] == [3 * 1 + 2 * 3 + 4 * 6, 2 * 4, 2, 6, 2, 1, 4]
-        # the CPTs themselves, bit for bit, not only the samples they give
+        # the thresholds themselves, bit for bit, not only the samples they
+        # give: the reference CPT's inner cumulative sums
         for e in range(3):
             rng = np.random.default_rng((23, e))
             for buffer, draw, units in draws:
                 buffer[0] = draw(rng, units)
             ref = _reference_cpts(prior, g, np.random.default_rng((23, e)))
             for m, raw, cpt in zip(mechanisms, raws, ref):
-                assert np.array_equal(m.cpts(raw)[0], cpt)
+                assert np.array_equal(m.thresholds(raw)[0], np.cumsum(cpt, axis=0)[:-1])
         n_envs = sampling._BLOCK_ENVS + 3
         ds = sample_dataset(g, prior, n_envs, 2, 23)
         cards = prior.cardinalities
@@ -341,7 +342,8 @@ class TestSampleDataset:
 
     def test_column_sum_below_one_stays_in_range(self, monkeypatch):
         # an accepted atom column summing to 1 - 5e-10 and a uniform draw
-        # above that sum must still yield the last category, not k
+        # above that sum must still yield the last category, not k, also
+        # when the parents' values pick the column
         class TopDraw:
             def random(self, size=None, out=None):
                 if out is None:
@@ -353,19 +355,37 @@ class TestSampleDataset:
         prior = MixturePrior((AtomMixturePrior([(1.0, [[0.5], [0.5 - 5e-10]])]),))
         ds = sample_dataset(Dag(1, frozenset()), prior, 3, 2, 0)
         assert ds.rows.tolist() == [[1]] * 6
+        # a k = 3 node under parents of 3 and 2 categories, whose top draws
+        # give config 1 * 2 + 0 = 2 of 6; each of its columns sums to 1 - 5e-10
+        inner = np.array([[0.1, 0.2, 0.3, 0.4, 0.5, 0.6], [0.3] * 6])
+        prior = MixturePrior(
+            (
+                AtomMixturePrior([(1.0, [[0.0], [1.0], [0.0]])]),
+                AtomMixturePrior([(1.0, [[1.0], [0.0]])]),
+                AtomMixturePrior([(1.0, np.vstack((inner, 1 - 5e-10 - inner.sum(axis=0))))]),
+            )
+        )
+        ds = sample_dataset(Dag(3, frozenset({(0, 2), (1, 2)})), prior, 3, 2, 0)
+        assert ds.rows.tolist() == [[1, 0, 2]] * 6
 
     def test_block_boundary_matches_default_rng(self):
-        # environments on either side of the first block boundary
-        g, prior = bivariate_xor_model()
-        n_envs = sampling._BLOCK_ENVS + 2
-        ds = sample_dataset(g, prior, n_envs, 3, 5)
-        order = g.topological_order()
-        pa_info = {i: parent_configs(g, prior.cardinalities, i) for i in range(g.d)}
-        for e in range(n_envs - 4, n_envs):
-            rng = np.random.default_rng((5, e))
-            cpts = _reference_cpts(prior, g, rng)
-            ref = _ancestral_sample(order, pa_info, prior.cardinalities, cpts, 3, rng)
-            assert np.array_equal(ds.envs[e], ref)
+        # environments on either side of the first block boundary, for the
+        # xor-Beta model, a mixed-radix graph of symmetric Dirichlet nodes
+        # (Gamma variates) and an atom prior
+        for g, prior in (
+            bivariate_xor_model(),
+            (TestPinnedSamplerStream.MIXED_GRAPH, TestPinnedSamplerStream.MIXED_PRIOR),
+            (TestPinnedSamplerStream.GRAPH, TestPinnedSamplerStream.PRIORS["atom"]),
+        ):
+            n_envs = sampling._BLOCK_ENVS + 2
+            ds = sample_dataset(g, prior, n_envs, 3, 5)
+            order = g.topological_order()
+            pa_info = {i: parent_configs(g, prior.cardinalities, i) for i in range(g.d)}
+            for e in range(n_envs - 4, n_envs):
+                rng = np.random.default_rng((5, e))
+                cpts = _reference_cpts(prior, g, rng)
+                ref = _ancestral_sample(order, pa_info, prior.cardinalities, cpts, 3, rng)
+                assert np.array_equal(ds.envs[e], ref)
 
     def test_memory_bounded_by_blocks(self, monkeypatch):
         # one Dirichlet node with 64 parent configs draws 2 KB per
