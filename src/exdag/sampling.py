@@ -338,10 +338,11 @@ class EnvDataset:
     One storage layout serves ragged and uniform data alike: `rows` holds
     every environment's samples back to back, shape (total, d), and
     environment e owns rows `offsets[e]:offsets[e + 1]`.  The constructor
-    takes per-environment arrays, checks their shapes and copies them into
-    `rows` once, and rejects a value outside [0, k) for its variable's k.
-    The producers in this package, whose values are in range by
-    construction, hand over `rows` and `offsets` directly (`_from_rows`).
+    takes per-environment integer arrays, checks their shapes and dtypes,
+    copies them into one int64 `rows` once, and rejects a value outside
+    [0, k) for its variable's k.  The producers in this package, whose int64
+    values are in range by construction, hand over `rows` and `offsets`
+    directly (`_from_rows`).
     Either way `envs` then becomes an `_EnvViews`, which slices an
     environment's rows out of `rows` when it is read, so construction does
     not grow with the number of environments.  Datasets compare by
@@ -377,8 +378,12 @@ class EnvDataset:
             for e, rows in enumerate(arrays):
                 if rows.ndim != 2 or rows.shape[1] != self.d:
                     raise ValueError(f"environment {e}: rows must have shape (N_e, {self.d})")
+                if rows.dtype.kind not in "iu":
+                    raise ValueError(
+                        f"environment {e}: rows must be integer codes, not {rows.dtype}"
+                    )
             self.offsets = np.concatenate(([0], np.cumsum([rows.shape[0] for rows in arrays])))
-            self.rows = np.concatenate(arrays)
+            self.rows = np.concatenate(arrays, dtype=np.int64)
             bad = (self.rows < 0) | (self.rows >= np.array(self.cardinalities))
             bad_vars = np.flatnonzero(bad.any(axis=0))
             if bad_vars.size:

@@ -116,6 +116,14 @@ class TestCsvRoundTrip:
         with pytest.raises(CsvFormatError, match="non-integer"):
             ingest_csv(path)
 
+    def test_value_beyond_int64_is_line_numbered(self, tmp_path):
+        path = tmp_path / "big.csv"
+        path.write_text("env,sample,X1\n0,0,1\n0,1,99999999999999999999\n")
+        with pytest.raises(
+            CsvFormatError, match=r"big\.csv:3: value 99999999999999999999 does not fit a 64-bit"
+        ):
+            ingest_csv(path)
+
     def test_non_contiguous_samples(self, tmp_path):
         path = tmp_path / "gap.csv"
         path.write_text("env,sample,X1\n0,0,1\n0,2,0\n")
@@ -185,17 +193,73 @@ class TestCsvRoundTrip:
 
     def test_writer_matches_csv_module(self, tmp_path):
         g, prior = bivariate_xor_model()
-        ds = _ragged(sample_dataset(g, prior, 30, 4, 2), seed=3)
-        path = tmp_path / "new.csv"
+        # env ids across 9->10, 99->100 and 999->1000, ragged sample counts
+        # across 9->10, codes of one and two digits, and a variable always 0
+        rng = np.random.default_rng(4)
+        wide = EnvDataset(
+            3,
+            (12, 1, 2),
+            [rng.integers(0, (12, 1, 2), size=(n, 3)) for n in rng.integers(1, 13, size=1003)],
+        )
+        for ds in (_ragged(sample_dataset(g, prior, 30, 4, 2), seed=3), wide):
+            path = tmp_path / "new.csv"
+            write_dataset_csv(ds, path)
+            ref = tmp_path / "ref.csv"
+            with ref.open("w", newline="") as fh:
+                writer = csv.writer(fh)
+                writer.writerow(["env", "sample"] + [f"X{i + 1}" for i in range(ds.d)])
+                for e, rows in enumerate(ds.envs):
+                    for n in range(rows.shape[0]):
+                        writer.writerow([e, n] + [int(v) for v in rows[n]])
+            assert path.read_bytes() == ref.read_bytes()
+
+    def test_sorted_and_shuffled_files_ingest_alike(self, tmp_path, monkeypatch):
+        # a file in (env, sample) order is taken as it stands; any other is
+        # stable-sorted, and both must give the same dataset
+        lexsorts, lexsort = [], np.lexsort
+
+        def counting_lexsort(keys):
+            lexsorts.append(keys)
+            return lexsort(keys)
+
+        monkeypatch.setattr(harness.np, "lexsort", counting_lexsort)
+        g, prior = bivariate_xor_model()
+        ds = _ragged(sample_dataset(g, prior, 40, 4, 9), seed=10)
+        path = tmp_path / "sorted.csv"
         write_dataset_csv(ds, path)
-        ref = tmp_path / "ref.csv"
-        with ref.open("w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["env", "sample"] + [f"X{i + 1}" for i in range(ds.d)])
-            for e, rows in enumerate(ds.envs):
-                for n in range(rows.shape[0]):
-                    writer.writerow([e, n] + [int(v) for v in rows[n]])
-        assert path.read_bytes() == ref.read_bytes()
+        header, *data = path.read_text().splitlines()
+        shuffled = tmp_path / "shuffled.csv"
+        order = np.random.default_rng(11).permutation(len(data))
+        shuffled.write_text("\n".join([header] + [data[i] for i in order]) + "\n")
+        # sorted but for the last row, and in env order with two samples swapped
+        last_out = tmp_path / "last_out.csv"
+        last_out.write_text("\n".join([header] + data[1:] + data[:1]) + "\n")
+        swapped = tmp_path / "swapped.csv"
+        swapped.write_text("\n".join([header, data[1], data[0]] + data[2:]) + "\n")
+        expected = ingest_csv(path)
+        assert not lexsorts
+        for other in (shuffled, last_out, swapped):
+            back = ingest_csv(other)
+            assert np.array_equal(back.rows, expected.rows)
+            assert np.array_equal(back.offsets, expected.offsets)
+        assert len(lexsorts) == 3
+        assert np.array_equal(expected.rows, ds.rows)
+        assert np.array_equal(expected.offsets, ds.offsets)
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("0,0,1\n0,0,0\n0,0,1\n", r"sorted\.csv:3: repeats env 0, sample 0"),
+            ("0,0,1\n0,1,0\n1,0,0\n1,2,1\n", r"sorted\.csv:5: environment 1 has non-contiguous"),
+            ("0,1,1\n1,0,0\n", r"sorted\.csv:2: environment 0 has non-contiguous"),
+        ],
+        ids=["triple", "gap", "first_gap"],
+    )
+    def test_sorted_file_errors_name_the_line(self, tmp_path, text, message):
+        path = tmp_path / "sorted.csv"
+        path.write_text("env,sample,X1\n" + text)
+        with pytest.raises(CsvFormatError, match=message):
+            ingest_csv(path)
 
 
 class TestProducerLayout:

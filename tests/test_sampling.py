@@ -137,6 +137,18 @@ class TestEnvDataset:
         with pytest.raises(ValueError, match="cardinality"):
             EnvDataset(d=2, cardinalities=(2,), envs=[np.zeros((1, 2), dtype=int)])
 
+    def test_non_integer_rows_rejected(self):
+        # a float code would be truncated when written to CSV
+        ints = np.array([[1, 0]])
+        for bad in (np.array([[0.5, 1.0], [1.0, 0.0]]), np.array([[True, False]])):
+            message = rf"environment 1: rows must be integer codes, not {bad.dtype}"
+            with pytest.raises(ValueError, match=message):
+                EnvDataset(d=2, cardinalities=(2, 2), envs=[ints, bad])
+        envs = [np.array([[0, 1]], dtype=np.uint8), np.array([[1, 0]], dtype=np.int32)]
+        ds = EnvDataset(d=2, cardinalities=(2, 2), envs=envs)
+        assert ds.rows.dtype == np.int64
+        assert ds.rows.tolist() == [[0, 1], [1, 0]]
+
     def test_out_of_range_reports_environment(self):
         envs = [np.array([[0, 0]]), np.array([[1, 3]])]
         with pytest.raises(ValueError, match="environment 1: variable 1"):
