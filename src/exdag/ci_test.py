@@ -16,15 +16,23 @@ fit int64, so a table whose coordinates' cardinalities multiply past
 
 `test_statements` is the one test path; `tabulate`, `g_test` and
 `test_statement` are its one-statement and one-cube cases.  It decides a
-list in one pass.  Each distinct coordinate set F = left | right | given
-gets one count array, one weighted `np.bincount` over the patterns with
-integer counts equal to a direct count, and every statement on F cuts its
-cube from that array by a transpose.  Cubes of one shape are stacked and
-go through G together, with G equal bit for bit to a per-stratum loop.
+list in one pass, on the statement plan it shares with the exact oracle:
+one array per distinct coordinate set F = left | right | given, with F's
+coordinates sorted by (variable, sample) as its axes, and every statement
+gathered from those arrays as (left, right, given) by an int32 pattern,
+one batch per (left size, right size, given size).  The caller fills F's
+arrays a window of about `_WINDOW_CELLS` cells (or one F) at a time, and
+each block's index is built from the members' patterns and offsets as it
+is gathered, so memory follows the largest F, not the list.  Here each F
+holds counts, one weighted `np.bincount` over the patterns equal to a
+direct count, and each block is gathered as (given, left, right) cubes
+that go through G together, with G equal bit for bit to a per-stratum
+loop.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -35,10 +43,17 @@ from .graphs import CiStatement
 from .sampling import EnvDataset
 
 DEFAULT_ALPHA = 0.05
-# `test_statements` flushes a stack of same-shape cubes through G once it
-# holds this many cells, so a long list of large cubes is never all in
-# memory at once
+# `test_statements` hands `_g_stack` stacks of same-shape cubes of about
+# this many cells, or one cube where a cube is larger
 _STACK_CELLS = 1 << 14
+# A plan's F arrays are filled and concatenated a window at a time, each
+# window at most this many cells or a single F, so a long list of large F
+# is never all in memory at once
+_WINDOW_CELLS = 1 << 16
+# Gather patterns of at most this many cells are cached, 4096 of them (at
+# most 16 MiB), and held stacked by a plan; a larger one, whose F is as
+# large, is built only while a block reads it
+_HELD_PATTERN_CELLS = 1 << 10
 
 
 @dataclass
@@ -97,14 +112,11 @@ class PatternTable:
         self._column = {c: i for i, c in enumerate(self.coords)}
 
     def columns(self, coords: Sequence[Tuple[int, int]]) -> List[int]:
-        """The column of each coordinate.  Raises for a variable outside
-        [0, d) and for a coordinate the table does not cover."""
-        d = len(self.cardinalities)
-        for v, s in coords:
-            if not 0 <= v < d:
-                raise ValueError(f"variable {v} outside [0, {d}) in {list(coords)}")
-            if (v, s) not in self._column:
-                raise ValueError(f"coordinate {(v, s)} is not covered by the pattern table")
+        """The column of each coordinate.  Raises for a coordinate the
+        table does not cover."""
+        for c in coords:
+            if c not in self._column:
+                raise ValueError(f"coordinate {c} is not covered by the pattern table")
         return [self._column[c] for c in coords]
 
 
@@ -131,9 +143,9 @@ def _count_array(table: PatternTable, coords: Tuple[Tuple[int, int], ...]) -> np
     The coordinates' columns are coded by one C-order mixed-radix index per
     pattern, built by Horner's rule over the table's contiguous columns,
     and the array is the bincount of those codes weighted by the patterns'
-    environment counts, cast back to integers.  The coordinates are distinct
-    and covered by the table, so their codes fit int64 whenever the table's
-    do.
+    environment counts: float64, whose integer counts are exact, as
+    `_g_stack` reads them.  The coordinates are distinct and covered by the
+    table, so their codes fit int64 whenever the table's do.
     """
     columns = table.columns(coords)
     cards = [table.cardinalities[v] for v, _ in coords]
@@ -142,33 +154,209 @@ def _count_array(table: PatternTable, coords: Tuple[Tuple[int, int], ...]) -> np
         codes *= k
         codes += table.patterns[:, column]
     counts = np.bincount(codes, weights=table.weights, minlength=math.prod(cards))
-    return counts.astype(np.int64).reshape(cards)
+    return counts.reshape(cards)
 
 
-def _full_coords(stmt: CiStatement) -> Tuple[Tuple[int, int], ...]:
-    """F = left | right | given, sorted: the axes of the statement's count array."""
-    return tuple(sorted(stmt.left | stmt.right | stmt.given))
+@dataclass
+class _Batch:
+    """The statements of one moved shape whose F's share a window: the
+    int32 (members, left size, right size, given size) index of their
+    cells in the window's concatenated F arrays, held as each member's F
+    offset in the window plus its `_pattern`, by an id into the batch's
+    distinct `keys`.  Their patterns are stacked in `patterns` unless
+    larger than `_HELD_PATTERN_CELLS`."""
+
+    window: int
+    cube: Tuple[int, int, int]
+    order: np.ndarray  # the members' statement indices
+    offsets: np.ndarray
+    ids: np.ndarray
+    keys: Tuple[Tuple[Tuple[int, ...], int, int], ...]  # `_pattern` arguments
+    patterns: Optional[np.ndarray]
+    dtype = np.dtype(np.int32)  # of the held index: int32 patterns plus int32 offsets
+
+    @property
+    def shape(self) -> Tuple[int, ...]:
+        return (len(self.order),) + self.cube
+
+    def index(self, lo: int, hi: int, axes=(0, 1, 2, 3)) -> np.ndarray:
+        """Members lo:hi's rows of the index, built on each call, with its
+        (members, left, right, given) axes in the order `axes`, members
+        first.  Patterns the batch does not hold are built in that order
+        and as intp, the index `np.take` reads, so take copies none."""
+        ids, offsets = self.ids[lo:hi], self.offsets[lo:hi, None, None, None]
+        if self.patterns is not None:
+            index = np.take(self.patterns, ids, axis=0)
+            index += offsets
+            return index.transpose(axes)
+        order = [a - 1 for a in axes[1:]]
+        index = np.empty((len(ids),) + tuple(self.cube[g] for g in order), dtype=np.intp)
+        for row, i in zip(index, ids):
+            _pattern(*self.keys[i], order, row)
+        index += offsets
+        return index
 
 
-def _cube(counts: np.ndarray, full: Tuple[Tuple[int, int], ...], stmt: CiStatement) -> ContingencyCube:
-    """The statement's cube cut from the count array of its sorted
-    coordinates `full`: the axes of its sorted given, left and right
-    coordinates, in that order, each group flattened C-order, so a pattern
-    with given code z, left code x and right code y lands in cell
-    (z * kx + x) * ky + y."""
-    axis = {c: a for a, c in enumerate(full)}
-    given, left, right = ([axis[c] for c in sorted(side)] for side in (stmt.given, stmt.left, stmt.right))
-    kx = math.prod(counts.shape[a] for a in left)
-    ky = math.prod(counts.shape[a] for a in right)
-    cube = counts.transpose(given + left + right).reshape(-1, kx, ky)
-    return ContingencyCube(cube, kx, ky, strata_cards=tuple(counts.shape[a] for a in given))
+@dataclass(frozen=True)
+class _StatementPlan:
+    """How a statement list is decided, built from the statements and the
+    cardinalities alone.  `fulls` holds the distinct node sets
+    F = left | right | given as coordinates sorted by (variable, sample),
+    in first-seen order; the caller fills an array per F, and the F's
+    `windows[w]:windows[w + 1]` are raveled and concatenated together, a
+    window closing before it would pass `_WINDOW_CELLS`.  `batches` holds
+    one `_Batch` per (window, moved shape), by window, and `order` every
+    member's statement index, batch by batch."""
+
+    fulls: Tuple[Tuple[Tuple[int, int], ...], ...]
+    windows: Tuple[int, ...]
+    batches: Tuple[_Batch, ...]
+    order: np.ndarray
+
+
+@functools.lru_cache(maxsize=4096)
+def _full_axes(full: frozenset, cardinalities: Tuple[int, ...], samples: Optional[int]):
+    """(F's coordinates sorted by (variable, sample), coordinate -> bit
+    1 << its axis in F's array, that array's shape) for F = `full`.  The
+    array holds F's axes in that data order when `samples` is None, and in
+    an exact joint's order, (sample, variable), for a model of `samples`
+    samples per environment, which then bounds the samples too.  Cached,
+    4096 entries, so list callers do not rebuild a layout per call."""
+    coords = tuple(sorted(full))
+    d = len(cardinalities)
+    for v, s in coords:
+        if not 0 <= v < d:
+            raise ValueError(f"statement references unknown node {(v, s)}: variable {v} "
+                             f"outside [0, {d})")
+        if samples is not None and not 0 <= s < samples:
+            raise ValueError(f"statement references unknown node {(v, s)}: sample {s} "
+                             f"outside [0, {samples})")
+    held = coords if samples is None else sorted(coords, key=lambda c: (c[1], c[0]))
+    bits = {c: 1 << a for a, c in enumerate(held)}
+    return coords, bits, tuple(cardinalities[v] for v, _ in held)
+
+
+def _groups(dims: Tuple[int, ...], left: int, right: int) -> List[List[int]]:
+    """The axes of an array of shape `dims` set in `left`, those set in
+    `right` and the rest, each group in axis order."""
+    axes = range(len(dims))
+    return [[a for a in axes if bits >> a & 1] for bits in (left, right, ~(left | right))]
+
+
+def _pattern(dims: Tuple[int, ...], left: int, right: int, order=(0, 1, 2), out=None):
+    """The position in a raveled array of shape `dims` of each cell, with
+    the axes set in `left`, those set in `right` and the rest each merged
+    to one axis, in axis order within each group: (left size, right size,
+    given size), the groups in `order`.  Written into `out` if given, else
+    into a new int32 array."""
+    groups = [_groups(dims, left, right)[g] for g in order]
+    axes = [a for group in groups for a in group]
+    if out is None:
+        out = np.empty([math.prod(dims[a] for a in group) for group in groups], dtype=np.int32)
+    cells = np.arange(math.prod(dims), dtype=np.int32).reshape(dims)
+    out.reshape([dims[a] for a in axes])[...] = cells.transpose(axes)
+    return out
+
+
+@functools.lru_cache(maxsize=4096)
+def _moved(dims: Tuple[int, ...], left: int, right: int):
+    """(`_pattern`'s (left size, right size, given size), the pattern
+    itself, read-only, or None above `_HELD_PATTERN_CELLS` cells).  Cached,
+    4096 entries, so a plan costs one lookup per statement and the cache
+    holds at most 16 MiB."""
+    cube = tuple(math.prod(dims[a] for a in group) for group in _groups(dims, left, right))
+    if math.prod(dims) > _HELD_PATTERN_CELLS:
+        return cube, None
+    pattern = _pattern(dims, left, right)
+    pattern.flags.writeable = False
+    return cube, pattern
+
+
+def _statement_plan(
+    stmts: Sequence[CiStatement], cardinalities: Tuple[int, ...], samples: Optional[int] = None
+) -> _StatementPlan:
+    """The `_StatementPlan` of `stmts`, F's arrays held as `_full_axes`
+    says for `samples`.  A G or a verdict depends only on F's array with
+    the left and right axes moved to the front, so that moved shape is the
+    batch key, with F's window, and a member's index is its `_pattern`
+    plus the offset of F's array in the window.  Raises `ValueError` for
+    an unknown node."""
+    fulls, layouts, windows = {}, [], []  # F -> (its window, its offset there, its layout)
+    size = _WINDOW_CELLS
+    batches = {}  # (window, moved shape) -> ([(statement, offset, key id)], {key: id}, patterns)
+    for k, stmt in enumerate(stmts):
+        full = stmt.left | stmt.right | stmt.given
+        at = fulls.get(full)
+        if at is None:
+            layouts.append(_full_axes(full, cardinalities, samples))
+            cells = math.prod(layouts[-1][2])
+            if size + cells > _WINDOW_CELLS:
+                windows.append(len(layouts) - 1)
+                size = 0
+            at = fulls[full] = (len(windows) - 1, size, layouts[-1])
+            size += cells
+        window, offset, (_, bits, dims) = at
+        key = (dims, sum(map(bits.__getitem__, stmt.left)), sum(map(bits.__getitem__, stmt.right)))
+        cube, pattern = _moved(*key)
+        rows, distinct, patterns = batches.setdefault((window, cube), ([], {}, []))
+        i = distinct.setdefault(key, len(distinct))
+        if i == len(patterns):
+            patterns.append(pattern)
+        rows.append((k, offset, i))
+    windows.append(len(layouts))
+    keys = sorted(batches, key=lambda key: key[0])  # by window
+    order, offsets, ids = np.array(
+        [row for key in keys for row in batches[key][0]], dtype=np.intp
+    ).reshape(-1, 3).T.copy()
+    offsets = offsets.astype(np.int32)
+    plan, start = [], 0
+    for window, cube in keys:
+        rows, distinct, patterns = batches[window, cube]
+        end = start + len(rows)
+        plan.append(_Batch(window, cube, order[start:end], offsets[start:end], ids[start:end],
+                           tuple(distinct), None if patterns[0] is None else np.array(patterns)))
+        start = end
+    for array in (order, offsets, ids):
+        array.flags.writeable = False  # a cached plan is shared by every caller
+    return _StatementPlan(tuple(layout[0] for layout in layouts), tuple(windows), tuple(plan),
+                          order)
+
+
+def _blocks(plan: _StatementPlan, fill, cells: int, axes=(0, 1, 2, 3)):
+    """Each batch of `plan` gathered in blocks of about `cells` cells, with
+    the index's (members, left, right, given) axes in the order `axes`,
+    from F's arrays, which `fill(F's coordinates)` makes a window at a
+    time: yields (the members' statement indices, block), batch by batch."""
+    window = None
+    for batch in plan.batches:
+        if batch.window != window:
+            window, flat = batch.window, None  # the last window's arrays go first
+            arrays = [fill(coords).ravel()
+                      for coords in plan.fulls[plan.windows[window]:plan.windows[window + 1]]]
+            flat = arrays[0] if len(arrays) == 1 else np.concatenate(arrays)
+            del arrays  # the window's arrays live on only in `flat`
+        step = max(1, cells // math.prod(batch.cube))
+        for a in range(0, len(batch.order), step):
+            yield batch.order[a:a + step], np.take(flat, batch.index(a, a + step, axes))
+
+
+def _cubes(table: PatternTable, stmts: Sequence[CiStatement]):
+    """`_blocks` of (members, n_strata, kx, ky) float cubes: each F of the
+    list's plan filled by `_count_array`, gathered as (given, left, right)
+    in stacks of about `_STACK_CELLS` cells.  Raises `ValueError` for a
+    coordinate the table does not cover."""
+    plan = _statement_plan(stmts, table.cardinalities)
+    return _blocks(plan, functools.partial(_count_array, table), _STACK_CELLS, (0, 3, 1, 2))
 
 
 def tabulate(table: PatternTable, stmt: CiStatement) -> ContingencyCube:
     """Accumulate one observation per environment into a stratified table:
-    the one-statement case of `test_statements`' counting."""
-    full = _full_coords(stmt)
-    return _cube(_count_array(table, full), full, stmt)
+    the one-statement case of `test_statements`' plan, each side's sorted
+    coordinates merged C-order."""
+    ((_, cubes),) = _cubes(table, [stmt])
+    strata_cards = tuple(table.cardinalities[v] for v, _ in sorted(stmt.given))
+    return ContingencyCube(cubes[0].astype(np.int64), cubes.shape[2], cubes.shape[3],
+                           strata_cards)
 
 
 def _g_stack(
@@ -245,41 +433,16 @@ def test_statements(
     table: PatternTable, stmts: Sequence[CiStatement], alpha: float = DEFAULT_ALPHA
 ) -> List[CiResult]:
     """G-test every statement of a list on `table`: one result each, in
-    input order, equal bit for bit to testing them one at a time.
-
-    Each distinct coordinate set F = left | right | given is counted once,
-    by `_count_array` over sorted F, and every statement on F cuts its cube
-    from that array.  Cubes of one shape are stacked and go through
-    `_g_stack` together, a stack at a time of fewer than `_STACK_CELLS`
-    cells plus one cube.  Raises `ValueError` for a coordinate the table
-    does not cover.
-    """
+    input order, equal bit for bit to testing them one at a time.  The
+    list's cubes come from one `_StatementPlan` by `_cubes`, and each block
+    of same-shape cubes goes through `_g_stack` together.  Raises
+    `ValueError` for a coordinate the table does not cover."""
     results: List[Optional[CiResult]] = [None] * len(stmts)
-    by_coords: Dict[Tuple[Tuple[int, int], ...], List[int]] = {}
-    for k, stmt in enumerate(stmts):
-        by_coords.setdefault(_full_coords(stmt), []).append(k)
-    stacks: Dict[Tuple[int, ...], Tuple[List[int], List[np.ndarray]]] = {}
-
-    def flush(shape):
-        members, cubes = stacks.pop(shape)
-        stack = np.array(cubes, dtype=float)
-        cubes.clear()  # the float stack replaces them during the G pass
-        for k, res in zip(members, _g_stack(stack, [stmts[k] for k in members], alpha)):
+    for members, cubes in _cubes(table, stmts):
+        members = members.tolist()
+        for k, res in zip(members, _g_stack(cubes, [stmts[k] for k in members], alpha)):
             results[k] = res
-
-    for full, members in by_coords.items():
-        counts = _count_array(table, full)
-        for k in members:
-            cube = _cube(counts, full, stmts[k]).counts
-            members_of_shape, cubes = stacks.setdefault(cube.shape, ([], []))
-            members_of_shape.append(k)
-            cubes.append(cube)
-            if len(cubes) * cube.size >= _STACK_CELLS:
-                shape = cube.shape
-                del cube  # so the flush frees it with the rest of the stack
-                flush(shape)
-    for shape in list(stacks):
-        flush(shape)
+        del cubes  # so that the next block is gathered without this one
     return results
 
 

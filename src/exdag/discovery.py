@@ -103,8 +103,8 @@ def _two_sample_table(ds: EnvDataset) -> PatternTable:
 def data_tester(table: PatternTable, alpha: float = DEFAULT_ALPHA) -> CiTester:
     """Statistical backend: `test_statements` on `table`, which holds one
     observation per environment and must cover the statements' coordinates.
-    Each list is decided in one pass: one count array per coordinate set
-    and one G pass per stack of same-shape cubes."""
+    Each list is decided in one pass: one statement plan, one count array
+    per coordinate set and one G pass per block of same-shape cubes."""
     return lambda stmts: test_statements(table, stmts, alpha)
 
 

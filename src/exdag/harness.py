@@ -190,8 +190,10 @@ def ingest_csv(path) -> EnvDataset:
     second occurrence), sample indices that do not run 0..N_e-1 within an
     environment, and a value that is negative or not below its variable's
     cardinality (from the sidecar, or the column maximum plus one without
-    one).  A sidecar that is not a JSON object, whose `cardinalities` are
-    not d integers >= 1, or whose `true_graph` is malformed or not over d
+    one; a value of 2**63 - 1 is rejected there, since that cardinality
+    would not fit a 64-bit integer).  A sidecar that is not a JSON object,
+    whose `cardinalities` are not d integers >= 1 or hold one that does not
+    fit a 64-bit integer, or whose `true_graph` is malformed or not over d
     nodes is rejected with `CsvFormatError` naming the sidecar.
     """
     path = Path(path)
@@ -228,6 +230,9 @@ def ingest_csv(path) -> EnvDataset:
                     type(k) is int and k >= 1 for k in cardinalities  # bools are not counts
                 ):
                     raise ValueError(f"cardinalities {cardinalities!r}: expected {d} integers >= 1")
+                too_big = [k for k in cardinalities if k >= 2**63]
+                if too_big:
+                    raise ValueError(f"cardinality {too_big[0]} does not fit a 64-bit integer")
                 cardinalities = tuple(cardinalities)
             if meta.get("true_graph"):
                 true_graph = Dag.from_dict(meta["true_graph"])
@@ -262,7 +267,14 @@ def ingest_csv(path) -> EnvDataset:
 
     values = table[:, 2:]
     if cardinalities is None:
-        cardinalities = tuple(int(m) + 1 for m in values.max(axis=0))
+        top = values.max(axis=0)
+        if (top == np.iinfo(np.int64).max).any():  # its cardinality would be 2**63
+            r, i = (int(x) for x in np.argwhere(values == np.iinfo(np.int64).max)[0])
+            raise CsvFormatError(
+                f"{path}:{r + 2}: env {table[r, 0]}: variable {i} ({header[i + 2]}) value "
+                f"{values[r, i]} needs cardinality 2**63, which does not fit a 64-bit integer"
+            )
+        cardinalities = tuple(int(m) + 1 for m in top)
     out_of_range = (values < 0) | (values >= np.array(cardinalities))
     if out_of_range.any():
         r, i = (int(x) for x in np.argwhere(out_of_range)[0])

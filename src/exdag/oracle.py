@@ -20,7 +20,7 @@ from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .ci_test import CiResult, DEFAULT_ALPHA
+from .ci_test import CiResult, DEFAULT_ALPHA, _StatementPlan, _blocks, _statement_plan
 from .graphs import (
     CiStatement,
     Dag,
@@ -34,7 +34,7 @@ from .sampling import AtomMixturePrior, MixturePrior, _node_drawers, parent_conf
 STATE_SPACE_LIMIT = 2**20
 DEFAULT_CI_TOL = 1e-12
 # _run_plan gathers a batch in blocks of about this many cells, so that its
-# temporaries stay small however many statements share the batch
+# temporaries stay small; the rule ran ~10% slower at ci_test's 2**14 cells
 _BLOCK_CELLS = 4096
 # random_generic_model redraws a node's atoms closer than this in every entry
 MIN_ATOM_SEPARATION = 1e-3
@@ -52,7 +52,7 @@ class FiniteMixtureModel:
     samples_per_env: int
     # out of __init__, so dataclasses.replace starts the caches empty
     _joint: Optional[np.ndarray] = field(init=False, default=None, repr=False, compare=False)
-    # node set F -> (shape, positions, p_F), filled by _run_plan
+    # F's sorted coordinates -> p_F in joint order, filled by _run_plan
     _full_marginals: dict = field(init=False, default_factory=dict, repr=False, compare=False)
 
     def __post_init__(self):
@@ -115,174 +115,80 @@ def exact_joint(model: FiniteMixtureModel) -> np.ndarray:
     return joint
 
 
-def _node_axes(d: int, samples_per_env: int) -> dict:
-    """(variable, sample) -> joint axis, by `FiniteMixtureModel.axis_of`'s
-    convention, for every node of the unrolled graph."""
-    return {(v, s): s * d + v for s in range(samples_per_env) for v in range(d)}
-
-
 @functools.lru_cache(maxsize=4096)
-def _layout(shape: Tuple[int, ...], samples_per_env: int, full: frozenset):
-    """(shape of p_F, node -> bit 1 + its position among F's axes, the axes
-    outside F) for the node set F = `full` of a model with joint `shape`
-    and `samples_per_env` samples.  p_F is the joint summed over the axes
-    outside F, which keeps F's axes in joint order, behind a leading row
-    axis of length 1.  Cached by (shape, samples per environment, F), at
-    most 4096 entries, so list callers do not rebuild a layout per call."""
-    axes = _node_axes(len(shape) // samples_per_env, samples_per_env)
-    try:
-        f_axes = sorted(axes[v] for v in full)
-    except KeyError as err:
-        raise ValueError(f"statement references unknown node {err.args[0]}") from None
-    positions = {v: 2 << f_axes.index(axes[v]) for v in full}
-    dropped = tuple(a for a in range(len(shape)) if a not in f_axes)
-    return (1,) + tuple(shape[a] for a in f_axes), positions, dropped
+def _outside(coords: Tuple[Tuple[int, int], ...], shape: Tuple[int, ...], samples_per_env: int):
+    """The joint axes outside the nodes `coords`, summed out for p_F, by
+    `FiniteMixtureModel.axis_of`'s convention; cached, 4096 entries."""
+    d = len(shape) // samples_per_env
+    axes = {s * d + v for v, s in coords}
+    return tuple(a for a in range(len(shape)) if a not in axes)
 
 
-@functools.lru_cache(maxsize=4096)
-def _gather(f_shape: Tuple[int, ...], left: int, right: int) -> np.ndarray:
-    """The positions in raveled p_F of p_F's cells, with the axes whose
-    position bits are set in `left` moved to axis 0, those set in `right`
-    to axis 1 and the rest to axis 2, each group merged in axis order: an
-    int32 array of shape (left size, right size, given size).  Cached by
-    (shape of p_F, left bits, right bits), at most 4096 entries, so a
-    list's plan costs one lookup per statement."""
-    dims = f_shape[1:]
-    left_axes = [a for a in range(len(dims)) if left >> (a + 1) & 1]
-    right_axes = [a for a in range(len(dims)) if right >> (a + 1) & 1]
-    given_axes = [a for a in range(len(dims)) if a not in left_axes + right_axes]
-    pattern = np.arange(math.prod(dims), dtype=np.int32).reshape(dims)
-    pattern = pattern.transpose(left_axes + right_axes + given_axes).reshape(
-        math.prod(dims[a] for a in left_axes), math.prod(dims[a] for a in right_axes), -1
-    )
-    pattern.flags.writeable = False  # shared by every plan that reads it
-    return pattern
+def _run_plan(model: FiniteMixtureModel, plan: _StatementPlan) -> List[bool]:
+    """The exact verdicts of a plan's statements, in statement order.  The
+    plan is `ci_test`'s one statement plan, built for the model's samples
+    per environment, so F's array is p_F in the joint's axis order, which
+    the plan's bits fold into every gather pattern.  The oracle fills F:
+    p_F is the joint summed over the axes outside F, memoized per model in
+    `_full_marginals` keyed by F's sorted coordinates and read there in
+    place.  `_blocks` gathers each batch as (members, left, right, given)
+    in blocks of about `_BLOCK_CELLS` cells; sums over axes 2, 1 and then 1
+    again give p(l,g), p(r,g) and p(g), each adding, for cardinalities
+    below 8, the same cells in the same order as a sum over p_F's own
+    axes.  The rule runs once per block, and scatters its verdicts into
+    place."""
+    memo, shape = model._full_marginals, model.shape
 
+    def fill(coords):
+        p_full = memo.get(coords)
+        if p_full is None:
+            outside = _outside(coords, shape, model.samples_per_env)
+            p_full = memo[coords] = exact_joint(model).sum(axis=outside)
+        return p_full
 
-@dataclass(frozen=True)
-class _VerdictPlan:
-    """How `_run_plan` decides a statement list.  `fulls` holds the list's
-    distinct full node sets F = left | right | given, each with its
-    `_layout`; their raveled p_F are concatenated in this order.  There is
-    one batch per shape (left size, right size, given size) of p_F with the
-    statement's left and right axes moved to fixed positions, held as an
-    int32 index into that concatenation of shape (members, left size,
-    right size, given size).  `order` holds the members' statement indices,
-    batch by batch.  A plan depends on the statements, the joint's shape
-    and the samples per environment only, not on the model's numbers."""
-
-    fulls: Tuple[Tuple[frozenset, tuple], ...]
-    batches: Tuple[np.ndarray, ...]
-    order: np.ndarray
-
-
-def _verdict_plan(
-    shape: Tuple[int, ...], samples_per_env: int, stmts: Sequence[CiStatement]
-) -> _VerdictPlan:
-    """The `_VerdictPlan` of `stmts` for a model with joint `shape` and
-    `samples_per_env` samples.  A verdict depends only on p_F with the
-    statement's left and right axes moved to the front, so that moved
-    shape is the batch key, and a member's index is its `_gather` pattern
-    plus the offset of its p_F in the concatenation."""
-    fulls, layouts, offsets = {}, [], []  # F -> its index in layouts
-    size = 0
-    batches = {}  # moved shape -> ([statement index], [pattern], [offset])
-    for k, stmt in enumerate(stmts):
-        full = stmt.left | stmt.right | stmt.given
-        f = fulls.get(full)
-        if f is None:
-            f = fulls[full] = len(layouts)
-            layouts.append(_layout(shape, samples_per_env, full))
-            offsets.append(size)
-            size += math.prod(layouts[f][0])
-        f_shape, positions, _ = layouts[f]
-        pattern = _gather(f_shape, sum(map(positions.__getitem__, stmt.left)),
-                          sum(map(positions.__getitem__, stmt.right)))
-        batch = batches.get(pattern.shape)
-        if batch is None:
-            batches[pattern.shape] = ([k], [pattern], [offsets[f]])
-        else:
-            batch[0].append(k)
-            batch[1].append(pattern)
-            batch[2].append(offsets[f])
-    indices = []
-    for _, patterns, starts in batches.values():
-        index = np.concatenate(patterns).reshape((len(patterns),) + patterns[0].shape)
-        index += np.array(starts, dtype=np.int32).reshape(-1, 1, 1, 1)
-        index.flags.writeable = False  # a cached plan is shared by every caller
-        indices.append(index)
-    order = np.array([k for members, _, _ in batches.values() for k in members], dtype=np.intp)
-    order.flags.writeable = False
-    return _VerdictPlan(tuple(zip(fulls, layouts)), tuple(indices), order)
-
-
-def _run_plan(model: FiniteMixtureModel, plan: _VerdictPlan) -> List[bool]:
-    """The exact verdicts of a plan's statements, in statement order.  p_F
-    comes from the model's memo, `_full_marginals`, keyed by F, which holds
-    (shape of p_F, positions, p_F) and is filled from the plan's layouts.
-    The raveled p_F are concatenated once.  A batch is gathered from that
-    concatenation by its index, shaped (members, left, right, given), in
-    blocks of about `_BLOCK_CELLS` cells; sums over axes 2, 1 and then 1
-    again give p(l,g), p(r,g) and p(g).  For cardinalities below 8 each sum
-    adds the same cells in the same order as a sum over p_F's own axes.
-    The rule runs once per block, and one index scatters every block's
-    verdicts into place."""
-    memo = model._full_marginals
-    p = []
-    for full, (shape, positions, dropped) in plan.fulls:
-        entry = memo.get(full)
-        if entry is None:
-            p_full = exact_joint(model).sum(axis=dropped)[np.newaxis]
-            entry = memo[full] = (shape, positions, p_full)
-        p.append(entry[2].ravel())
-    flat = np.concatenate(p) if p else None  # an empty list has no batch
-    holds = []
-    for index in plan.batches:
-        step = max(1, _BLOCK_CELLS // index[0].size)
-        for lo in range(0, len(index), step):
-            block = index[lo:lo + step]
-            p_lrg = np.take(flat, block)
-            p_lg = np.add.reduce(p_lrg, axis=2, keepdims=True)
-            p_rg = np.add.reduce(p_lrg, axis=1, keepdims=True)
-            # |p(l,r,g) p(g) - p(l,g) p(r,g)| <= tol p(g)^2, in place, with
-            # p(g) spread over every cell: ops on arrays of one shape skip
-            # broadcasting
-            p_g = np.empty_like(p_lrg)
-            p_g[...] = np.add.reduce(p_lg, axis=1, keepdims=True)
-            gap = np.multiply(p_lrg, p_g, out=p_lrg)
-            gap -= p_lg * p_rg
-            np.abs(gap, out=gap)
-            bound = np.square(p_g, out=p_g)
-            bound *= DEFAULT_CI_TOL
-            holds.append(np.logical_and.reduce((gap <= bound).reshape(len(block), -1), axis=1))
     verdicts = np.empty(len(plan.order), dtype=bool)
-    if holds:
-        verdicts[plan.order] = np.concatenate(holds)
+    for members, p_lrg in _blocks(plan, fill, _BLOCK_CELLS):
+        p_lg = np.add.reduce(p_lrg, axis=2, keepdims=True)
+        p_rg = np.add.reduce(p_lrg, axis=1, keepdims=True)
+        # |p(l,r,g) p(g) - p(l,g) p(r,g)| <= tol p(g)^2, in place, with p(g)
+        # spread over every cell: ops on arrays of one shape skip broadcasting
+        p_g = np.empty_like(p_lrg)
+        p_g[...] = np.add.reduce(p_lg, axis=1, keepdims=True)
+        gap = np.multiply(p_lrg, p_g, out=p_lrg)
+        gap -= p_lg * p_rg
+        np.abs(gap, out=gap)
+        bound = np.square(p_g, out=p_g)
+        bound *= DEFAULT_CI_TOL
+        verdicts[members] = np.logical_and.reduce((gap <= bound).reshape(len(gap), -1), axis=1)
     return verdicts.tolist()
 
 
 def _ci_verdicts(model: FiniteMixtureModel, stmts: Sequence[CiStatement]) -> List[bool]:
     """The exact verdict of each statement, in input order: the one verdict
     path behind `exact_ci`, `true_ci_set`, `verify_markov_faithful` and
-    `oracle_tester`.  A list's plan is built on each call from the cached
-    `_layout`s and `_gather` patterns; `true_ci_set` and
-    `verify_markov_faithful` take theirs from `_model_plan`."""
-    return _run_plan(model, _verdict_plan(model.shape, model.samples_per_env, stmts))
+    `oracle_tester`.  A list's `_StatementPlan` is built on each call from
+    cached layouts and patterns; `true_ci_set` and `verify_markov_faithful`
+    take theirs from `_model_plan`.  Raises `ValueError` naming a node
+    outside the model."""
+    return _run_plan(model, _statement_plan(stmts, model.cardinalities, model.samples_per_env))
 
 
 @functools.lru_cache(maxsize=8)
 def _model_plan(shape: Tuple[int, ...], samples_per_env: int, max_condition_size: int):
-    """(statements, sort permutation, `_SeparationPlan`, `_VerdictPlan`) of
-    the `ci_statements` over every node of a model with joint `shape` and
-    `samples_per_env` samples.  These fix the nodes, their axes and every
-    p_F's shape, so models of one shape share a plan.  Cached by (shape,
-    samples per environment, size), at most 8 entries; the binary 8-node
-    plan at full size has 7 batches, one per |F|, over 247 node sets.  Its
-    index holds one int32 per cell of each statement's p_F, 81,648 for
-    that plan, so it grows with the enumeration faster than the joint."""
-    nodes = _node_axes(len(shape) // samples_per_env, samples_per_env)
+    """(statements, sort permutation, `_SeparationPlan`, `_StatementPlan`)
+    of the `ci_statements` over every node of a model with joint `shape`
+    and `samples_per_env` samples, each F's array the oracle's p_F in joint
+    order.  These fix the nodes, their axes and every p_F's shape, so
+    models of one shape share a plan.  Cached by (shape, samples per
+    environment, size), at most 8 entries; the binary 8-node plan at full
+    size has 7 batches, one per |F|, over 247 node sets.  A plan holds each
+    statement's p_F offset and pattern id, and each batch's distinct
+    patterns (121 for that plan), not the 81,648 cells of its index, which
+    `_blocks` builds a block at a time."""
+    cardinalities = shape[:len(shape) // samples_per_env]
+    nodes = [(v, s) for v in range(len(cardinalities)) for s in range(samples_per_env)]
     stmts, order, separations = _statement_order(nodes, max_condition_size)
-    return stmts, order, separations, _verdict_plan(shape, samples_per_env, stmts)
+    return stmts, order, separations, _statement_plan(stmts, cardinalities, samples_per_env)
 
 
 def exact_ci(model: FiniteMixtureModel, stmt: CiStatement) -> bool:
@@ -290,8 +196,9 @@ def exact_ci(model: FiniteMixtureModel, stmt: CiStatement) -> bool:
     the exact joint.  |p(l,r|g) - p(l|g) p(r|g)| <= `DEFAULT_CI_TOL` (1e-12) is
     tested multiplied through by p(g)^2, as |p(l,r,g) p(g) - p(l,g) p(r,g)| <=
     tol p(g)^2 per cell, so a cell with p(g) = 0 reads 0 <= 0 (p(g)^2 must not
-    underflow, which holds for p(g) >~ 1e-154).  p(l,r,g) comes from a memo
-    per model, keyed by the full node set, and the other three are its sums.
+    underflow, which holds for p(g) >~ 1e-154).  p(l,r,g) is gathered from
+    p_F, memoized per model for F = left | right | given, through the
+    statement plan the data tester shares, and the other three are sums.
     Their float error is about 1e-16, so the tolerance leaves 10^4 of
     headroom, and a generic model's true dependence can be as small as
     6.6e-10 (two atoms of one node 0.013 apart, `TestToleranceRegression`).
@@ -303,7 +210,7 @@ def exact_ci(model: FiniteMixtureModel, stmt: CiStatement) -> bool:
 def true_ci_set(model: FiniteMixtureModel, max_condition_size: int) -> List[CiStatement]:
     """All `ci_statements` over the model's (variable, sample) nodes that
     hold in the exact joint, in `ci_set`'s sorted order, as a new list.  The
-    statements, their sort permutation and their verdict plan come from
+    statements, their sort permutation and their statement plan come from
     `_model_plan`'s cache, keyed by (shape, samples per environment, size),
     and the verdicts from one batched pass with `exact_ci`'s rule."""
     stmts, order, _, plan = _model_plan(model.shape, model.samples_per_env, max_condition_size)

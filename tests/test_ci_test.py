@@ -1,6 +1,8 @@
 import hashlib
+import itertools
 import math
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -297,6 +299,68 @@ class TestStatementLists:
         stmts = [statement([(0, 0)], [(1, 1)]), statement([(0, 2)], [(1, 0)])]
         with pytest.raises(ValueError, match=r"\(0, 2\) is not covered"):
             run_ci_tests(table, stmts)
+
+
+class TestDataOrderPlan:
+    """On samples of a 2-node model, a list over all four (variable,
+    sample) nodes, with multi-node sides and givens, has F axes whose
+    (variable, sample) order is not the sample-major order of the exact
+    joint; every G equals the per-stratum loop on directly counted cubes."""
+
+    def test_multi_node_given_matches_reference(self):
+        rng = np.random.default_rng(43)
+        cards = (3, 2)
+        x = rng.integers(0, 3, size=(600, 1))
+        y = (x + rng.integers(0, 2, size=(600, 1))) % 2  # Y leans on X
+        envs = np.split(np.hstack([x, y]), 300)
+        ds = EnvDataset(d=2, cardinalities=cards, envs=envs)
+        nodes = [(0, 0), (0, 1), (1, 0), (1, 1)]
+        stmts = [statement([(1, 0)], [(0, 1)], [(0, 0), (1, 1)])]
+        for sides in itertools.product(range(3), repeat=len(nodes)):
+            left, right, given = ([n for n, side in zip(nodes, sides) if side == k] for k in range(3))
+            if left and right:
+                stmts.append(statement(left, right, given))
+        results = run_ci_tests(pattern_table(ds, nodes), stmts)
+        for stmt, res in zip(stmts, results):
+            assert (res.statistic, res.dof, res.p_value) == _g_test_loop(_reference_counts(ds, stmt))
+        assert 0 < sum(res.independent for res in results) < len(results)
+
+
+class TestWindowedPlan:
+    """The data tester fills F's arrays a window at a time, and builds the
+    index of the patterns it does not hold while it gathers, so a list's
+    memory follows its largest F, not its length; G is the same either way."""
+
+    def test_windows_and_built_patterns_agree(self, monkeypatch):
+        for ds, table, stmts in TestStatementLists._lists():
+            whole = [_bits(res) for res in run_ci_tests(table, stmts)]
+            for window, held in ((1, 0), (100, 0), (1, 1 << 10), (1000, 1 << 10)):
+                monkeypatch.setattr(ci_test, "_WINDOW_CELLS", window)
+                monkeypatch.setattr(ci_test, "_HELD_PATTERN_CELLS", held)
+                ci_test._moved.cache_clear()  # its entries hold patterns by the budget
+                assert [_bits(res) for res in run_ci_tests(table, stmts)] == whole
+            monkeypatch.undo()
+            ci_test._moved.cache_clear()
+
+    def test_peak_follows_one_coordinate_set(self):
+        # 9 ternary variables: each sink-sweep F has 3^10 cells, one window each
+        rng = np.random.default_rng(47)
+        d = 9
+        ds = EnvDataset(d=d, cardinalities=(3,) * d, envs=list(rng.integers(0, 3, size=(300, 2, d))))
+        table = pattern_table(ds, [(v, s) for s in (0, 1) for v in range(d)])
+
+        def peak(probes):
+            stmts = [statement([(i, 0)], [(j, 1)], [(v, 0) for v in range(d) if v != i])
+                     for j in probes for i in range(d) if i != j]
+            tracemalloc.start()
+            try:
+                run_ci_tests(table, stmts)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        one = peak([0])  # 8 statements on one F
+        assert peak(range(d)) < 1.5 * one  # 72 statements on 9 F's
 
 
 class TestGTest:

@@ -3,7 +3,7 @@ import itertools
 import numpy as np
 import pytest
 
-from exdag import discovery
+from exdag import ci_test, discovery, oracle
 from exdag.ci_test import CiResult
 from exdag.discovery import (
     NoSinkFoundError,
@@ -296,6 +296,50 @@ class TestOneGatherPerTester:
         g, prior = bivariate_xor_model()
         bivariate_direction(sample_dataset(g, prior, 500, 2, 0))
         assert len(gathers) == 1
+
+
+class TestOnePlanPerCall:
+    """Each tester call builds exactly one statement plan, on data and on
+    the exact oracle, which share the planner."""
+
+    @pytest.fixture
+    def plans(self, monkeypatch):
+        sizes = []
+        build = ci_test._statement_plan
+
+        def counted(stmts, *args):
+            sizes.append(len(stmts))
+            return build(stmts, *args)
+
+        monkeypatch.setattr(ci_test, "_statement_plan", counted)
+        monkeypatch.setattr(oracle, "_statement_plan", counted)
+        return sizes
+
+    def test_discover_on_data(self, plans, monkeypatch):
+        lists = []
+        run = discovery.test_statements
+
+        def counted(table, stmts, alpha):
+            lists.append(len(stmts))
+            return run(table, stmts, alpha)
+
+        monkeypatch.setattr(discovery, "test_statements", counted)
+        g = Dag(3, frozenset({(0, 1), (1, 2)}))
+        ds = sample_dataset(g, MixturePrior((XorBetaPrior(1, 3),) * 3), 2000, 2, 0)
+        discover(ds, force=True)
+        assert len(lists) > 1 and plans == lists
+
+    def test_discover_with_oracle_tester(self, plans):
+        g = Dag(3, frozenset({(0, 1), (1, 2)}))
+        tester = oracle_tester(random_generic_model(g, 2, np.random.default_rng(7)))
+        lists = []
+
+        def counted(stmts):
+            lists.append(len(stmts))
+            return tester(stmts)
+
+        assert discover_with_tester(counted, g.d).graph == g
+        assert len(lists) > 1 and plans == lists
 
 
 class TestBivariateDirection:

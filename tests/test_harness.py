@@ -124,6 +124,31 @@ class TestCsvRoundTrip:
         ):
             ingest_csv(path)
 
+    def test_inferred_cardinality_beyond_int64_is_line_numbered(self, tmp_path):
+        # the largest int64 parses, but its column's cardinality would be 2**63
+        path = tmp_path / "huge.csv"
+        path.write_text(f"env,sample,X1,X2\n0,0,1,0\n0,1,1,{2**63 - 1}\n1,0,{2**63 - 1},0\n")
+        with pytest.raises(
+            CsvFormatError,
+            match=rf"huge\.csv:3: env 0: variable 1 \(X2\) value {2**63 - 1} needs cardinality "
+            r"2\*\*63, which does not fit a 64-bit integer",
+        ):
+            ingest_csv(path)
+
+    def test_sidecar_cardinality_beyond_int64_names_sidecar(self, tmp_path):
+        path = tmp_path / "data.csv"
+        path.write_text("env,sample,X1,X2\n0,0,1,0\n0,1,0,1\n")
+        sidecar = tmp_path / "data.csv.meta.json"
+        sidecar.write_text(json.dumps({"cardinalities": [2, 2**70]}))
+        with pytest.raises(
+            CsvFormatError,
+            match=rf"data\.csv\.meta\.json: ValueError: cardinality {2**70} does not fit a 64-bit",
+        ):
+            ingest_csv(path)
+        # the largest cardinality that fits is accepted
+        sidecar.write_text(json.dumps({"cardinalities": [2, 2**63 - 1]}))
+        assert ingest_csv(path).cardinalities == (2, 2**63 - 1)
+
     def test_non_contiguous_samples(self, tmp_path):
         path = tmp_path / "gap.csv"
         path.write_text("env,sample,X1\n0,0,1\n0,2,0\n")

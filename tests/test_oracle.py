@@ -268,12 +268,11 @@ class TestExactCi:
         true_ci_set(model, 4)
         fresh = exact_joint(dataclasses.replace(model))
         assert 0 < len(model._full_marginals) <= 2**fresh.ndim
-        for full, (shape, positions, p_full) in model._full_marginals.items():
-            axes = sorted(model.axis_of(v, s) for v, s in full)
+        for coords, p_full in model._full_marginals.items():
+            assert coords == tuple(sorted(set(coords)))
+            axes = {model.axis_of(v, s) for v, s in coords}
             dropped = tuple(a for a in range(fresh.ndim) if a not in axes)
-            assert shape == p_full.shape
-            assert np.array_equal(p_full, fresh.sum(axis=dropped)[np.newaxis])
-            assert positions == {(v, s): 2 << axes.index(model.axis_of(v, s)) for v, s in full}
+            assert np.array_equal(p_full, fresh.sum(axis=dropped))
 
     def test_replace_starts_fresh_caches(self):
         fork3 = harness.preset_graph("fork3")
@@ -376,6 +375,42 @@ class TestBatchedVerdicts:
             _ci_verdicts(model, [good, statement([(0, 0)], [(1, 0)], [(5, 1)])])
         with pytest.raises(ValueError, match=r"unknown node \(0, 2\)"):
             exact_ci(model, statement([(0, 2)], [(1, 1)]))
+
+
+def reordered_statements():
+    """Every split of the four nodes of a 2-node, 2-sample model into
+    left, right and given.  Sorted by (variable, sample) the nodes read
+    (0,0), (0,1), (1,0), (1,1), the axis order of the shared statement plan;
+    the joint holds them as (0,0), (1,0), (0,1), (1,1)."""
+    nodes = [(0, 0), (0, 1), (1, 0), (1, 1)]
+    out = [statement([(1, 0)], [(0, 1)], [(0, 0), (1, 1)])]
+    for sides in itertools.product(range(3), repeat=len(nodes)):
+        left, right, given = ([n for n, side in zip(nodes, sides) if side == k] for k in range(3))
+        if left and right:
+            out.append(statement(left, right, given))
+    return out
+
+
+class TestDataOrderPlan:
+    """The oracle decides a list on the plan the data tester shares, whose
+    F axes run in (variable, sample) order, by folding the joint's order
+    into the plan's patterns."""
+
+    def test_multi_node_given_matches_one_statement_rule(self):
+        stmts = reordered_statements()
+        # Y's one atom makes Y_s depend on X_s alone, so some statements hold
+        x_atoms = [(0.5, [[0.6], [0.3], [0.1]]), (0.5, [[0.1], [0.2], [0.7]])]
+        y_atom = [(1.0, [[0.9, 0.4, 0.2], [0.1, 0.6, 0.8]])]
+        single_y = FiniteMixtureModel(XY, atom_prior([x_atoms, y_atom]), 2)
+        for model in (
+            single_y,
+            random_generic_model(XY, 2, np.random.default_rng(41), cardinalities=(3, 2)),
+        ):
+            verdicts = _ci_verdicts(dataclasses.replace(model), stmts)
+            assert verdicts == [one_statement_verdict(model, s) for s in stmts]
+        # Y_0 _||_ X_1 | {X_0, Y_1} holds on single_y, and not every statement does
+        holds = _ci_verdicts(single_y, stmts)
+        assert holds[0] and not all(holds)
 
 
 class TestVerifyMarkovFaithful:
