@@ -20,18 +20,20 @@ list in one pass, on the statement plan it shares with the exact oracle:
 one array per distinct coordinate set F = left | right | given, with F's
 coordinates sorted by (variable, sample) as its axes, and every statement
 gathered from those arrays as (left, right, given) by an int32 pattern,
-one batch per (left size, right size, given size).  The caller fills F's
-arrays a window of about `_WINDOW_CELLS` cells (or one F) at a time, and
-each block's index is built from the members' patterns and offsets as it
-is gathered, so memory follows the largest F, not the list.  Here each F
-holds counts, one weighted `np.bincount` over the patterns equal to a
-direct count, and each block is gathered as (given, left, right) cubes
-that go through G together, with G equal bit for bit to a per-stratum
-loop.
+one batch per (left size, right size, given size).  One budget,
+`_BLOCK_CELLS`, bounds both the windows of F's arrays that are filled and
+concatenated together (or one larger F) and the blocks gathered from
+them, and each block's index is built from the members' patterns and
+offsets as it is gathered, so memory follows the largest F, not the list.
+Here each F holds counts, one weighted `np.bincount` over the patterns
+equal to a direct count, and each block, viewed as (given, left, right)
+cubes, goes through G together, with G equal bit for bit to a
+per-stratum loop.
 """
 
 from __future__ import annotations
 
+import bisect
 import functools
 import math
 from dataclasses import dataclass, field
@@ -43,13 +45,11 @@ from .graphs import CiStatement
 from .sampling import EnvDataset
 
 DEFAULT_ALPHA = 0.05
-# `test_statements` hands `_g_stack` stacks of same-shape cubes of about
-# this many cells, or one cube where a cube is larger
-_STACK_CELLS = 1 << 14
-# A plan's F arrays are filled and concatenated a window at a time, each
-# window at most this many cells or a single F, so a long list of large F
-# is never all in memory at once
-_WINDOW_CELLS = 1 << 16
+# `_blocks` fills and concatenates a plan's F arrays a window of at most
+# this many cells (or one F) at a time, and gathers blocks of about as many
+# cells (or one statement), so a long list of large F is never all in
+# memory at once
+_BLOCK_CELLS = 1 << 14
 # Gather patterns of at most this many cells are cached, 4096 of them (at
 # most 16 MiB), and held stacked by a plan; a larger one, whose F is as
 # large, is built only while a block reads it
@@ -159,41 +159,31 @@ def _count_array(table: PatternTable, coords: Tuple[Tuple[int, int], ...]) -> np
 
 @dataclass
 class _Batch:
-    """The statements of one moved shape whose F's share a window: the
-    int32 (members, left size, right size, given size) index of their
-    cells in the window's concatenated F arrays, held as each member's F
-    offset in the window plus its `_pattern`, by an id into the batch's
-    distinct `keys`.  Their patterns are stacked in `patterns` unless
-    larger than `_HELD_PATTERN_CELLS`."""
+    """The statements of one moved shape `cube`, (left size, right size,
+    given size): the (members, left, right, given) index of their cells in
+    the plan's F arrays raveled and concatenated, held as each member's F
+    offset there plus its int32 `_pattern`, by an id into the batch's
+    distinct `keys`.  Members are sorted by offset, so a window's members
+    are a slice.  Their patterns are stacked in `patterns` unless larger
+    than `_HELD_PATTERN_CELLS`."""
 
-    window: int
     cube: Tuple[int, int, int]
     order: np.ndarray  # the members' statement indices
     offsets: np.ndarray
     ids: np.ndarray
     keys: Tuple[Tuple[Tuple[int, ...], int, int], ...]  # `_pattern` arguments
     patterns: Optional[np.ndarray]
-    dtype = np.dtype(np.int32)  # of the held index: int32 patterns plus int32 offsets
 
-    @property
-    def shape(self) -> Tuple[int, ...]:
-        return (len(self.order),) + self.cube
-
-    def index(self, lo: int, hi: int, axes=(0, 1, 2, 3)) -> np.ndarray:
-        """Members lo:hi's rows of the index, built on each call, with its
-        (members, left, right, given) axes in the order `axes`, members
-        first.  Patterns the batch does not hold are built in that order
-        and as intp, the index `np.take` reads, so take copies none."""
-        ids, offsets = self.ids[lo:hi], self.offsets[lo:hi, None, None, None]
-        if self.patterns is not None:
+    def index(self, lo: int, hi: int, start: int) -> np.ndarray:
+        """Members lo:hi's rows of the int32 index into the window of F's
+        arrays that begins at the plan's offset `start`, built on each
+        call."""
+        ids = self.ids[lo:hi]
+        if self.patterns is None:
+            index = np.stack([_pattern(*self.keys[i]) for i in ids])
+        else:
             index = np.take(self.patterns, ids, axis=0)
-            index += offsets
-            return index.transpose(axes)
-        order = [a - 1 for a in axes[1:]]
-        index = np.empty((len(ids),) + tuple(self.cube[g] for g in order), dtype=np.intp)
-        for row, i in zip(index, ids):
-            _pattern(*self.keys[i], order, row)
-        index += offsets
+        index += (self.offsets[lo:hi] - start).astype(np.int32)[:, None, None, None]
         return index
 
 
@@ -202,14 +192,13 @@ class _StatementPlan:
     """How a statement list is decided, built from the statements and the
     cardinalities alone.  `fulls` holds the distinct node sets
     F = left | right | given as coordinates sorted by (variable, sample),
-    in first-seen order; the caller fills an array per F, and the F's
-    `windows[w]:windows[w + 1]` are raveled and concatenated together, a
-    window closing before it would pass `_WINDOW_CELLS`.  `batches` holds
-    one `_Batch` per (window, moved shape), by window, and `order` every
+    in first-seen order; the caller fills an array per F, and F number f's
+    array would start at `starts[f]` if all were raveled and concatenated.
+    `batches` holds one `_Batch` per moved shape, and `order` every
     member's statement index, batch by batch."""
 
     fulls: Tuple[Tuple[Tuple[int, int], ...], ...]
-    windows: Tuple[int, ...]
+    starts: Tuple[int, ...]
     batches: Tuple[_Batch, ...]
     order: np.ndarray
 
@@ -243,19 +232,15 @@ def _groups(dims: Tuple[int, ...], left: int, right: int) -> List[List[int]]:
     return [[a for a in axes if bits >> a & 1] for bits in (left, right, ~(left | right))]
 
 
-def _pattern(dims: Tuple[int, ...], left: int, right: int, order=(0, 1, 2), out=None):
-    """The position in a raveled array of shape `dims` of each cell, with
-    the axes set in `left`, those set in `right` and the rest each merged
-    to one axis, in axis order within each group: (left size, right size,
-    given size), the groups in `order`.  Written into `out` if given, else
-    into a new int32 array."""
-    groups = [_groups(dims, left, right)[g] for g in order]
-    axes = [a for group in groups for a in group]
-    if out is None:
-        out = np.empty([math.prod(dims[a] for a in group) for group in groups], dtype=np.int32)
+def _pattern(dims: Tuple[int, ...], left: int, right: int) -> np.ndarray:
+    """The int32 position in a raveled array of shape `dims` of each cell,
+    with the axes set in `left`, those set in `right` and the rest each
+    merged to one axis, in axis order within each group: (left size, right
+    size, given size)."""
+    groups = _groups(dims, left, right)
     cells = np.arange(math.prod(dims), dtype=np.int32).reshape(dims)
-    out.reshape([dims[a] for a in axes])[...] = cells.transpose(axes)
-    return out
+    moved = cells.transpose([a for group in groups for a in group])
+    return moved.reshape([math.prod(dims[a] for a in group) for group in groups])
 
 
 @functools.lru_cache(maxsize=4096)
@@ -278,75 +263,73 @@ def _statement_plan(
     """The `_StatementPlan` of `stmts`, F's arrays held as `_full_axes`
     says for `samples`.  A G or a verdict depends only on F's array with
     the left and right axes moved to the front, so that moved shape is the
-    batch key, with F's window, and a member's index is its `_pattern`
-    plus the offset of F's array in the window.  Raises `ValueError` for
-    an unknown node."""
-    fulls, layouts, windows = {}, [], []  # F -> (its window, its offset there, its layout)
-    size = _WINDOW_CELLS
-    batches = {}  # (window, moved shape) -> ([(statement, offset, key id)], {key: id}, patterns)
+    batch key, and a member's index is its `_pattern` plus F's start.
+    Raises `ValueError` for an unknown node."""
+    fulls, layouts, starts = {}, [], [0]  # F -> (its start, its layout)
+    batches = {}  # moved shape -> ([(start, statement, key id)], {key: id}, patterns)
     for k, stmt in enumerate(stmts):
         full = stmt.left | stmt.right | stmt.given
         at = fulls.get(full)
         if at is None:
             layouts.append(_full_axes(full, cardinalities, samples))
-            cells = math.prod(layouts[-1][2])
-            if size + cells > _WINDOW_CELLS:
-                windows.append(len(layouts) - 1)
-                size = 0
-            at = fulls[full] = (len(windows) - 1, size, layouts[-1])
-            size += cells
-        window, offset, (_, bits, dims) = at
+            at = fulls[full] = (starts[-1], layouts[-1])
+            starts.append(starts[-1] + math.prod(layouts[-1][2]))
+        offset, (_, bits, dims) = at
         key = (dims, sum(map(bits.__getitem__, stmt.left)), sum(map(bits.__getitem__, stmt.right)))
         cube, pattern = _moved(*key)
-        rows, distinct, patterns = batches.setdefault((window, cube), ([], {}, []))
+        rows, distinct, patterns = batches.setdefault(cube, ([], {}, []))
         i = distinct.setdefault(key, len(distinct))
         if i == len(patterns):
             patterns.append(pattern)
-        rows.append((k, offset, i))
-    windows.append(len(layouts))
-    keys = sorted(batches, key=lambda key: key[0])  # by window
-    order, offsets, ids = np.array(
-        [row for key in keys for row in batches[key][0]], dtype=np.intp
+        rows.append((offset, k, i))
+    offsets, order, ids = np.array(
+        [row for rows, _, _ in batches.values() for row in sorted(rows)], dtype=np.int64
     ).reshape(-1, 3).T.copy()
-    offsets = offsets.astype(np.int32)
     plan, start = [], 0
-    for window, cube in keys:
-        rows, distinct, patterns = batches[window, cube]
+    for cube, (rows, distinct, patterns) in batches.items():
         end = start + len(rows)
-        plan.append(_Batch(window, cube, order[start:end], offsets[start:end], ids[start:end],
+        plan.append(_Batch(cube, order[start:end], offsets[start:end], ids[start:end],
                            tuple(distinct), None if patterns[0] is None else np.array(patterns)))
         start = end
     for array in (order, offsets, ids):
         array.flags.writeable = False  # a cached plan is shared by every caller
-    return _StatementPlan(tuple(layout[0] for layout in layouts), tuple(windows), tuple(plan),
+    return _StatementPlan(tuple(layout[0] for layout in layouts), tuple(starts), tuple(plan),
                           order)
 
 
-def _blocks(plan: _StatementPlan, fill, cells: int, axes=(0, 1, 2, 3)):
-    """Each batch of `plan` gathered in blocks of about `cells` cells, with
-    the index's (members, left, right, given) axes in the order `axes`,
-    from F's arrays, which `fill(F's coordinates)` makes a window at a
-    time: yields (the members' statement indices, block), batch by batch."""
-    window = None
-    for batch in plan.batches:
-        if batch.window != window:
-            window, flat = batch.window, None  # the last window's arrays go first
-            arrays = [fill(coords).ravel()
-                      for coords in plan.fulls[plan.windows[window]:plan.windows[window + 1]]]
-            flat = arrays[0] if len(arrays) == 1 else np.concatenate(arrays)
-            del arrays  # the window's arrays live on only in `flat`
-        step = max(1, cells // math.prod(batch.cube))
-        for a in range(0, len(batch.order), step):
-            yield batch.order[a:a + step], np.take(flat, batch.index(a, a + step, axes))
+def _blocks(plan: _StatementPlan, fill):
+    """Each batch of `plan` gathered as (members, left, right, given) from
+    F's arrays, which `fill(F's coordinates)` makes a window of at most
+    `_BLOCK_CELLS` cells, or one F, at a time: yields (the members'
+    statement indices, block), window by window and batch by batch within
+    a window, each block about `_BLOCK_CELLS` cells or one member."""
+    starts, los = plan.starts, [0] * len(plan.batches)
+    a = 0
+    while a < len(plan.fulls):
+        b = max(a + 1, bisect.bisect_right(starts, starts[a] + _BLOCK_CELLS) - 1)
+        flat = None  # the last window's arrays go first
+        arrays = [fill(coords).ravel() for coords in plan.fulls[a:b]]
+        flat = arrays[0] if len(arrays) == 1 else np.concatenate(arrays)
+        del arrays  # the window's arrays live on only in `flat`
+        for j, batch in enumerate(plan.batches):
+            # the window's members are those after the last window's, before F b
+            lo, hi = los[j], bisect.bisect_left(batch.offsets, starts[b])
+            los[j] = hi
+            step = max(1, _BLOCK_CELLS // math.prod(batch.cube))
+            for i in range(lo, hi, step):
+                end = min(i + step, hi)
+                yield batch.order[i:end], np.take(flat, batch.index(i, end, starts[a]))
+        a = b
 
 
 def _cubes(table: PatternTable, stmts: Sequence[CiStatement]):
     """`_blocks` of (members, n_strata, kx, ky) float cubes: each F of the
-    list's plan filled by `_count_array`, gathered as (given, left, right)
-    in stacks of about `_STACK_CELLS` cells.  Raises `ValueError` for a
-    coordinate the table does not cover."""
+    list's plan filled by `_count_array`, each block viewed as (given,
+    left, right).  Raises `ValueError` for a coordinate the table does not
+    cover."""
     plan = _statement_plan(stmts, table.cardinalities)
-    return _blocks(plan, functools.partial(_count_array, table), _STACK_CELLS, (0, 3, 1, 2))
+    for members, block in _blocks(plan, functools.partial(_count_array, table)):
+        yield members, block.transpose(0, 3, 1, 2)
 
 
 def tabulate(table: PatternTable, stmt: CiStatement) -> ContingencyCube:
@@ -355,7 +338,7 @@ def tabulate(table: PatternTable, stmt: CiStatement) -> ContingencyCube:
     coordinates merged C-order."""
     ((_, cubes),) = _cubes(table, [stmt])
     strata_cards = tuple(table.cardinalities[v] for v, _ in sorted(stmt.given))
-    return ContingencyCube(cubes[0].astype(np.int64), cubes.shape[2], cubes.shape[3],
+    return ContingencyCube(cubes[0].astype(np.int64, order="C"), cubes.shape[2], cubes.shape[3],
                            strata_cards)
 
 
@@ -505,17 +488,20 @@ def chi2_sf(x: float, dof: int) -> float:
     """Upper-tail probability of the chi-squared distribution.
 
     Q(dof/2, x/2) via series (x < dof + 2) or continued fraction otherwise.
-    By convention dof = 0 gives p = 1.  Either sum needs more terms as dof
-    grows; one that has not converged in `_GAMMA_MAX_ITER` terms raises
+    By convention dof = 0 gives p = 1, and otherwise x = inf gives p = 0;
+    a NaN statistic raises `ValueError`.  Either sum needs more terms as
+    dof grows; one that has not converged in `_GAMMA_MAX_ITER` terms raises
     `ArithmeticError` rather than return a truncated value (the series,
     at x = dof, from dof of about 4 * 10**6).
     """
-    if x < 0:
-        raise ValueError("chi-squared statistic must be nonnegative")
+    if not x >= 0:
+        raise ValueError(f"chi-squared statistic must be nonnegative, got {x!r}")
     if dof < 0:
         raise ValueError("degrees of freedom must be nonnegative")
     if dof == 0 or x == 0.0:
         return 1.0
+    if x == math.inf:
+        return 0.0
     a = 0.5 * dof
     half_x = 0.5 * x
     if half_x < a + 1.0:

@@ -33,9 +33,6 @@ from .sampling import AtomMixturePrior, MixturePrior, _node_drawers, parent_conf
 
 STATE_SPACE_LIMIT = 2**20
 DEFAULT_CI_TOL = 1e-12
-# _run_plan gathers a batch in blocks of about this many cells, so that its
-# temporaries stay small; the rule ran ~10% slower at ci_test's 2**14 cells
-_BLOCK_CELLS = 4096
 # random_generic_model redraws a node's atoms closer than this in every entry
 MIN_ATOM_SEPARATION = 1e-3
 
@@ -131,12 +128,12 @@ def _run_plan(model: FiniteMixtureModel, plan: _StatementPlan) -> List[bool]:
     the plan's bits fold into every gather pattern.  The oracle fills F:
     p_F is the joint summed over the axes outside F, memoized per model in
     `_full_marginals` keyed by F's sorted coordinates and read there in
-    place.  `_blocks` gathers each batch as (members, left, right, given)
-    in blocks of about `_BLOCK_CELLS` cells; sums over axes 2, 1 and then 1
-    again give p(l,g), p(r,g) and p(g), each adding, for cardinalities
-    below 8, the same cells in the same order as a sum over p_F's own
-    axes.  The rule runs once per block, and scatters its verdicts into
-    place."""
+    place.  `_blocks` gathers each batch as (members, left, right, given),
+    the layout the rule reads, in blocks of about `ci_test._BLOCK_CELLS`
+    cells; sums over axes 2, 1 and then 1 again give p(l,g), p(r,g) and
+    p(g), each adding, for cardinalities below 8, the same cells in the
+    same order as a sum over p_F's own axes.  The rule runs once per
+    block, and scatters its verdicts into place."""
     memo, shape = model._full_marginals, model.shape
 
     def fill(coords):
@@ -147,7 +144,7 @@ def _run_plan(model: FiniteMixtureModel, plan: _StatementPlan) -> List[bool]:
         return p_full
 
     verdicts = np.empty(len(plan.order), dtype=bool)
-    for members, p_lrg in _blocks(plan, fill, _BLOCK_CELLS):
+    for members, p_lrg in _blocks(plan, fill):
         p_lg = np.add.reduce(p_lrg, axis=2, keepdims=True)
         p_rg = np.add.reduce(p_lrg, axis=1, keepdims=True)
         # |p(l,r,g) p(g) - p(l,g) p(r,g)| <= tol p(g)^2, in place, with p(g)
@@ -182,9 +179,10 @@ def _model_plan(shape: Tuple[int, ...], samples_per_env: int, max_condition_size
     models of one shape share a plan.  Cached by (shape, samples per
     environment, size), at most 8 entries; the binary 8-node plan at full
     size has 7 batches, one per |F|, over 247 node sets.  A plan holds each
-    statement's p_F offset and pattern id, and each batch's distinct
+    statement's p_F start and pattern id, and each batch's distinct
     patterns (121 for that plan), not the 81,648 cells of its index, which
-    `_blocks` builds a block at a time."""
+    `_blocks` builds a block at a time; the budget it reads is not part of
+    the plan."""
     cardinalities = shape[:len(shape) // samples_per_env]
     nodes = [(v, s) for v in range(len(cardinalities)) for s in range(samples_per_env)]
     stmts, order, separations = _statement_order(nodes, max_condition_size)

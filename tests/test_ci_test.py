@@ -284,9 +284,9 @@ class TestStatementLists:
         for cut in range(len(stmts) + 1):
             parts = run_ci_tests(table, stmts[:cut]) + run_ci_tests(table, stmts[cut:])
             assert [_bits(res) for res in parts] == whole
-        # small budgets flush each shape's stack many times in one call
+        # small budgets split the windows and each batch's blocks many times
         for cells in (1, 100, 1000):
-            monkeypatch.setattr(ci_test, "_STACK_CELLS", cells)
+            monkeypatch.setattr(ci_test, "_BLOCK_CELLS", cells)
             assert [_bits(res) for res in run_ci_tests(table, stmts)] == whole
 
     def test_empty_list(self):
@@ -334,8 +334,8 @@ class TestWindowedPlan:
     def test_windows_and_built_patterns_agree(self, monkeypatch):
         for ds, table, stmts in TestStatementLists._lists():
             whole = [_bits(res) for res in run_ci_tests(table, stmts)]
-            for window, held in ((1, 0), (100, 0), (1, 1 << 10), (1000, 1 << 10)):
-                monkeypatch.setattr(ci_test, "_WINDOW_CELLS", window)
+            for cells, held in ((1, 0), (100, 0), (1, 1 << 10), (1000, 1 << 10)):
+                monkeypatch.setattr(ci_test, "_BLOCK_CELLS", cells)
                 monkeypatch.setattr(ci_test, "_HELD_PATTERN_CELLS", held)
                 ci_test._moved.cache_clear()  # its entries hold patterns by the budget
                 assert [_bits(res) for res in run_ci_tests(table, stmts)] == whole
@@ -462,6 +462,15 @@ class TestChi2Sf:
             chi2_sf(-1.0, 2)
         with pytest.raises(ValueError):
             chi2_sf(1.0, -1)
+
+    def test_infinite_and_nan_statistic(self):
+        # inf used to run out the continued fraction and raise ArithmeticError
+        assert chi2_sf(math.inf, 1) == 0.0
+        assert chi2_sf(math.inf, 10**8) == 0.0
+        assert chi2_sf(math.inf, 0) == 1.0
+        for dof in (0, 3):
+            with pytest.raises(ValueError, match="got nan"):
+                chi2_sf(math.nan, dof)
 
     def test_closed_form_dof_two(self):
         # dof = 2 is exponential: sf(x) = exp(-x/2)

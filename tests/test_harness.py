@@ -385,6 +385,15 @@ class TestExperimentConfig:
         with pytest.raises(ValueError, match="alpha"):
             ExperimentConfig(alpha=1.5)
 
+    def test_envs_and_samples_rejected_before_sampling(self, monkeypatch):
+        monkeypatch.setattr(harness, "sample_dataset", pytest.fail)
+        with pytest.raises(ValueError, match=r"environment counts must be >= 1, got \(100, 0\)"):
+            ExperimentConfig(env_grid=(100, 0))
+        with pytest.raises(ValueError, match="samples_per_env must be >= 2, got 1"):
+            harness.run_multivariate(ExperimentConfig(samples_per_env=1))
+        with pytest.raises(ValueError, match="samples_per_env must be >= 2"):
+            ExperimentConfig(samples_per_env=0, env_grid=(1,))
+
     def test_repeats_default_by_scale(self):
         assert ExperimentConfig().repeats == 20
         assert ExperimentConfig(paper_scale=True).repeats == 100

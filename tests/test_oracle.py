@@ -2,11 +2,12 @@ import dataclasses
 import hashlib
 import itertools
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from exdag import harness
+from exdag import graphs, harness
 from exdag.discovery import discover_with_tester
 from exdag.graphs import (
     CiStatement,
@@ -522,11 +523,10 @@ class TestBatchKey:
     def test_binary_eight_node_plan_has_one_batch_per_full_size(self):
         stmts, _, _, plan = _model_plan((2,) * 8, 2, 6)
         assert len(plan.batches) == 7
-        assert sorted(index.shape[1:] for index in plan.batches) == [
-            (2, 2, 2**k) for k in range(7)
-        ]
+        assert sorted(batch.cube for batch in plan.batches) == [(2, 2, 2**k) for k in range(7)]
         assert sorted(plan.order.tolist()) == list(range(len(stmts)))
-        assert all(index.dtype == np.int32 for index in plan.batches)
+        assert sum(len(batch.order) for batch in plan.batches) == len(stmts)
+        assert all(batch.patterns.dtype == np.int32 for batch in plan.batches)
 
     def test_mixed_cardinalities_match_per_statement_rule(self):
         rng = np.random.default_rng(37)
@@ -535,7 +535,7 @@ class TestBatchKey:
         nodes = model_nodes(model)
         stmts = list(ci_statements(nodes, 3))
         # within one |F| the left and right sizes differ: (3, 2), (2, 3), (3, 3), (2, 2)
-        sizes = {index.shape[1:3] for index in _model_plan(model.shape, 3, 3)[3].batches}
+        sizes = {batch.cube[:2] for batch in _model_plan(model.shape, 3, 3)[3].batches}
         assert {(3, 2), (2, 3), (3, 3), (2, 2)} <= sizes
         independent = [one_statement_verdict(model, s) for s in stmts]
         assert 0 < sum(independent) < len(stmts)
@@ -547,6 +547,27 @@ class TestBatchKey:
         listed = [listed[j] for j in rng.permutation(len(listed))]
         fresh = dataclasses.replace(model)
         assert _ci_verdicts(fresh, listed) == [one_statement_verdict(model, s) for s in listed]
+
+
+class TestPlanMemory:
+    """The exact plan's memory follows its block budget, not its index: a
+    cold `true_ci_set(model, 8)` on a 5-node ternary chain at 2 samples,
+    11,520 statements over 1,013 node sets whose index would be 106 MB,
+    peaks near 20 MiB of traced allocations, 8.4 MB of them the p_F memo.
+    Building the whole index with the plan peaked at 146 MiB."""
+
+    def test_cold_true_ci_set_peak(self):
+        chain = Dag(5, frozenset({(0, 1), (1, 2), (2, 3), (3, 4)}))
+        model = random_generic_model(chain, 2, np.random.default_rng(11), cardinalities=(3,) * 5)
+        _model_plan.cache_clear()
+        graphs._enumeration.cache_clear()
+        tracemalloc.start()
+        try:
+            assert len(true_ci_set(model, 8)) == 3086
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 32 * 2**20
 
 
 class TestExchangeability:
