@@ -190,14 +190,13 @@ class _Batch:
 @dataclass(frozen=True)
 class _StatementPlan:
     """How a statement list is decided, built from the statements and the
-    cardinalities alone.  `fulls` holds the distinct node sets
-    F = left | right | given as coordinates sorted by (variable, sample),
-    in first-seen order; the caller fills an array per F, and F number f's
-    array would start at `starts[f]` if all were raveled and concatenated.
-    `batches` holds one `_Batch` per moved shape, and `order` every
-    member's statement index, batch by batch."""
+    cardinalities alone.  `fulls` holds the key that F's filler reads, per
+    distinct node set F = left | right | given in first-seen order (see
+    `_full_axes`); F number f's array would start at `starts[f]` if all
+    were raveled and concatenated.  `batches` holds one `_Batch` per moved
+    shape, and `order` every member's statement index, batch by batch."""
 
-    fulls: Tuple[Tuple[Tuple[int, int], ...], ...]
+    fulls: Tuple[tuple, ...]
     starts: Tuple[int, ...]
     batches: Tuple[_Batch, ...]
     order: np.ndarray
@@ -205,12 +204,12 @@ class _StatementPlan:
 
 @functools.lru_cache(maxsize=4096)
 def _full_axes(full: frozenset, cardinalities: Tuple[int, ...], samples: Optional[int]):
-    """(F's coordinates sorted by (variable, sample), coordinate -> bit
-    1 << its axis in F's array, that array's shape) for F = `full`.  The
-    array holds F's axes in that data order when `samples` is None, and in
-    an exact joint's order, (sample, variable), for a model of `samples`
-    samples per environment, which then bounds the samples too.  Cached,
-    4096 entries, so list callers do not rebuild a layout per call."""
+    """(F's key in `_StatementPlan.fulls`, coordinate -> bit 1 << its axis
+    in F's array, that array's shape) for F = `full`.  With `samples` None,
+    the array's axes and the key are F's coordinates sorted by (variable,
+    sample).  For a model of `samples` samples per environment, which bound
+    the samples too, the axes run in the joint's order, (sample, variable),
+    and the key is the joint's axes outside F.  Cached, 4096 entries."""
     coords = tuple(sorted(full))
     d = len(cardinalities)
     for v, s in coords:
@@ -222,7 +221,9 @@ def _full_axes(full: frozenset, cardinalities: Tuple[int, ...], samples: Optiona
                              f"outside [0, {samples})")
     held = coords if samples is None else sorted(coords, key=lambda c: (c[1], c[0]))
     bits = {c: 1 << a for a, c in enumerate(held)}
-    return coords, bits, tuple(cardinalities[v] for v, _ in held)
+    inside = {s * d + v for v, s in coords}
+    key = coords if samples is None else tuple(a for a in range(samples * d) if a not in inside)
+    return key, bits, tuple(cardinalities[v] for v, _ in held)
 
 
 def _groups(dims: Tuple[int, ...], left: int, right: int) -> List[List[int]]:
@@ -299,7 +300,7 @@ def _statement_plan(
 
 def _blocks(plan: _StatementPlan, fill):
     """Each batch of `plan` gathered as (members, left, right, given) from
-    F's arrays, which `fill(F's coordinates)` makes a window of at most
+    F's arrays, which `fill(F's key in plan.fulls)` makes a window of at most
     `_BLOCK_CELLS` cells, or one F, at a time: yields (the members'
     statement indices, block), window by window and batch by batch within
     a window, each block about `_BLOCK_CELLS` cells or one member."""
@@ -308,7 +309,7 @@ def _blocks(plan: _StatementPlan, fill):
     while a < len(plan.fulls):
         b = max(a + 1, bisect.bisect_right(starts, starts[a] + _BLOCK_CELLS) - 1)
         flat = None  # the last window's arrays go first
-        arrays = [fill(coords).ravel() for coords in plan.fulls[a:b]]
+        arrays = [fill(key).ravel() for key in plan.fulls[a:b]]
         flat = arrays[0] if len(arrays) == 1 else np.concatenate(arrays)
         del arrays  # the window's arrays live on only in `flat`
         for j, batch in enumerate(plan.batches):
@@ -400,7 +401,10 @@ def g_test(
     nonzero stratum marginal.  Strata with r < 2 or c < 2 contribute
     nothing.  dof = 0 yields p = 1.  This is the one-cube case of
     `test_statements`' G pass, so G equals a per-stratum loop's bit for bit.
+    Raises `ValueError` for a level outside (0, 1).
     """
+    if not 0.0 < alpha < 1.0:
+        raise ValueError(f"alpha must lie in (0, 1), got {alpha!r}")
     return _g_stack(cube.counts[np.newaxis], [statement], alpha)[0]
 
 
@@ -419,7 +423,10 @@ def test_statements(
     input order, equal bit for bit to testing them one at a time.  The
     list's cubes come from one `_StatementPlan` by `_cubes`, and each block
     of same-shape cubes goes through `_g_stack` together.  Raises
-    `ValueError` for a coordinate the table does not cover."""
+    `ValueError` for a level outside (0, 1), even on an empty list, and
+    for a coordinate the table does not cover."""
+    if not 0.0 < alpha < 1.0:
+        raise ValueError(f"alpha must lie in (0, 1), got {alpha!r}")
     results: List[Optional[CiResult]] = [None] * len(stmts)
     for members, cubes in _cubes(table, stmts):
         members = members.tolist()

@@ -104,6 +104,8 @@ class ExperimentConfig:
             raise ValueError(f"environment counts must be >= 1, got {self.env_grid}")
         if self.samples_per_env < 2:  # discovery's cross-sample tests read sample 1
             raise ValueError(f"samples_per_env must be >= 2, got {self.samples_per_env}")
+        for name in self.graphs:  # before a sweep runs any earlier graph
+            preset_graph(name)
 
 
 # ---------------------------------------------------------------------------
@@ -407,6 +409,8 @@ def run_oracle_sweep(
     Markov to the unrolled graph, generically faithful, their independence
     sets match the graph's, and the unrolled independence sets are pairwise
     distinct across DAGs."""
+    if models_per_graph < 1:
+        raise ValueError(f"models_per_graph must be >= 1, got {models_per_graph}")
     out = _make_out_dir(out_dir)
     dags = enumerate_dags(d)
     rng = np.random.default_rng(seed)

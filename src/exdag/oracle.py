@@ -42,15 +42,14 @@ class FiniteMixtureModel:
     """The exact n-sample model of a graph and a `MixturePrior` whose node
     priors are all `AtomMixturePrior`s: the same prior `sample_dataset`
     draws from, checked against the graph by the same `_node_drawers`.
-    Models compare by graph, prior and sample count."""
+    Models compare by graph, prior and sample count.  A model caches only
+    its joint; each p_F is summed from it whenever a plan reads F."""
 
     graph: Dag
     prior: MixturePrior
     samples_per_env: int
-    # out of __init__, so dataclasses.replace starts the caches empty
+    # out of __init__, so dataclasses.replace starts the cache empty
     _joint: Optional[np.ndarray] = field(init=False, default=None, repr=False, compare=False)
-    # F's sorted coordinates -> p_F in joint order, filled by _run_plan
-    _full_marginals: dict = field(init=False, default_factory=dict, repr=False, compare=False)
 
     def __post_init__(self):
         if self.samples_per_env < 1:
@@ -112,43 +111,27 @@ def exact_joint(model: FiniteMixtureModel) -> np.ndarray:
     return joint
 
 
-@functools.lru_cache(maxsize=4096)
-def _outside(coords: Tuple[Tuple[int, int], ...], shape: Tuple[int, ...], samples_per_env: int):
-    """The joint axes outside the nodes `coords`, summed out for p_F, by
-    `FiniteMixtureModel.axis_of`'s convention; cached, 4096 entries."""
-    d = len(shape) // samples_per_env
-    axes = {s * d + v for v, s in coords}
-    return tuple(a for a in range(len(shape)) if a not in axes)
-
-
 def _run_plan(model: FiniteMixtureModel, plan: _StatementPlan) -> List[bool]:
     """The exact verdicts of a plan's statements, in statement order.  The
     plan is `ci_test`'s one statement plan, built for the model's samples
     per environment, so F's array is p_F in the joint's axis order, which
-    the plan's bits fold into every gather pattern.  The oracle fills F:
-    p_F is the joint summed over the axes outside F, memoized per model in
-    `_full_marginals` keyed by F's sorted coordinates and read there in
-    place.  `_blocks` gathers each batch as (members, left, right, given),
-    the layout the rule reads, in blocks of about `ci_test._BLOCK_CELLS`
-    cells; sums over axes 2, 1 and then 1 again give p(l,g), p(r,g) and
-    p(g), each adding, for cardinalities below 8, the same cells in the
-    same order as a sum over p_F's own axes.  The rule runs once per
-    block, and scatters its verdicts into place."""
-    memo, shape = model._full_marginals, model.shape
-
-    def fill(coords):
-        p_full = memo.get(coords)
-        if p_full is None:
-            outside = _outside(coords, shape, model.samples_per_env)
-            p_full = memo[coords] = exact_joint(model).sum(axis=outside)
-        return p_full
-
+    the plan's bits fold into every gather pattern.  The oracle fills F
+    with one sum of `exact_joint(model)`, read once per call, over the axes
+    outside F, which are F's key in `plan.fulls`.  `_blocks` gathers each
+    batch as (members, left, right, given), the layout the rule reads, in
+    blocks of about `ci_test._BLOCK_CELLS` cells; sums over axes 2, 1 and
+    then 1 again give p(l,g), p(r,g) and p(g), each adding, for
+    cardinalities below 8, the same cells in the same order as a sum over
+    p_F's own axes.  The rule runs once per block, and scatters its
+    verdicts into place."""
+    joint = exact_joint(model)
     verdicts = np.empty(len(plan.order), dtype=bool)
-    for members, p_lrg in _blocks(plan, fill):
+    for members, p_lrg in _blocks(plan, lambda outside: joint.sum(axis=outside)):
         p_lg = np.add.reduce(p_lrg, axis=2, keepdims=True)
         p_rg = np.add.reduce(p_lrg, axis=1, keepdims=True)
-        # |p(l,r,g) p(g) - p(l,g) p(r,g)| <= tol p(g)^2, in place, with p(g)
-        # spread over every cell: ops on arrays of one shape skip broadcasting
+        # |p(l,r,g) p(g) - p(l,g) p(r,g)| <= tol p(g)^2, in place, on a full-size
+        # p(g): a (members, 1, 1, given) p(g) gives the same verdicts but ran a
+        # warm binary 8-node plan 1.06x slower (2-core Xeon, numpy 2.4)
         p_g = np.empty_like(p_lrg)
         p_g[...] = np.add.reduce(p_lg, axis=1, keepdims=True)
         gap = np.multiply(p_lrg, p_g, out=p_lrg)
@@ -195,11 +178,11 @@ def exact_ci(model: FiniteMixtureModel, stmt: CiStatement) -> bool:
     tested multiplied through by p(g)^2, as |p(l,r,g) p(g) - p(l,g) p(r,g)| <=
     tol p(g)^2 per cell, so a cell with p(g) = 0 reads 0 <= 0 (p(g)^2 must not
     underflow, which holds for p(g) >~ 1e-154).  p(l,r,g) is gathered from
-    p_F, memoized per model for F = left | right | given, through the
-    statement plan the data tester shares, and the other three are sums.
-    Their float error is about 1e-16, so the tolerance leaves 10^4 of
-    headroom, and a generic model's true dependence can be as small as
-    6.6e-10 (two atoms of one node 0.013 apart, `TestToleranceRegression`).
+    p_F, the joint summed over the axes outside F = left | right | given,
+    through the statement plan the data tester shares, and the other three
+    are sums.  Their float error is about 1e-16, so the tolerance leaves
+    10^4 of headroom, and a generic model's true dependence can be as small
+    as 6.6e-10 (two atoms of one node 0.013 apart, `TestToleranceRegression`).
     This is the plan-and-run path of `true_ci_set` and `oracle_tester` on a
     one-statement list, so every caller gets the same verdict."""
     return _ci_verdicts(model, [stmt])[0]

@@ -418,6 +418,12 @@ class TestGTest:
         res = g_test(cube)
         assert (res.statistic, res.dof, res.p_value) == _g_test_loop(counts)
 
+    @pytest.mark.parametrize("alpha", [0.0, -1.0, 1.0, 1.5, float("nan")])
+    def test_level_outside_unit_interval_rejected(self, alpha):
+        cube = ContingencyCube(np.array([[[10.0, 20.0], [30.0, 40.0]]]), 2, 2, ())
+        with pytest.raises(ValueError, match=r"alpha must lie in \(0, 1\)"):
+            g_test(cube, alpha=alpha)
+
     def test_perfect_independence_gives_zero_statistic(self):
         counts = np.array([[[10, 10], [20, 20]]], dtype=float)
         cube = ContingencyCube(counts=counts, x_card=2, y_card=2, strata_cards=())
@@ -442,6 +448,14 @@ class TestTestStatement:
         stmt = statement([(0, 0)], [(1, 1)])
         res = run_ci_test(_table(ds, stmt), stmt)
         assert res.independent
+
+    @pytest.mark.parametrize("alpha", [0.0, -1.0, 1.0, 1.5, float("nan")])
+    def test_level_outside_unit_interval_rejected(self, alpha):
+        ds = _dataset([[[0, 1], [1, 0]], [[1, 1], [0, 0]]])
+        stmt = statement([(0, 0)], [(1, 1)])
+        for stmts in ([stmt], []):
+            with pytest.raises(ValueError, match=r"alpha must lie in \(0, 1\), got"):
+                run_ci_tests(_table(ds, stmt), stmts, alpha)
 
     def test_result_serialization(self):
         g = Dag(2, frozenset())

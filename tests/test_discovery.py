@@ -257,6 +257,13 @@ class TestStatisticalDiscovery:
         ds = sample_dataset(g, prior, 500, 2, 0)
         assert discover(ds, alpha=0.01).to_dict()["alpha"] == 0.01
 
+    @pytest.mark.parametrize("alpha", [0.0, -1.0, 1.5, float("nan")])
+    def test_level_outside_unit_interval_rejected(self, alpha):
+        ds = sample_dataset(preset_graph("fork3"), MixturePrior((XorBetaPrior(1, 3),) * 3),
+                            2000, 2, 0)
+        with pytest.raises(ValueError, match=r"alpha must lie in \(0, 1\)"):
+            discover(ds, alpha=alpha, force=True)
+
     def test_requires_two_samples(self):
         g, prior = bivariate_xor_model()
         ds = sample_dataset(g, prior, 100, 1, 0)

@@ -394,6 +394,10 @@ class TestExperimentConfig:
         with pytest.raises(ValueError, match="samples_per_env must be >= 2"):
             ExperimentConfig(samples_per_env=0, env_grid=(1,))
 
+    def test_unknown_graph_rejected_at_construction(self):
+        with pytest.raises(ValueError, match=r"unknown preset graph 'chain5'; options: \["):
+            ExperimentConfig(env_grid=(100, 100), graphs=("fork3", "chain5"))
+
     def test_repeats_default_by_scale(self):
         assert ExperimentConfig().repeats == 20
         assert ExperimentConfig(paper_scale=True).repeats == 100
@@ -527,6 +531,17 @@ class TestOracleSweep:
         assert result["n_dags"] == 3
         assert result["all_markov_ok"]
         assert result["icm_ci_sets_distinct"]
+
+    @pytest.mark.parametrize("models_per_graph", [0, -1])
+    def test_models_per_graph_below_1_rejected_before_enumeration(
+        self, monkeypatch, tmp_path, models_per_graph
+    ):
+        monkeypatch.setattr(harness, "enumerate_dags", pytest.fail)
+        message = f"models_per_graph must be >= 1, got {models_per_graph}"
+        with pytest.raises(ValueError, match=message):
+            harness.run_oracle_sweep(d=2, models_per_graph=models_per_graph,
+                                     out_dir=str(tmp_path / "ov"))
+        assert not (tmp_path / "ov").exists()
 
     def test_unfaithful_models_lower_bridge_fraction(self, monkeypatch):
         # every other model has a single atom per node: its sample copies are

@@ -263,17 +263,15 @@ class TestExactCi:
         assert 0 < sum(verdicts) < len(verdicts)
         assert sum(bool((fresh_marginal(model, s.given) == 0).any()) for s in stmts) > 10
 
-    def test_memoized_marginals_equal_fresh_sums(self):
+    def test_model_plan_keys_are_the_axes_outside_each_full(self):
         g = Dag(3, frozenset({(0, 2), (1, 2)}))
         model = random_generic_model(g, 2, np.random.default_rng(6), cardinalities=(3, 2, 2))
-        true_ci_set(model, 4)
-        fresh = exact_joint(dataclasses.replace(model))
-        assert 0 < len(model._full_marginals) <= 2**fresh.ndim
-        for coords, p_full in model._full_marginals.items():
-            assert coords == tuple(sorted(set(coords)))
-            axes = {model.axis_of(v, s) for v, s in coords}
-            dropped = tuple(a for a in range(fresh.ndim) if a not in axes)
-            assert np.array_equal(p_full, fresh.sum(axis=dropped))
+        stmts, _, _, plan = _model_plan(model.shape, model.samples_per_env, 4)
+        fulls = list(dict.fromkeys(s.left | s.right | s.given for s in stmts))
+        assert len(plan.fulls) == len(fulls) > 1
+        for outside, full in zip(plan.fulls, fulls):
+            axes = {model.axis_of(v, s) for v, s in full}
+            assert outside == tuple(a for a in range(model.d * 2) if a not in axes)
 
     def test_replace_starts_fresh_caches(self):
         fork3 = harness.preset_graph("fork3")
@@ -553,8 +551,8 @@ class TestPlanMemory:
     """The exact plan's memory follows its block budget, not its index: a
     cold `true_ci_set(model, 8)` on a 5-node ternary chain at 2 samples,
     11,520 statements over 1,013 node sets whose index would be 106 MB,
-    peaks near 20 MiB of traced allocations, 8.4 MB of them the p_F memo.
-    Building the whole index with the plan peaked at 146 MiB."""
+    peaks near 14 MiB of traced allocations.  Building the whole index with
+    the plan peaked at 146 MiB."""
 
     def test_cold_true_ci_set_peak(self):
         chain = Dag(5, frozenset({(0, 1), (1, 2), (2, 3), (3, 4)}))
