@@ -5,12 +5,13 @@ expands a DAG into a `Dmag` over (variable, sample) node pairs: one copy of
 the DAG per sample plus a bidirected edge between every two copies of the
 same variable, absorbing the per-variable latent mechanism parameter.
 Independence is read off a `Dmag` via m-separation: a Bayes-Ball walk over
-bit masks of (node, entered-through-arrowhead) states, which from one left
-side under one conditioning set reaches every node it is m-connected to.
-Node i of a graph's sorted nodes is bit i.  `_separations` is the one
-separation path: a `_SeparationPlan` holds a list's distinct (left, given)
-walks and each statement's walk index and right mask, and one walk per
-distinct (left, given) then one array test decide the list.
+(node, entered-through-arrowhead) states, which from one left side under
+one conditioning set reaches every node it is m-connected to.  Node sets
+are boolean node rows, with column i as node i of a graph's sorted nodes.
+`_separations` is the one separation path: a `_SeparationPlan` holds a
+list's distinct (left, given) walks as rows and each statement's walk
+index and right side, and one array walk advancing every (left, given) at
+once, then one array test, decide the list.
 `ci_statements` is the one statement enumerator; each enumeration, its sort
 order and its separation plan are built once, in a cache keyed by (sorted
 nodes, clipped size) that holds 8 enumerations.
@@ -176,22 +177,21 @@ class Dmag:
 
     @cached_property
     def _masks(self):
-        """(the nodes in sorted order, then per bit position the masks of the
-        node's children, parents and spouses): the structure each separation
-        walk reads, built once per graph.  Node i of the sorted order is bit
-        i, whatever order the node set iterates in, so a `_SeparationPlan`
-        built once for a node set serves every graph over it."""
+        """(the nodes in sorted order, then float32 (node, child) and
+        (node, spouse) matrices, 1 where the edge is): the structure every
+        separation walk reads, built once per graph.  Row and column i are
+        node i of the sorted order, whatever order the node set iterates in,
+        so a `_SeparationPlan` built once for a node set serves every graph
+        over it."""
         nodes = tuple(sorted(self.nodes))
         position = {v: i for i, v in enumerate(nodes)}
-        children, parents, spouses = ([0] * len(nodes) for _ in range(3))
+        children, spouses = np.zeros((2, len(nodes), len(nodes)), dtype=np.float32)
         for u, v in self.directed:
-            children[position[u]] |= 1 << position[v]
-            parents[position[v]] |= 1 << position[u]
+            children[position[u], position[v]] = 1
         for pair in self.bidirected:
-            u, v = tuple(pair)
-            spouses[position[u]] |= 1 << position[v]
-            spouses[position[v]] |= 1 << position[u]
-        return nodes, children, parents, spouses
+            u, v = (position[w] for w in pair)
+            spouses[u, v] = spouses[v, u] = 1
+        return nodes, children, spouses
 
 
 def icm_unroll(g: Dag, n_samples: int) -> Dmag:
@@ -209,9 +209,11 @@ def icm_unroll(g: Dag, n_samples: int) -> Dmag:
     return Dmag(nodes, directed, bidirected)
 
 
-def _reach(children, parents, spouses, src: int, z: int) -> int:
-    """The mask of nodes m-connected to the nodes of `src` given those of `z`:
-    Bayes-Ball (Shachter, UAI 1998) over bit masks.
+def _reach(children, spouses, src: np.ndarray, z: np.ndarray) -> np.ndarray:
+    """Row w marks the nodes m-connected to the nodes of `src[w]` given
+    those of `z[w]`: Bayes-Ball (Shachter, UAI 1998) over boolean (walk,
+    node) arrays, every walk advanced at once by products with the
+    graph's (node, child) and (node, spouse) matrices.
 
     Walk states are (node, entered-through-arrowhead); `head` and `tail`
     hold the nodes reached in each.  A node passed through as a collider
@@ -223,25 +225,15 @@ def _reach(children, parents, spouses, src: int, z: int) -> int:
     so it can run from a collider down to a conditioned descendant and back
     up: such walks connect exactly the pairs that paths with every collider
     an ancestor of the conditioning set do, without computing that ancestor
-    set.
+    set.  Each state is entered at most once, so no walk takes more than
+    2N + 1 steps over N nodes.
     """
-    head = tail = 0
+    head, tail = np.zeros_like(src), np.zeros_like(src)
     unconditioned = ~z
     down = up = src  # the nodes passing the walk on to children; to parents and spouses
-    while down or up:
-        next_head = next_tail = 0
-        while down:
-            low = down & -down
-            next_head |= children[low.bit_length() - 1]
-            down ^= low
-        while up:
-            low = up & -up
-            i = low.bit_length() - 1
-            next_head |= spouses[i]
-            next_tail |= parents[i]
-            up ^= low
-        next_head &= ~head
-        next_tail &= ~tail
+    while down.any() or up.any():
+        next_head = ((down @ children > 0) | (up @ spouses > 0)) & ~head
+        next_tail = (up @ children.T > 0) & ~tail
         head |= next_head
         tail |= next_tail
         down = (next_head | next_tail) & unconditioned
@@ -252,13 +244,15 @@ def _reach(children, parents, spouses, src: int, z: int) -> int:
 @dataclass(frozen=True)
 class _SeparationPlan:
     """How `_run_separation_plan` decides a statement list: the list's
-    distinct (left mask, given mask) walks, each statement's walk index and
-    its right mask, with node i of the sorted `nodes` as bit i.  The masks
-    are int64, or Python ints in object arrays past 63 nodes.  A plan
-    depends on the statements and the node set only, not on the edges."""
+    distinct (left, given) walks as boolean (walk, node) rows `left` and
+    `given`, and per statement its walk index and its right side as a
+    boolean (statement, node) row, with column i as node i of the sorted
+    `nodes`.  A plan depends on the statements and the node set only, not
+    on the edges."""
 
     nodes: Tuple[Node, ...]
-    walks: Tuple[Tuple[int, int], ...]
+    left: np.ndarray
+    given: np.ndarray
     walk: np.ndarray
     right: np.ndarray
 
@@ -267,49 +261,47 @@ def _separation_plan(nodes: Tuple[Node, ...], stmts: Sequence[CiStatement]) -> _
     """The `_SeparationPlan` of `stmts` over the sorted node tuple `nodes`.
     Raises ValueError, with the node named, if a statement references a
     node outside `nodes`."""
-    bits = {v: 1 << i for i, v in enumerate(nodes)}.__getitem__
-    walks, rights = {}, {}  # (left, given) -> walk index; right side -> mask
-    walk, right = [], []
+    position = {v: i for i, v in enumerate(nodes)}.__getitem__
+    walks = {}  # (left, given) -> walk index
+
+    def rows(sides):
+        n = len(nodes)
+        out = np.zeros((len(sides), n), dtype=bool)
+        out.flat[[i * n + position(v) for i, side in enumerate(sides) for v in side]] = True
+        out.flags.writeable = False  # a cached plan is shared
+        return out
+
+    walk = np.array([walks.setdefault((s.left, s.given), len(walks)) for s in stmts], np.intp)
+    walk.flags.writeable = False
     try:
-        for s in stmts:
-            key = (s.left, s.given)
-            w = walks.get(key)
-            if w is None:
-                w = walks[key] = len(walks)
-            mask = rights.get(s.right)
-            if mask is None:
-                mask = rights[s.right] = sum(map(bits, s.right))
-            walk.append(w)
-            right.append(mask)
-        masks = tuple((sum(map(bits, left)), sum(map(bits, given))) for left, given in walks)
+        right = rows([s.right for s in stmts])
+        left = rows([key[0] for key in walks])
+        given = rows([key[1] for key in walks])
     except KeyError as err:
         raise ValueError(f"statement references unknown node {err.args[0]}") from None
-    dtype = np.int64 if len(nodes) < 64 else object
-    walk, right = np.array(walk, dtype=np.intp), np.array(right, dtype=dtype)
-    walk.flags.writeable = right.flags.writeable = False  # a cached plan is shared
-    return _SeparationPlan(nodes, masks, walk, right)
+    return _SeparationPlan(nodes, left, given, walk, right)
 
 
 def _run_separation_plan(m: Dmag, plan: _SeparationPlan) -> List[bool]:
     """Whether each of a plan's statements is an m-separation of `m`, in
-    statement order: one `_reach` per distinct (left, given) walk decides
-    every right side at once, and one `reached[walk] & right == 0` decides
-    every statement.  The plan must number `m`'s own nodes."""
-    nodes, children, parents, spouses = m._masks
+    statement order: one `_reach` decides every distinct (left, given) walk
+    at once, and `~(reached[walk] & right).any(axis=1)` every statement.
+    The plan must number `m`'s own nodes."""
+    nodes, children, spouses = m._masks
     if plan.nodes != nodes:
         raise ValueError("separation plan is over another node set than the graph's")
-    reached = np.array(
-        [_reach(children, parents, spouses, src, z) for src, z in plan.walks],
-        dtype=plan.right.dtype,
-    )
-    return ((reached[plan.walk] & plan.right) == 0).tolist()
+    reached = _reach(children, spouses, plan.left, plan.given)
+    return (~(reached[plan.walk] & plan.right).any(axis=1)).tolist()
 
 
 def _separations(m: Dmag, stmts: Sequence[CiStatement]) -> List[bool]:
     """Whether each statement is an m-separation of `m`, in input order: the
     one separation path, behind `m_separated` on a plan built per call and
-    behind `ci_set` and `verify_markov_faithful` on their enumeration's
-    cached plan."""
+    behind `ci_set`, `verify_markov_faithful` and `harness._separation_bits`
+    on their enumeration's cached plan.  Each step of the walk is a few
+    array operations over all of a list's walks, so a short list pays most
+    of a long one's cost: one statement takes about a quarter of the time
+    of the 1,792 of an 8-node enumeration."""
     return _run_separation_plan(m, _separation_plan(m._masks[0], stmts))
 
 
@@ -325,9 +317,11 @@ def _enumeration(nodes: Tuple[Node, ...], max_condition_size: int):
     them by `sort_key`, their `_SeparationPlan`) for sorted `nodes` and a
     size already clipped to len(nodes) - 2.  Cached by (nodes, size), at
     most 8 entries: an entry over 8 nodes holds 1,792 statements and 769
-    walks, over `CI_SET_NODE_LIMIT` nodes 67,584 statements.  The sides are
-    disjoint by construction, so they skip the constructor's checks, and
-    each pair's two sides are built once and shared by its statements."""
+    walks (a 41 kB plan), over `CI_SET_NODE_LIMIT` nodes 67,584 statements
+    and 20,481 walks (a 1.8 MB plan).  `_statement_order` has rejected a
+    repeated node, so the sides are disjoint by construction and skip the
+    constructor's checks; each pair's two sides are built once and shared
+    by its statements."""
     stmts = []
     for a, b in itertools.combinations(nodes, 2):
         left, right = frozenset([a]), frozenset([b])
@@ -342,10 +336,13 @@ def _enumeration(nodes: Tuple[Node, ...], max_condition_size: int):
 
 def _statement_order(nodes: Iterable[Node], max_condition_size: int):
     """`_enumeration` of `nodes` in any order, after rejecting a negative
-    `max_condition_size`."""
+    `max_condition_size` or a repeated node."""
     if max_condition_size < 0:
         raise ValueError(f"max_condition_size must be >= 0, got {max_condition_size}")
     nodes = tuple(sorted(nodes))
+    for a, b in zip(nodes, nodes[1:]):
+        if a == b:
+            raise ValueError(f"node {a} is repeated")
     return _enumeration(nodes, min(max_condition_size, max(len(nodes) - 2, 0)))
 
 

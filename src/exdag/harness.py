@@ -102,6 +102,8 @@ class ExperimentConfig:
             raise ValueError("alpha must lie in (0, 1)")
         if any(e < 1 for e in self.env_grid):
             raise ValueError(f"environment counts must be >= 1, got {self.env_grid}")
+        if self.seed < 0:  # numpy seeds are nonnegative
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
         if self.samples_per_env < 2:  # discovery's cross-sample tests read sample 1
             raise ValueError(f"samples_per_env must be >= 2, got {self.samples_per_env}")
         for name in self.graphs:  # before a sweep runs any earlier graph

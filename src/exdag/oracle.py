@@ -261,8 +261,19 @@ def random_generic_model(
 ) -> FiniteMixtureModel:
     """Random atoms drawn uniformly from the simplex per CPT column, with
     near-coincident atoms of a node redrawn (faithfulness fails only on
-    measure-zero parameter coincidences)."""
+    measure-zero parameter coincidences).  Raises ValueError before any
+    draw unless there is one cardinality per node, at least one atom per
+    node, and no node of cardinality below 2 with two or more atoms: such
+    a node has at most one CPT, so its atoms would be redrawn forever."""
     cards = tuple(cardinalities) if cardinalities is not None else (2,) * g.d
+    if len(cards) != g.d:
+        raise ValueError(f"{len(cards)} cardinalities for {g.d} nodes")
+    if atoms_per_node < 1:
+        raise ValueError(f"atoms_per_node must be >= 1, got {atoms_per_node}")
+    if atoms_per_node > 1 and min(cards) < 2:
+        raise ValueError(
+            f"cardinalities {cards} cannot hold {atoms_per_node} distinct atoms per node"
+        )
     node_priors = []
     for i in range(g.d):
         _, n_cfg = parent_configs(g, cards, i)

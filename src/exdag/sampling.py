@@ -722,7 +722,7 @@ def sample_dataset(
         rows,
         np.arange(0, rows.shape[0] + 1, samples_per_env),
         true_graph=g,
-        seed=rng_seed,
+        seed=operator.index(rng_seed),  # a numpy integer is not JSON
         prior_description=prior.describe(),
     )
 

@@ -456,6 +456,12 @@ class TestEnumerationCache:
         with pytest.raises(ValueError, match="max_condition_size must be >= 0, got -1"):
             ci_set(m, -1)
 
+    def test_repeated_node_rejected(self):
+        with pytest.raises(ValueError, match="node 0 is repeated"):
+            ci_statements([0, 0, 1], 1)
+        with pytest.raises(ValueError, match=r"node \(1, 0\) is repeated"):
+            ci_statements([(1, 0), (0, 1), (1, 0)], 0)
+
 
 class TestEnumerateDags:
     @pytest.mark.parametrize("d,count", [(1, 1), (2, 3), (3, 25), (4, 543)])

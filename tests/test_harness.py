@@ -8,7 +8,7 @@ import pytest
 
 from exdag import cli, harness, oracle
 from exdag.cli import main
-from exdag.graphs import Dag, ci_set, icm_unroll
+from exdag.graphs import Dag, ci_set, enumerate_dags, icm_unroll
 from exdag.harness import (
     CsvFormatError,
     ExperimentConfig,
@@ -84,6 +84,14 @@ class TestCsvRoundTrip:
         assert back.true_graph == ds.true_graph
         assert back.seed == ds.seed
         assert all(np.array_equal(a, b) for a, b in zip(back.envs, ds.envs))
+
+    def test_numpy_integer_seed_written_as_int(self, tmp_path):
+        g, prior = bivariate_xor_model()
+        ds = sample_dataset(g, prior, 5, 2, np.int64(3))
+        assert type(ds.seed) is int and ds.seed == 3
+        path = tmp_path / "data.csv"
+        write_dataset_csv(ds, path)
+        assert ingest_csv(path).seed == 3
 
     def test_without_sidecar_infers_cardinalities(self, tmp_path):
         path = tmp_path / "plain.csv"
@@ -394,6 +402,12 @@ class TestExperimentConfig:
         with pytest.raises(ValueError, match="samples_per_env must be >= 2"):
             ExperimentConfig(samples_per_env=0, env_grid=(1,))
 
+    def test_negative_seed_rejected_at_construction(self, monkeypatch, tmp_path):
+        monkeypatch.setattr(harness, "sample_dataset", pytest.fail)
+        with pytest.raises(ValueError, match="seed must be >= 0, got -1"):
+            harness.run_multivariate(ExperimentConfig(seed=-1, out_dir=str(tmp_path / "sm")))
+        assert not (tmp_path / "sm").exists()
+
     def test_unknown_graph_rejected_at_construction(self):
         with pytest.raises(ValueError, match=r"unknown preset graph 'chain5'; options: \["):
             ExperimentConfig(env_grid=(100, 100), graphs=("fork3", "chain5"))
@@ -567,6 +581,17 @@ class TestOracleSweep:
             assert bridged == [True, False]
             assert row["bridge_fraction"] == 0.5
             assert row["faithful_fraction"] == 0.5
+
+    def test_separation_bits_pinned_on_every_4_node_dag(self):
+        # every unrolled separation verdict of all 543 DAGs on 4 nodes, in
+        # the cached enumeration's order, at condition sizes 4 and 3
+        dags = enumerate_dags(4)
+        for k, want in (
+            (4, "8b92d31991ee33760f1d3bf7852388d9c05f7eb5d94a42ef75e9bbc3695bda33"),
+            (3, "6c670654261a721cc909e6e2929f6b886de9e2e59325d0266bafddfeb4138959"),
+        ):
+            bits = b"".join(harness._separation_bits(g, k) for g in dags)
+            assert hashlib.sha256(bits).hexdigest() == want
 
     def test_identifiability_d2(self):
         result = harness.run_identifiability(d=2)

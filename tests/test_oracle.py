@@ -114,6 +114,25 @@ class TestModelValidation:
         assert other_atoms != model
         assert FiniteMixtureModel(XY, model.prior, 3) != model
 
+    @pytest.mark.parametrize("kwargs, message", [
+        # one CPT per node, so two atoms could never differ
+        ({"cardinalities": (1, 2)}, r"cardinalities \(1, 2\) cannot hold 2 distinct atoms"),
+        ({"atoms_per_node": 0}, "atoms_per_node must be >= 1, got 0"),
+        ({"cardinalities": (2,)}, "1 cardinalities for 2 nodes"),
+        ({"cardinalities": (2, 2, 2)}, "3 cardinalities for 2 nodes"),
+    ])
+    def test_random_model_inputs_rejected_before_any_draw(self, kwargs, message):
+        rng = np.random.default_rng(0)
+        state = rng.bit_generator.state
+        with pytest.raises(ValueError, match=message):
+            random_generic_model(XY, 2, rng, **kwargs)
+        assert rng.bit_generator.state == state
+
+    def test_single_category_node_with_one_atom(self):
+        model = random_generic_model(XY, 2, np.random.default_rng(0), atoms_per_node=1,
+                                     cardinalities=(1, 2))
+        assert model.cardinalities == (1, 2)
+
     def test_exact_models_require_atoms_and_name_the_node(self):
         prior = MixturePrior((AtomMixturePrior([(1.0, [[0.5], [0.5]])]), XorBetaPrior(1, 3)))
         with pytest.raises(TypeError, match="node 1: .*AtomMixturePrior"):
