@@ -21,14 +21,18 @@ one array per distinct coordinate set F = left | right | given, with F's
 coordinates sorted by (variable, sample) as its axes, and every statement
 gathered from those arrays as (left, right, given) by an int32 pattern,
 one batch per (left size, right size, given size).  One budget,
-`_BLOCK_CELLS`, bounds both the windows of F's arrays that are filled and
-concatenated together (or one larger F) and the blocks gathered from
-them, and each block's index is built from the members' patterns and
-offsets as it is gathered, so memory follows the largest F, not the list.
-Here each F holds counts, one weighted `np.bincount` over the patterns
-equal to a direct count, and each block, viewed as (given, left, right)
-cubes, goes through G together, with G equal bit for bit to a
-per-stratum loop.
+`_BLOCK_CELLS`, bounds the windows of F's arrays that are filled and
+concatenated together (or one larger F), the blocks gathered from them,
+and the fill groups: runs of a window's F's read from one array of their
+union, extended by a sum slot on each axis some member omits (the
+all-marginals table of Yates' algorithm), where that takes no more numpy
+passes than one fill per F.  Each block's index is built from the
+members' patterns and offsets as it is gathered, so memory follows the
+largest F, not the list.  Here each F holds counts, one weighted
+`np.bincount` over the patterns equal to a direct count (a group's sums
+of integer counts are exact, so equal too), and each block, viewed as
+(given, left, right) cubes, goes through G together, with G equal bit
+for bit to a per-stratum loop.
 """
 
 from __future__ import annotations
@@ -37,7 +41,7 @@ import bisect
 import functools
 import math
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -48,11 +52,13 @@ DEFAULT_ALPHA = 0.05
 # `_blocks` fills and concatenates a plan's F arrays a window of at most
 # this many cells (or one F) at a time, and gathers blocks of about as many
 # cells (or one statement), so a long list of large F is never all in
-# memory at once
+# memory at once; a group of F's filled from one array of their union
+# extends it to at most this many cells
 _BLOCK_CELLS = 1 << 14
 # Gather patterns of at most this many cells are cached, 4096 of them (at
 # most 16 MiB), and held stacked by a plan; a larger one, whose F is as
-# large, is built only while a block reads it
+# large, is built only while a block reads it.  A fill group's positions
+# of an F of at most this many cells are cached too, 4096 of them
 _HELD_PATTERN_CELLS = 1 << 10
 
 
@@ -187,17 +193,42 @@ class _Batch:
         return index
 
 
+class _FillGroup(NamedTuple):
+    """A run of a window's F's filled at once, from the one array of
+    their union U that `fill(key)` makes, laid out as `_full_axes` lays
+    out U.  A sum slot is appended along each axis in `sums`, those some
+    member omits, so every member's F is a slice of that extended array:
+    its own axes over their values, the others at their sum slot.  `index`
+    takes the members' cells, F's arrays raveled and end to end.  A one-F
+    group has no sums and no index: its F's array is the fill itself."""
+
+    key: tuple
+    sums: Tuple[int, ...]
+    index: Optional[np.ndarray]
+
+    def filled(self, fill) -> np.ndarray:
+        """The members' arrays, raveled end to end."""
+        array = fill(self.key)
+        for axis in self.sums:  # append the sum over the axis as its last slot
+            array = np.concatenate((array, array.sum(axis=axis, keepdims=True)), axis)
+        return array.ravel() if self.index is None else np.take(array, self.index)
+
+
 @dataclass(frozen=True)
 class _StatementPlan:
-    """How a statement list is decided, built from the statements and the
-    cardinalities alone.  `fulls` holds the key that F's filler reads, per
-    distinct node set F = left | right | given in first-seen order (see
-    `_full_axes`); F number f's array would start at `starts[f]` if all
-    were raveled and concatenated.  `batches` holds one `_Batch` per moved
-    shape, and `order` every member's statement index, batch by batch."""
+    """How a statement list is decided, built from the statements, the
+    cardinalities and `_BLOCK_CELLS`.  `fulls` holds the key that F's filler
+    reads, per distinct node set F = left | right | given in first-seen
+    order (see `_full_axes`); F number f's array would start at `starts[f]`
+    if all were raveled and concatenated.  `windows` cuts the F's into runs
+    filled together, of at most `_BLOCK_CELLS` cells or one F, each (first
+    F, the F after its last, its `_FillGroup`s in order, or None when each
+    F is filled alone).  `batches` holds one `_Batch` per moved shape, and
+    `order` every member's statement index, batch by batch."""
 
     fulls: Tuple[tuple, ...]
     starts: Tuple[int, ...]
+    windows: Tuple[Tuple[int, int, Optional[Tuple[_FillGroup, ...]]], ...]
     batches: Tuple[_Batch, ...]
     order: np.ndarray
 
@@ -205,11 +236,14 @@ class _StatementPlan:
 @functools.lru_cache(maxsize=4096)
 def _full_axes(full: frozenset, cardinalities: Tuple[int, ...], samples: Optional[int]):
     """(F's key in `_StatementPlan.fulls`, coordinate -> bit 1 << its axis
-    in F's array, that array's shape) for F = `full`.  With `samples` None,
-    the array's axes and the key are F's coordinates sorted by (variable,
-    sample).  For a model of `samples` samples per environment, which bound
-    the samples too, the axes run in the joint's order, (sample, variable),
-    and the key is the joint's axes outside F.  Cached, 4096 entries."""
+    in F's array, that array's shape, F's node mask) for F = `full`.  With
+    `samples` None, the array's axes and the key are F's coordinates sorted
+    by (variable, sample).  For a model of `samples` samples per
+    environment, which bound the samples too, the axes run in the joint's
+    order, (sample, variable), and the key is the joint's axes outside F.
+    The mask sets bit 2 (|s| d + v) + (s < 0) per node (v, s), one bit per
+    node of any list, a negative sample included, which only a pattern
+    table rejects.  Cached, 4096 entries."""
     coords = tuple(sorted(full))
     d = len(cardinalities)
     for v, s in coords:
@@ -223,7 +257,8 @@ def _full_axes(full: frozenset, cardinalities: Tuple[int, ...], samples: Optiona
     bits = {c: 1 << a for a, c in enumerate(held)}
     inside = {s * d + v for v, s in coords}
     key = coords if samples is None else tuple(a for a in range(samples * d) if a not in inside)
-    return key, bits, tuple(cardinalities[v] for v, _ in held)
+    mask = sum(1 << (2 * (abs(s) * d + v) + (s < 0)) for v, s in coords)
+    return key, bits, tuple(cardinalities[v] for v, _ in held), mask
 
 
 def _groups(dims: Tuple[int, ...], left: int, right: int) -> List[List[int]]:
@@ -264,7 +299,9 @@ def _statement_plan(
     """The `_StatementPlan` of `stmts`, F's arrays held as `_full_axes`
     says for `samples`.  A G or a verdict depends only on F's array with
     the left and right axes moved to the front, so that moved shape is the
-    batch key, and a member's index is its `_pattern` plus F's start.
+    batch key, and a member's index is its `_pattern` plus F's start.  Each
+    window's `_fill_groups` are built here, from cached positions, so a
+    plan that is run again costs no more than its fills and gathers.
     Raises `ValueError` for an unknown node."""
     fulls, layouts, starts = {}, [], [0]  # F -> (its start, its layout)
     batches = {}  # moved shape -> ([(start, statement, key id)], {key: id}, patterns)
@@ -275,10 +312,13 @@ def _statement_plan(
             layouts.append(_full_axes(full, cardinalities, samples))
             at = fulls[full] = (starts[-1], layouts[-1])
             starts.append(starts[-1] + math.prod(layouts[-1][2]))
-        offset, (_, bits, dims) = at
+        offset, (_, bits, dims, _) = at
         key = (dims, sum(map(bits.__getitem__, stmt.left)), sum(map(bits.__getitem__, stmt.right)))
         cube, pattern = _moved(*key)
-        rows, distinct, patterns = batches.setdefault(cube, ([], {}, []))
+        batch = batches.get(cube)
+        if batch is None:
+            batch = batches[cube] = ([], {}, [])
+        rows, distinct, patterns = batch
         i = distinct.setdefault(key, len(distinct))
         if i == len(patterns):
             patterns.append(pattern)
@@ -294,22 +334,96 @@ def _statement_plan(
         start = end
     for array in (order, offsets, ids):
         array.flags.writeable = False  # a cached plan is shared by every caller
-    return _StatementPlan(tuple(layout[0] for layout in layouts), tuple(starts), tuple(plan),
-                          order)
+    # a group's members - 1 - omitted axes is at most 0 at its second
+    # member, 0 only if that F differs from the first in one node, and
+    # rises later only with an F that has no node new to the list; so
+    # unless some F is such an F, `_fill_groups` would leave each F alone
+    grouped, seen, prior = False, 0, 0
+    for _, _, _, mask in layouts:
+        if not mask & ~seen or (mask ^ prior).bit_count() == 1:
+            grouped = True
+            break
+        seen, prior = seen | mask, mask
+    windows, a = [], 0
+    while a < len(layouts):
+        b = max(a + 1, bisect.bisect_right(starts, starts[a] + _BLOCK_CELLS) - 1)
+        windows.append((a, b, _fill_groups(layouts[a:b], cardinalities, samples) if grouped
+                        else None))
+        a = b
+    return _StatementPlan(tuple(layout[0] for layout in layouts), tuple(starts), tuple(windows),
+                          tuple(plan), order)
+
+
+@functools.lru_cache(maxsize=4096)
+def _positions(dims: Tuple[int, ...], sums: int, inside: int) -> np.ndarray:
+    """The int32 position of each cell of the sub-array over the axes set
+    in `inside`, raveled in axis order, in the raveled array of shape `dims`
+    extended by one sum slot on each axis set in `sums`: an axis outside
+    reads its sum slot.  Read-only.  Cached, 4096 entries; callers pass a
+    sub-array of more than `_HELD_PATTERN_CELLS` cells to the uncached
+    `_positions.__wrapped__`, so the cache holds at most 16 MiB."""
+    extended = [k + (sums >> a & 1) for a, k in enumerate(dims)]
+    cells = np.arange(math.prod(extended), dtype=np.int32).reshape(extended)
+    positions = cells[tuple(slice(k) if inside >> a & 1 else k for a, k in enumerate(dims))].ravel()
+    positions.flags.writeable = False
+    return positions
+
+
+def _fill_groups(layouts, cardinalities, samples) -> Optional[Tuple[_FillGroup, ...]]:
+    """One window's F's, given by their `_full_axes` layouts, split into
+    `_FillGroup`s, or None if each F is alone.  From each F on, a group
+    grows while its union, extended by a sum slot on each axis some member
+    omits, holds at most `_BLOCK_CELLS` cells, and ends at its longest
+    prefix that takes no more numpy passes than one fill per member:
+    1 + (omitted axes) <= members."""
+    d, masks = len(cardinalities), [layout[3] for layout in layouts]
+    groups, lo = [], 0
+    while lo < len(masks):
+        union = common = masks[lo]
+        cells, hi = math.prod(layouts[lo][2]), lo + 1
+        for j in range(lo + 1, len(masks)):
+            grown, lost = masks[j] & ~union, common & ~masks[j]
+            union, common = union | grown, common & ~lost
+            for changed, new in ((grown, True), (lost, False)):  # each takes a sum slot
+                while changed:
+                    k = cardinalities[((changed & -changed).bit_length() - 1 >> 1) % d]
+                    cells = cells * (k + 1) // (1 if new else k)
+                    changed &= changed - 1
+            slack = j - lo - (union & ~common).bit_count()  # members - 1 - omitted axes
+            if cells > _BLOCK_CELLS or slack + len(masks) - 1 - j < 0:
+                break  # over budget, or too few F's left to make up the deficit
+            if slack >= 0:
+                hi = j + 1
+        if hi == lo + 1:
+            groups.append(_FillGroup(layouts[lo][0], (), None))
+        else:
+            members = [layout[1] for layout in layouts[lo:hi]]  # each F's coordinates
+            key, bits, dims, _ = _full_axes(frozenset().union(*members), cardinalities, samples)
+            sums = sum(bits[c] for c in bits if not all(c in full for full in members))
+            index = np.concatenate([
+                (_positions if math.prod(layout[2]) <= _HELD_PATTERN_CELLS
+                 else _positions.__wrapped__)(dims, sums, sum(map(bits.__getitem__, layout[1])))
+                for layout in layouts[lo:hi]
+            ])
+            index.flags.writeable = False
+            groups.append(_FillGroup(key, tuple(a for a in range(len(dims)) if sums >> a & 1),
+                                     index))
+        lo = hi
+    return tuple(groups) if len(groups) < len(layouts) else None
 
 
 def _blocks(plan: _StatementPlan, fill):
     """Each batch of `plan` gathered as (members, left, right, given) from
-    F's arrays, which `fill(F's key in plan.fulls)` makes a window of at most
-    `_BLOCK_CELLS` cells, or one F, at a time: yields (the members'
-    statement indices, block), window by window and batch by batch within
-    a window, each block about `_BLOCK_CELLS` cells or one member."""
+    F's arrays, filled a window at a time: one `fill(F's key)` per F, or
+    per `_FillGroup` one fill of its union, one append-a-sum step per
+    summed axis and one `np.take` of the members' cells, the window's
+    arrays concatenated.  Yields (the members' statement indices, block),
+    window by window and batch by batch within a window, each block about
+    `_BLOCK_CELLS` cells or one member."""
     starts, los = plan.starts, [0] * len(plan.batches)
-    a = 0
-    while a < len(plan.fulls):
-        b = max(a + 1, bisect.bisect_right(starts, starts[a] + _BLOCK_CELLS) - 1)
-        flat = None  # the last window's arrays go first
-        arrays = [fill(key).ravel() for key in plan.fulls[a:b]]
+    for a, b, groups in plan.windows:
+        arrays = ([fill(key).ravel() for key in plan.fulls[a:b]] if groups is None
+                  else [group.filled(fill) for group in groups])
         flat = arrays[0] if len(arrays) == 1 else np.concatenate(arrays)
         del arrays  # the window's arrays live on only in `flat`
         for j, batch in enumerate(plan.batches):
@@ -320,7 +434,6 @@ def _blocks(plan: _StatementPlan, fill):
             for i in range(lo, hi, step):
                 end = min(i + step, hi)
                 yield batch.order[i:end], np.take(flat, batch.index(i, end, starts[a]))
-        a = b
 
 
 def _cubes(table: PatternTable, stmts: Sequence[CiStatement]):
@@ -443,15 +556,9 @@ _GAMMA_MAX_ITER = 10_000
 _GAMMA_EPS = 1e-15
 
 
-def _not_converged(method: str, a: float, x: float) -> ArithmeticError:
-    return ArithmeticError(
-        f"regularized incomplete gamma {method} did not converge in {_GAMMA_MAX_ITER} "
-        f"iterations at a={a!r}, x={x!r}"
-    )
-
-
-def _gamma_p_series(a: float, x: float) -> float:
-    """Lower regularized gamma P(a, x) by series, for x < a + 1."""
+def _gamma_p_series(a: float, x: float) -> Optional[float]:
+    """Lower regularized gamma P(a, x) by series, for x < a + 1; None if
+    it has not converged in `_GAMMA_MAX_ITER` terms."""
     term = 1.0 / a
     total = term
     n = a
@@ -462,11 +569,12 @@ def _gamma_p_series(a: float, x: float) -> float:
         if abs(term) < abs(total) * _GAMMA_EPS:
             break
     else:
-        raise _not_converged("series", a, x)
+        return None
     return total * math.exp(-x + a * math.log(x) - math.lgamma(a))
 
-def _gamma_q_contfrac(a: float, x: float) -> float:
-    """Upper regularized gamma Q(a, x) by continued fraction (Lentz), for x >= a + 1."""
+def _gamma_q_contfrac(a: float, x: float) -> Optional[float]:
+    """Upper regularized gamma Q(a, x) by continued fraction (Lentz), for
+    x >= a + 1; None if it has not converged in `_GAMMA_MAX_ITER` terms."""
     tiny = 1e-300
     b = x + 1.0 - a
     c = 1.0 / tiny
@@ -487,8 +595,44 @@ def _gamma_q_contfrac(a: float, x: float) -> float:
         if abs(delta - 1.0) < _GAMMA_EPS:
             break
     else:
-        raise _not_converged("continued fraction", a, x)
+        return None
     return h * math.exp(-x + a * math.log(x) - math.lgamma(a))
+
+
+def _gamma_q_temme(a: float, x: float) -> float:
+    """Upper regularized gamma Q(a, x) by Temme's uniform asymptotic
+    expansion (DLMF 8.12.3-8.12.4) to its a^-1 term: with u = x/a - 1 and
+    eta^2 / 2 = u - log(1 + u), eta of u's sign,
+
+        Q = erfc(eta sqrt(a/2)) / 2 + exp(-a eta^2 / 2) / sqrt(2 pi a) (c0(eta) + c1(eta) / a).
+
+    The dropped terms are O(a^-2.5), below 1e-17 from a = 10**6, where
+    `chi2_sf` first needs it.  Near eta = 0, where the closed forms of c0
+    and c1 cancel, they are read from their Taylor series."""
+    u = (x - a) / a
+    if abs(u) > 0.5:
+        half_eta2 = u - math.log1p(u)
+    else:
+        # log(1 + u) = 2 atanh(v) = 2 (v + v^3/3 + ...) with v = u / (2 + u),
+        # and u - 2 v = u v, so no term cancels u's leading u^2 / 2
+        v = u / (2.0 + u)
+        half_eta2, term, k = u * v, 2.0 * v, 1
+        while True:
+            k += 2
+            term *= v * v
+            half_eta2 -= term / k
+            if abs(term) <= 1e-17 * half_eta2:
+                break
+    eta = math.copysign(math.sqrt(2.0 * half_eta2), u)
+    if abs(eta) < 0.1:
+        c0 = ((((((1 / 25515 * eta - 139 / 777600) * eta + 1 / 2835) * eta + 1 / 864) * eta
+                - 2 / 135) * eta + 1 / 12) * eta - 1 / 3)
+        c1 = (((1 / 4860 * eta - 77 / 77760) * eta + 1 / 378) * eta - 1 / 288) * eta - 1 / 540
+    else:
+        c0 = 1.0 / u - 1.0 / eta
+        c1 = 1.0 / eta**3 - 1.0 / u**3 - 1.0 / u**2 - 1.0 / (12.0 * u)
+    return (0.5 * math.erfc(eta * math.sqrt(0.5 * a))
+            + math.exp(-a * half_eta2) / math.sqrt(2.0 * math.pi * a) * (c0 + c1 / a))
 
 
 def chi2_sf(x: float, dof: int) -> float:
@@ -497,9 +641,9 @@ def chi2_sf(x: float, dof: int) -> float:
     Q(dof/2, x/2) via series (x < dof + 2) or continued fraction otherwise.
     By convention dof = 0 gives p = 1, and otherwise x = inf gives p = 0;
     a NaN statistic raises `ValueError`.  Either sum needs more terms as
-    dof grows; one that has not converged in `_GAMMA_MAX_ITER` terms raises
-    `ArithmeticError` rather than return a truncated value (the series,
-    at x = dof, from dof of about 4 * 10**6).
+    dof grows; where one has not converged in `_GAMMA_MAX_ITER` terms (the
+    series, at x = dof, from dof of about 3 * 10**6), Temme's uniform
+    asymptotic expansion, accurate at such dof, gives Q instead.
     """
     if not x >= 0:
         raise ValueError(f"chi-squared statistic must be nonnegative, got {x!r}")
@@ -512,6 +656,11 @@ def chi2_sf(x: float, dof: int) -> float:
     a = 0.5 * dof
     half_x = 0.5 * x
     if half_x < a + 1.0:
-        p = min(1.0, max(0.0, _gamma_p_series(a, half_x)))
-        return 1.0 - p
-    return min(1.0, max(0.0, _gamma_q_contfrac(a, half_x)))
+        p = _gamma_p_series(a, half_x)
+        if p is not None:
+            return 1.0 - min(1.0, max(0.0, p))
+    else:
+        q = _gamma_q_contfrac(a, half_x)
+        if q is not None:
+            return min(1.0, max(0.0, q))
+    return min(1.0, max(0.0, _gamma_q_temme(a, half_x)))

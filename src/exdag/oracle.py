@@ -43,7 +43,8 @@ class FiniteMixtureModel:
     priors are all `AtomMixturePrior`s: the same prior `sample_dataset`
     draws from, checked against the graph by the same `_node_drawers`.
     Models compare by graph, prior and sample count.  A model caches only
-    its joint; each p_F is summed from it whenever a plan reads F."""
+    its joint; a plan's p_F are summed from it whenever the plan runs, a
+    fill group's from one sum over the axes outside the group's union."""
 
     graph: Dag
     prior: MixturePrior
@@ -115,15 +116,18 @@ def _run_plan(model: FiniteMixtureModel, plan: _StatementPlan) -> List[bool]:
     """The exact verdicts of a plan's statements, in statement order.  The
     plan is `ci_test`'s one statement plan, built for the model's samples
     per environment, so F's array is p_F in the joint's axis order, which
-    the plan's bits fold into every gather pattern.  The oracle fills F
-    with one sum of `exact_joint(model)`, read once per call, over the axes
-    outside F, which are F's key in `plan.fulls`.  `_blocks` gathers each
-    batch as (members, left, right, given), the layout the rule reads, in
-    blocks of about `ci_test._BLOCK_CELLS` cells; sums over axes 2, 1 and
-    then 1 again give p(l,g), p(r,g) and p(g), each adding, for
-    cardinalities below 8, the same cells in the same order as a sum over
-    p_F's own axes.  The rule runs once per block, and scatters its
-    verdicts into place."""
+    the plan's bits fold into every gather pattern.  A fill reads
+    `exact_joint(model)`, once per call, summed over the axes outside its
+    node set, the key the plan holds: F's own for a lone F, or a fill
+    group's union, whose every p_F `_blocks` then reads from the sum
+    slots it appends (the 247 p_F of the binary 8-node plan from one 3^8
+    array), each equal to F's own sum up to float rounding, about 1e-16.
+    `_blocks` gathers each batch as (members, left, right, given), the
+    layout the rule reads, in blocks of about `ci_test._BLOCK_CELLS`
+    cells; sums over axes 2, 1 and then 1 again give p(l,g), p(r,g) and
+    p(g), each adding, for cardinalities below 8, the same cells in the
+    same order as a sum over p_F's own axes.  The rule runs once per
+    block, and scatters its verdicts into place."""
     joint = exact_joint(model)
     verdicts = np.empty(len(plan.order), dtype=bool)
     for members, p_lrg in _blocks(plan, lambda outside: joint.sum(axis=outside)):
@@ -147,9 +151,9 @@ def _ci_verdicts(model: FiniteMixtureModel, stmts: Sequence[CiStatement]) -> Lis
     """The exact verdict of each statement, in input order: the one verdict
     path behind `exact_ci`, `true_ci_set`, `verify_markov_faithful` and
     `oracle_tester`.  A list's `_StatementPlan` is built on each call from
-    cached layouts and patterns; `true_ci_set` and `verify_markov_faithful`
-    take theirs from `_model_plan`.  Raises `ValueError` naming a node
-    outside the model."""
+    cached layouts, patterns and group positions; `true_ci_set` and
+    `verify_markov_faithful` take theirs from `_model_plan`.  Raises
+    `ValueError` naming a node outside the model."""
     return _run_plan(model, _statement_plan(stmts, model.cardinalities, model.samples_per_env))
 
 
@@ -161,11 +165,14 @@ def _model_plan(shape: Tuple[int, ...], samples_per_env: int, max_condition_size
     order.  These fix the nodes, their axes and every p_F's shape, so
     models of one shape share a plan.  Cached by (shape, samples per
     environment, size), at most 8 entries; the binary 8-node plan at full
-    size has 7 batches, one per |F|, over 247 node sets.  A plan holds each
-    statement's p_F start and pattern id, and each batch's distinct
-    patterns (121 for that plan), not the 81,648 cells of its index, which
-    `_blocks` builds a block at a time; the budget it reads is not part of
-    the plan."""
+    size has 7 batches, one per |F|, over 247 node sets, which make one
+    fill group, read from the joint extended by a sum slot on each of its
+    8 axes (3^8 = 6,561 cells).  A plan holds each statement's p_F start
+    and pattern id, each batch's distinct patterns (121 for that plan) and
+    each group's index of its members' cells (6,544 for that plan), not
+    the 81,648 cells of the statements' index, which `_blocks` builds a
+    block at a time.  The groups follow `ci_test._BLOCK_CELLS`, so a
+    change of it needs `_model_plan.cache_clear()`."""
     cardinalities = shape[:len(shape) // samples_per_env]
     nodes = [(v, s) for v in range(len(cardinalities)) for s in range(samples_per_env)]
     stmts, order, separations = _statement_order(nodes, max_condition_size)
@@ -178,7 +185,8 @@ def exact_ci(model: FiniteMixtureModel, stmt: CiStatement) -> bool:
     tested multiplied through by p(g)^2, as |p(l,r,g) p(g) - p(l,g) p(r,g)| <=
     tol p(g)^2 per cell, so a cell with p(g) = 0 reads 0 <= 0 (p(g)^2 must not
     underflow, which holds for p(g) >~ 1e-154).  p(l,r,g) is gathered from
-    p_F, the joint summed over the axes outside F = left | right | given,
+    p_F, the joint summed over the axes outside F = left | right | given
+    (within a fill group, through the sum slots of the group's union),
     through the statement plan the data tester shares, and the other three
     are sums.  Their float error is about 1e-16, so the tolerance leaves
     10^4 of headroom, and a generic model's true dependence can be as small

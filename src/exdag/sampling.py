@@ -100,25 +100,29 @@ class DirichletColumnsPrior:
 
 
 class AtomMixturePrior:
-    """Explicit finite mixture of CPT atoms: (weight, cpt) pairs."""
+    """Explicit finite mixture of CPT atoms: (weight, cpt) pairs.  The
+    atoms are checked stacked, as one (atoms, k, n_parent_configs) array:
+    one finiteness check and one `_check_cpt` per node, not one per atom."""
 
     def __init__(self, atoms: Sequence[Tuple[float, np.ndarray]]):
         if not atoms:
             raise ValueError("atom mixture needs at least one atom")
         self.atoms = [(float(w), np.asarray(cpt, dtype=float)) for w, cpt in atoms]
-        for j, (w, cpt) in enumerate(self.atoms):
+        shape = self.atoms[0][1].shape
+        stacked = (np.stack([cpt for _, cpt in self.atoms])
+                   if all(cpt.shape == shape for _, cpt in self.atoms) else None)
+        finite = stacked is not None and np.isfinite(stacked).all()
+        for j, (w, cpt) in enumerate(self.atoms):  # the first bad atom is named
             if not math.isfinite(w):
                 raise ValueError(f"atom {j} weight must be finite, got {w}")
-            if not np.isfinite(cpt).all():
+            if not finite and not np.isfinite(cpt).all():
                 raise ValueError(f"atom {j} CPT entries must be finite")
         total = sum(w for w, _ in self.atoms)
         if any(w < 0 for w, _ in self.atoms) or abs(total - 1.0) > COLUMN_SUM_TOL:
             raise ValueError(f"atom weights sum to {total}; they must be nonnegative and sum to 1")
-        k = self.atoms[0][1].shape[0]
-        for _, cpt in self.atoms:
-            if cpt.ndim != 2 or cpt.shape[0] != k:
-                raise ValueError("all atoms must share CPT shape (k, n_parent_configs)")
-            _check_cpt(cpt)
+        if stacked is None or stacked.ndim != 3:
+            raise ValueError("all atoms must share CPT shape (k, n_parent_configs)")
+        _check_cpt(stacked)
 
     @property
     def cardinality(self):
@@ -163,10 +167,11 @@ class MixturePrior:
 
 
 def _check_cpt(cpt: np.ndarray):
-    if np.any(cpt < -COLUMN_SUM_TOL) or np.any(cpt > 1 + COLUMN_SUM_TOL):
+    """Entries in [0, 1] and columns summing to 1, for one (k, n_cfg) CPT
+    or a stack of them along leading axes, whose entries are finite."""
+    if cpt.size and (cpt.min() < -COLUMN_SUM_TOL or cpt.max() > 1 + COLUMN_SUM_TOL):
         raise ValueError("CPT entries must lie in [0, 1]")
-    sums = cpt.sum(axis=0)
-    if np.any(np.abs(sums - 1.0) > 1e-9):
+    if (np.abs(cpt.sum(axis=-2) - 1.0) > 1e-9).any():
         raise ValueError("every CPT column must sum to 1")
 
 

@@ -1,3 +1,4 @@
+import functools
 import hashlib
 import itertools
 import math
@@ -20,7 +21,7 @@ from exdag.ci_test import (
 from exdag.ci_test import test_statement as run_ci_test
 from exdag.ci_test import test_statements as run_ci_tests
 from exdag.discovery import data_tester
-from exdag.graphs import Dag, statement
+from exdag.graphs import Dag, ci_statements, statement
 from exdag.sampling import EnvDataset, MixturePrior, XorBetaPrior, sample_dataset
 
 
@@ -363,6 +364,84 @@ class TestWindowedPlan:
         assert peak(range(d)) < 1.5 * one  # 72 statements on 9 F's
 
 
+def _fill_groups_of(plan):
+    """Per window of `plan`, each `_FillGroup` with its members' keys; a
+    window whose F's are each filled alone yields none."""
+    for a, b, groups in plan.windows:
+        f = a
+        for group in groups or ():
+            size = plan.starts[f + 1] - plan.starts[f] if group.index is None else group.index.size
+            stop = plan.starts.index(plan.starts[f] + size)
+            yield group, plan.fulls[f:stop]
+            f = stop
+        assert f == b or groups is None
+
+
+class TestFillGroups:
+    """A run of a window's F's is filled from one count array of their
+    union, extended by a sum slot on each axis some member omits, where
+    that holds at most `_BLOCK_CELLS` cells and takes no more numpy passes
+    than one fill per member.  Sums of integer counts are exact, so every
+    F's array is the one its own fill makes, bit for bit, whatever the
+    budget and so the groups."""
+
+    def test_counts_match_one_fill_per_f_at_every_budget(self, monkeypatch):
+        rng = np.random.default_rng(53)
+        cards = (2, 3, 2)
+        envs = [rng.integers(0, cards, size=(2, 3)) for _ in range(150)]
+        ds = EnvDataset(d=3, cardinalities=cards, envs=envs)
+        nodes = [(v, s) for v in range(3) for s in range(2)]
+        table = pattern_table(ds, nodes)
+        stmts = list(ci_statements(nodes, 4))
+        whole = [_bits(res) for res in run_ci_tests(table, stmts)]
+        fill = functools.partial(ci_test._count_array, table)
+        splits = set()
+        for cells in (1, 16, 64, 200, 729, 2000, 1 << 14):
+            monkeypatch.setattr(ci_test, "_BLOCK_CELLS", cells)
+            plan = ci_test._statement_plan(stmts, cards)
+            split = []
+            for group, members in _fill_groups_of(plan):
+                one_each = np.concatenate([fill(key).ravel() for key in members])
+                assert group.filled(fill).tobytes() == one_each.tobytes()
+                union = fill(group.key).shape
+                extended = math.prod(k + (a in group.sums) for a, k in enumerate(union))
+                assert len(members) == 1 or (extended <= cells
+                                             and 1 + len(group.sums) <= len(members))
+                split.append((len(members), len(group.sums)))
+            assert [_bits(res) for res in run_ci_tests(table, stmts)] == whole
+            splits.add(tuple(split))
+            if cells >= 16:
+                assert any(members > 1 for members, _ in split)
+        # at 1 cell every F is alone, from 16 to 729 the groups split
+        # otherwise at each budget, and from 2,000 the whole list is one
+        # group of the union's 6 axes, each summed (3 * 4 * 3 * 4 * 3 * 4 cells)
+        assert len(splits) == 6 and split == [(57, 6)]
+
+    @pytest.mark.parametrize("samples", [None, 2])
+    def test_sink_sweep_fs_are_filled_alone(self, samples):
+        # each sink-sweep F adds one sample-1 node to the same sample-0 nodes,
+        # so a run of m of them omits m axes: one fill per F is fewer passes
+        for d in (3, 4, 6):
+            stmts = [statement([(i, 0)], [(j, 1)], [(v, 0) for v in range(d) if v != i])
+                     for i in range(d) for j in range(d) if j != i]
+            plan = ci_test._statement_plan(stmts, (2,) * d, samples)
+            assert len(plan.fulls) == d
+            assert all(groups is None for _, _, groups in plan.windows)
+
+    def test_window_without_a_group_is_filled_alone(self):
+        # F {x0, y0, z0} has no node new to the list, but a run of two F's
+        # here omits at least two axes, and of all three, four
+        x0, y0, z0, w0 = ((v, 0) for v in range(4))
+        stmts = [statement([x0], [y0]), statement([z0], [w0]), statement([x0], [y0], [z0])]
+        plan = ci_test._statement_plan(stmts, (2,) * 4)
+        assert [(a, b) for a, b, _ in plan.windows] == [(0, 3)]
+        assert plan.windows[0][2] is None
+        # with F {z0, w0, x0} in its place, F's 2 and 3 differ in one node
+        stmts[2] = statement([z0], [w0], [x0])
+        (_, _, groups), = ci_test._statement_plan(stmts, (2,) * 4).windows
+        assert [(g.sums, g.index is None) for g in groups] == [((), True), ((0,), False)]
+
+
 class TestGTest:
     def test_hand_computed_statistic(self):
         counts = np.array([[[10, 20], [30, 40]]], dtype=float)
@@ -504,11 +583,44 @@ class TestChi2Sf:
             ps = [chi2_sf(x, dof) for x in xs]
             assert all(a >= b for a, b in zip(ps, ps[1:]))
 
-    def test_non_convergence_raises(self):
-        # dof = 10**8 at x = dof needs far more than 10,000 series terms; a
-        # truncated sum read 0.5786 where the tail is about 0.49998
-        with pytest.raises(ArithmeticError, match=r"series.*a=50000000\.0, x=50000000\.0"):
-            chi2_sf(1e8, 10**8)
+    def test_non_converging_sums_fall_back_to_temme(self):
+        # dof = 10**8 at x = dof needs far more than 10,000 series terms (a
+        # truncated sum read 0.5786); at eta = 0 Temme's expansion is
+        # 1/2 - 1/(3 sqrt(pi dof)) - 1/(270 dof sqrt(pi dof)) + O(dof^-2.5)
+        assert ci_test._gamma_p_series(5e7, 5e7) is None
+        for dof in (4 * 10**6, 10**8, 10**10):
+            root = math.sqrt(math.pi * dof)
+            assert chi2_sf(float(dof), dof) == pytest.approx(
+                0.5 - 1 / (3 * root) - 1 / (270 * dof * root), abs=1e-15
+            )
+        # where the series still converges, the expansion agrees with it
+        # to the series' own error: its prefactor exp(-x + a log x -
+        # lgamma(a)) loses about a * 1e-16 (3.4e-10 here, against mpmath)
+        dof = 2 * 10**6
+        for t in (-5.0, -1.0, 0.0, 1.0, 5.0):
+            x = dof + t * math.sqrt(2 * dof)
+            assert ci_test._gamma_q_temme(dof / 2, x / 2) == pytest.approx(
+                chi2_sf(x, dof), abs=1e-9
+            )
+
+    @pytest.mark.parametrize("dof, tol", [(10**6, 2e-8), (10**8, 3e-8), (10**10, 5e-6)])
+    def test_large_dof_against_wilson_hilferty(self, dof, tol):
+        # Wilson-Hilferty: (X / dof)^(1/3) is about normal, mean 1 - 2/(9 dof),
+        # variance 2/(9 dof); its own error is about 1e-8 at dof 1e6 and
+        # falls with dof.  Above x = dof + 2 the continued fraction converges
+        # here, and keeps its value, whose prefactor is off by up to about
+        # dof * 1e-16 relative: 1.5e-8 at dof 1e8, 2.9e-6 at dof 1e10 (at
+        # x = dof + sqrt(2 dof)); below, the series or the expansion is
+        # within 1e-10 of Wilson-Hilferty at dof 1e8 and 1e10 (9e-11 at
+        # t = -1, dof 1e8, Wilson-Hilferty's own error)
+        var = 2 / (9 * dof)
+        for t in (-5.0, -3.0, -1.0, 0.0, 1.0, 3.0, 5.0):
+            x = dof + t * math.sqrt(2 * dof)
+            z = ((x / dof) ** (1 / 3) - (1 - var)) / math.sqrt(var)
+            wilson_hilferty = 0.5 * math.erfc(z / math.sqrt(2))
+            assert chi2_sf(x, dof) == pytest.approx(wilson_hilferty, abs=tol)
+            if dof > 10**6 and t <= 0:
+                assert chi2_sf(x, dof) == pytest.approx(wilson_hilferty, abs=3e-10)
 
     def test_bounds(self):
         for dof in (1, 3, 9):

@@ -380,7 +380,8 @@ class TestCanonicalNumbering:
 
 
     def test_masks_past_63_nodes(self):
-        # bit 63 and above do not fit an int64, so the masks stay Python ints
+        # 70 nodes: past the 64 bits that bounded the old int64 node masks;
+        # the walks now read (node, node) float32 matrices of any size
         chain = Dmag(range(70), {(i, i + 1) for i in range(69)}, {frozenset((0, 69))})
         stmts = [statement([0], [69]), statement([1], [68], [35]), statement([1], [68]),
                  statement([0], [68], [69]), statement([1], [69], [0, 35])]

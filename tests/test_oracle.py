@@ -7,7 +7,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from exdag import graphs, harness
+from exdag import ci_test, graphs, harness
 from exdag.discovery import discover_with_tester
 from exdag.graphs import (
     CiStatement,
@@ -564,6 +564,81 @@ class TestBatchKey:
         listed = [listed[j] for j in rng.permutation(len(listed))]
         fresh = dataclasses.replace(model)
         assert _ci_verdicts(fresh, listed) == [one_statement_verdict(model, s) for s in listed]
+
+
+def per_f_verdict(model, stmt):
+    """Reference: p_F summed from the joint for this statement's F alone,
+    over the axes outside it, and p(l,g), p(r,g) and p(g) summed from p_F."""
+    p_lrg = fresh_marginal(model, stmt.left | stmt.right | stmt.given)
+    p_lg, p_rg, p_g = (
+        p_lrg.sum(axis=tuple(model.axis_of(v, s) for v, s in nodes), keepdims=True)
+        for nodes in (stmt.right, stmt.left, stmt.left | stmt.right)
+    )
+    return bool((np.abs(p_lrg * p_g - p_lg * p_rg) <= DEFAULT_CI_TOL * p_g**2).all())
+
+
+class TestFillGroups:
+    """The exact plan fills a run of F's from one sum of the joint over the
+    axes outside their union, extended by a sum slot on each axis some
+    member omits, so each p_F moves only by float rounding: whatever the
+    budget, and so the groups, the verdicts are those of one joint sum per
+    F."""
+
+    def test_binary_eight_node_plan_is_one_group(self):
+        # 247 node sets from the joint with a sum slot on each of its 8 axes
+        stmts, _, _, plan = _model_plan((2,) * 8, 2, 6)
+        ((first, stop, (group,)),) = plan.windows
+        assert (first, stop) == (0, len(plan.fulls)) == (0, 247)
+        assert group.key == () and group.sums == tuple(range(8))
+        assert group.index.size == plan.starts[-1] == 3**8 - 1 - 2 * 8
+
+    def test_verdicts_match_one_sum_per_f_at_every_budget(self, monkeypatch):
+        rng = np.random.default_rng(59)
+        chain = Dag(3, frozenset({(0, 1), (1, 2)}))
+        collider = Dag(3, frozenset({(0, 2), (1, 2)}))
+        models = [
+            random_generic_model(chain, 2, rng),
+            random_generic_model(collider, 2, rng, cardinalities=(3, 2, 3)),
+            random_generic_model(XY, 3, rng, atoms_per_node=1, cardinalities=(3, 2)),
+            zero_mass_model(),
+        ]
+        cases = []
+        for model in models:
+            nodes = model_nodes(model)
+            every = list(ci_statements(nodes, len(nodes)))
+            listed = _random_statements(nodes, 40, rng)
+            dmag = icm_unroll(model.graph, model.samples_per_env)
+            reference = {s: per_f_verdict(model, s) for s in every + listed}
+            separated = {s: m_separated(dmag, s) for s in every}
+            cases.append((model, len(nodes), every, listed, reference, separated))
+        faithless = 0
+        try:
+            for cells in (1, 16, 64, 200, 729, 1 << 14):
+                monkeypatch.setattr(ci_test, "_BLOCK_CELLS", cells)
+                _model_plan.cache_clear()  # its plans hold the groups of the last budget
+                for model, size, every, listed, reference, separated in cases:
+                    model = dataclasses.replace(model)
+                    plan = _model_plan(model.shape, model.samples_per_env, size)[3]
+                    grouped = [g for _, _, gs in plan.windows for g in gs or () if g.sums]
+                    if cells in (1, 2**14):
+                        assert len(grouped) == (cells > 1)  # none, or the whole plan
+                    elif cells >= 64:
+                        assert grouped
+                    want = sorted((s for s in every if reference[s]), key=CiStatement.sort_key)
+                    assert true_ci_set(model, size) == want
+                    report = verify_markov_faithful(model, size)
+                    assert report.markov_violations == [
+                        s for s in every if separated[s] and not reference[s]
+                    ]
+                    assert report.faithfulness_violations == [
+                        s for s in every if reference[s] and not separated[s]
+                    ]
+                    faithless += len(report.faithfulness_violations)
+                    assert _ci_verdicts(model, listed) == [reference[s] for s in listed]
+        finally:
+            monkeypatch.undo()
+            _model_plan.cache_clear()
+        assert faithless > 0
 
 
 class TestPlanMemory:

@@ -108,6 +108,32 @@ class TestPriors:
         with pytest.raises(ValueError, match="atom 0 CPT entries must be finite"):
             AtomMixturePrior([(1.0, [[bad, 0.5], [0.75, 0.5]])])
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_stacked_atoms_name_the_first_bad_atom(self, bad):
+        # the atoms are checked as one stacked array; the first fault in
+        # atom order is still the one reported
+        cpt = [[0.25, 0.5], [0.75, 0.5]]
+        nonfinite = [[bad, 0.5], [0.75, 0.5]]
+        with pytest.raises(ValueError, match="atom 1 CPT entries must be finite"):
+            AtomMixturePrior([(0.25, cpt), (0.25, nonfinite), (bad, cpt), (0.5, nonfinite)])
+        with pytest.raises(ValueError, match="atom 1 weight must be finite"):
+            AtomMixturePrior([(0.5, cpt), (bad, nonfinite), (0.5, [[bad], [1.0]])])
+        with pytest.raises(ValueError, match="atom 2 CPT entries must be finite"):
+            AtomMixturePrior([(0.5, cpt), (0.25, [[1.0], [0.0]]), (0.25, [[bad], [1.0]])])
+
+    def test_stacked_atoms_checked_like_each_atom(self):
+        cpt = [[0.25, 0.5], [0.75, 0.5]]
+        with pytest.raises(ValueError, match="share CPT shape"):
+            AtomMixturePrior([(0.5, cpt), (0.5, [[0.25], [0.75]])])
+        with pytest.raises(ValueError, match="share CPT shape"):
+            AtomMixturePrior([(0.5, [0.25, 0.75]), (0.5, [0.5, 0.5])])
+        with pytest.raises(ValueError, match=r"lie in \[0, 1\]"):
+            AtomMixturePrior([(0.5, cpt), (0.5, [[1.5, 0.5], [-0.5, 0.5]])])
+        with pytest.raises(ValueError, match="column must sum to 1"):
+            AtomMixturePrior([(0.5, cpt), (0.5, [[0.25, 0.5], [0.75, 0.25]])])
+        prior = AtomMixturePrior([(0.5, cpt), (0.5, [[1.0, 0.0], [0.0, 1.0]])])
+        assert prior.cardinality == 2 and len(prior.atoms) == 2
+
     def test_mixture_prior_cardinalities(self):
         prior = MixturePrior((XorBetaPrior(1, 3), DirichletColumnsPrior((1.0,) * 3)))
         assert prior.d == 2
